@@ -23,9 +23,7 @@ from .data import (
     POWER_COLUMN,
     TIMESTAMP_COLUMN,
     Dataset,
-    FeatureVector,
     NormalizationStats,
-    Sample,
     SplitConfig,
     apply_normalization,
     fit_normalization,
@@ -50,7 +48,6 @@ from .errors import (
     MetricError,
     MissingColumn,
     ModelError,
-    NoConvergence,
     NonFiniteLoss,
     NonNumericCell,
     NotPositiveDefinite,
@@ -77,7 +74,7 @@ from .metrics import (
     percent_change,
     rmse,
 )
-from .noise import NOISE_TARGETS, NoiseConfig, inject, sweep_fractions
+from .noise import NOISE_TARGETS, NoiseConfig, inject
 from .regressors import (
     DEFAULT_KINDS,
     KINDS,
@@ -110,15 +107,15 @@ __all__ = [
     "__version__",
     # data
     "FEATURE_NAMES", "FEATURE_UNITS", "N_FEATURES", "POWER_COLUMN",
-    "TIMESTAMP_COLUMN", "Dataset", "FeatureVector", "NormalizationStats",
-    "Sample", "SplitConfig", "apply_normalization", "fit_normalization",
+    "TIMESTAMP_COLUMN", "Dataset", "NormalizationStats",
+    "SplitConfig", "apply_normalization", "fit_normalization",
     "load_csv", "normalize", "save_csv", "split", "synth_generate",
     # errors
     "PvfdiError", "ConfigError", "DataError", "MissingColumn",
     "NonNumericCell", "EmptyFile", "DatasetTooSmall", "InvalidCount",
     "MetricError", "LengthMismatch", "EmptySeries", "ZeroBaseline",
     "ModelError", "InvalidSpec", "DimensionMismatch", "KTooLarge",
-    "NotPositiveDefinite", "NoConvergence", "NonFiniteLoss", "IoError",
+    "NotPositiveDefinite", "NonFiniteLoss", "IoError",
     # metrics
     "EvaluationSeries", "MetricTriple", "rmse", "mse", "mae",
     "metric_triple", "percent_change",
@@ -129,7 +126,7 @@ __all__ = [
     "fit_lasso", "lasso_lambda_max", "fit_gpr", "fit_knn", "fit_dt",
     "fit_gbrt", "fit_svr", "fit_mlpr", "save_model", "load_model",
     # noise
-    "NoiseConfig", "NOISE_TARGETS", "inject", "sweep_fractions",
+    "NoiseConfig", "NOISE_TARGETS", "inject",
     # experiment
     "ExperimentConfig", "ExperimentReport", "run_clean_benchmark",
     "run_noise_sweep", "compute_sensitivity", "emit_report",

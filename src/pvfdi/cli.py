@@ -11,7 +11,6 @@ or runtime error.
 
 import argparse
 import configparser
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,9 @@ from .data import FEATURE_NAMES, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, PvfdiError
 from .experiment import (
     ExperimentConfig,
+    _csv_table,
+    _write_json,
+    _write_text,
     compute_sensitivity,
     emit_report,
     fraction_label,
@@ -224,12 +226,6 @@ def _build_experiment(args) -> tuple:
     return cfg, Path(out_dir)
 
 
-def _write_provenance(path: Path, block: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(block, sort_keys=True, indent=2) + "\n")
-
-
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -237,7 +233,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
-    _write_provenance(out.with_name(out.name + ".provenance.json"), {
+    _write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
         "command": "synth",
         "n": args.n,
@@ -268,7 +264,7 @@ def cmd_inject(args) -> int:
     index_path = out.with_name(out.name + ".affected.txt")
     with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{row}\n" for row in affected)
-    _write_provenance(out.with_name(out.name + ".provenance.json"), {
+    _write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
         "command": "inject",
         "input": str(args.data),
@@ -344,12 +340,9 @@ def cmd_report(args) -> int:
     labels = [sensitivity_label(f) for f in fractions if f != 0.0]
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["model," + ",".join(labels)]
-    for name in sensitivity:
-        lines.append(name + "," + ",".join(repr(sensitivity[name][c]) for c in labels))
-    (out_dir / "sensitivity.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_provenance(out_dir / "provenance.json", {
+    rows = [[name] + [repr(sensitivity[name][c]) for c in labels] for name in sensitivity]
+    _write_text(out_dir / "sensitivity.csv", _csv_table(["model"] + labels, rows))
+    _write_json(out_dir / "provenance.json", {
         "version": __version__,
         "command": "report",
         "input": str(args.data),

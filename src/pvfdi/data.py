@@ -30,8 +30,6 @@ __all__ = [
     "N_FEATURES",
     "POWER_COLUMN",
     "TIMESTAMP_COLUMN",
-    "FeatureVector",
-    "Sample",
     "Dataset",
     "NormalizationStats",
     "SplitConfig",
@@ -67,53 +65,6 @@ FEATURE_UNITS = {
 
 POWER_COLUMN = "POWER"
 TIMESTAMP_COLUMN = "TIMESTAMP"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One sample's twelve weather variables, all finite."""
-
-    tclw: float
-    tciw: float
-    sp: float
-    rh: float
-    tcc: float
-    u10: float
-    v10: float
-    t2m: float
-    ssrd: float
-    strd: float
-    tsr: float
-    tp: float
-
-    def __post_init__(self):
-        for name in FEATURE_NAMES:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"feature {name!r} is not finite: {value!r}")
-
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got shape {values.shape}")
-        return cls(*map(float, values))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A feature vector with its PV power target and optional timestamp."""
-
-    features: FeatureVector
-    power: float
-    timestamp: str | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.power):
-            raise ValueError(f"power is not finite: {self.power!r}")
 
 
 @dataclass(frozen=True)
@@ -205,18 +156,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self._features.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        ts = self._timestamps[i] if self._timestamps is not None else None
-        return Sample(
-            features=FeatureVector.from_array(self._features[i]),
-            power=float(self._power[i]),
-            timestamp=ts,
-        )
-
-    @property
-    def samples(self) -> list:
-        return [self.sample(i) for i in range(len(self))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -91,8 +91,12 @@ class ModelError(PvfdiError):
     """Base class for model specification and fitting errors."""
 
 
-class InvalidSpec(ModelError):
-    """Hyperparameters inconsistent with the model kind."""
+class InvalidSpec(ModelError, ValueError):
+    """Hyperparameters inconsistent with the model kind.
+
+    Also a ValueError, the type the fitting routines raise for the same
+    out-of-range arguments.
+    """
 
 
 class DimensionMismatch(ModelError):
@@ -115,19 +119,6 @@ class NotPositiveDefinite(ModelError):
         super().__init__(f"kernel matrix not positive definite even with jitter {jitter:g}")
 
 
-class NoConvergence(ModelError):
-    """Solver hit its iteration cap before meeting its tolerance.
-
-    SVR fitting does not raise this; it returns the best iterate with the
-    model's ``converged`` flag set to False. The class exists so callers
-    can raise it when a non-converged model is unacceptable.
-    """
-
-    def __init__(self, max_iterations: int):
-        self.max_iterations = max_iterations
-        super().__init__(f"no convergence within {max_iterations} iterations")
-
-
 class NonFiniteLoss(ModelError):
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -137,4 +128,4 @@ class NonFiniteLoss(ModelError):
 # --- output ------------------------------------------------------------------
 
 class IoError(PvfdiError):
-    """Failed to write report or series files."""
+    """Failed to write report or series files, or to read a model file."""

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
 from .errors import IoError, ZeroBaseline
 from .metrics import EvaluationSeries, MetricTriple, metric_triple, percent_change, rmse
-from .noise import NoiseConfig, inject, sweep_fractions
+from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
 from .rng import derive_seed
 
@@ -306,6 +306,10 @@ def _write_text(path: Path, text: str):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
+def _write_json(path: Path, block: dict):
+    _write_text(path, json.dumps(block, sort_keys=True, indent=2) + "\n")
+
+
 def _csv_table(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -405,7 +409,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     written.extend(emit_plot_series(report, out_dir))
 
     written.append(out_dir / "provenance.json")
-    _write_text(written[-1], json.dumps(report.provenance, sort_keys=True, indent=2) + "\n")
+    _write_json(written[-1], report.provenance)
 
     written.append(out_dir / "report.txt")
     _write_text(written[-1], "\n".join(text_blocks))

@@ -14,7 +14,7 @@ import numpy as np
 from .data import FEATURE_NAMES, Dataset
 from .rng import stream
 
-__all__ = ["NoiseConfig", "NOISE_TARGETS", "inject", "sweep_fractions"]
+__all__ = ["NoiseConfig", "NOISE_TARGETS", "inject"]
 
 NOISE_TARGETS = ("FEATURES", "POWER", "BOTH")
 
@@ -48,11 +48,6 @@ class NoiseConfig:
             if unknown:
                 raise ValueError(f"unknown feature columns: {sorted(unknown)}")
             object.__setattr__(self, "columns", columns)
-
-
-def sweep_fractions() -> list:
-    """The benchmark's injection fractions: 0%, 10%, 50%, 100%."""
-    return [0.0, 0.1, 0.5, 1.0]
 
 
 def inject(test: Dataset, cfg: NoiseConfig) -> tuple:

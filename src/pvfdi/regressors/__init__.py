@@ -1,8 +1,10 @@
 """The eight-model regression suite behind one (spec, dataset) interface.
 
-Each kind has a from-scratch fitting routine in its own module; this
-package adds the ModelSpec record (kind + hyperparameters + seed),
-validates hyperparameters against the kind, and dispatches fit calls.
+Each kind has a from-scratch fitting routine in its own module, which
+also declares the kind's registry entry (defaults, range rules, fit
+adapter and model-file schema). This package adds the ModelSpec record
+(kind + hyperparameters + seed), validated against that entry, and
+dispatches fit calls through it.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +16,7 @@ from .gpr import GPRModel, fit_gpr, rbf_kernel
 from .knn import KNNModel, fit_knn
 from .linear import LinearModel, fit_lasso, fit_lr, lasso_lambda_max
 from .mlp import MLPRModel, fit_mlpr, init_params, loss_and_gradient, mlp_loss
+from .registry import REGISTRY
 from .serialize import FORMAT_VERSION, dumps, load_model, loads, save_model
 from .svr import SVRModel, fit_svr
 from .tree import TreeModel, best_split, fit_dt, grow_tree, route
@@ -35,78 +38,20 @@ __all__ = [
     "save_model", "load_model", "dumps", "loads", "FORMAT_VERSION",
 ]
 
-# Benchmark-table order; KINDS membership is the same set.
-DEFAULT_KINDS = ("LR", "GPR", "KNN", "DT", "GBRT", "SVR", "MLPR", "LASSO")
+DEFAULT_KINDS = tuple(REGISTRY)
 KINDS = frozenset(DEFAULT_KINDS)
 
-_DEFAULTS = {
-    "LR": {},
-    "LASSO": {"lam": 0.01, "tol": 1e-8, "max_sweeps": 10_000},
-    "GPR": {"length_scale": 1.0, "noise_variance": 0.01, "max_points": 2000},
-    "KNN": {"k": 2},
-    "DT": {"max_depth": None, "min_samples_leaf": 5},
-    "GBRT": {"rounds": 100, "learning_rate": 0.1, "max_depth": 3,
-             "reg_lambda": 1.0, "gamma": 0.0, "min_samples_leaf": 1},
-    # gamma None means 1/n_features at fit time
-    "SVR": {"C": 1.0, "epsilon": 0.1, "gamma": None, "tol": 1e-3,
-            "max_iterations": 200_000, "cache_mb": 128.0},
-    "MLPR": {"hidden": 100, "learning_rate": 1e-3, "max_epochs": 500,
-             "tol": 1e-8, "patience": 10},
-}
+
+def _entry(kind: str):
+    try:
+        return REGISTRY[kind]
+    except KeyError:
+        raise InvalidSpec(f"unknown model kind {kind!r}") from None
 
 
 def default_hyperparameters(kind: str) -> dict:
     """Copy of the documented defaults for one model kind."""
-    if kind not in KINDS:
-        raise InvalidSpec(f"unknown model kind {kind!r}")
-    return dict(_DEFAULTS[kind])
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise InvalidSpec(message)
-
-
-def _validate(kind: str, hp: dict):
-    _require(kind in KINDS, f"unknown model kind {kind!r}")
-    unknown = set(hp) - set(_DEFAULTS[kind])
-    _require(not unknown,
-             f"{kind} does not accept hyperparameters {sorted(unknown)}")
-    full = {**_DEFAULTS[kind], **hp}
-    if kind == "LASSO":
-        _require(full["lam"] >= 0, "LASSO lam must be >= 0")
-        _require(full["tol"] > 0, "LASSO tol must be positive")
-        _require(full["max_sweeps"] >= 1, "LASSO max_sweeps must be >= 1")
-    elif kind == "GPR":
-        _require(full["length_scale"] > 0, "GPR length_scale must be positive")
-        _require(full["noise_variance"] >= 0, "GPR noise_variance must be >= 0")
-        _require(full["max_points"] >= 1, "GPR max_points must be >= 1")
-    elif kind == "KNN":
-        _require(full["k"] >= 1, "KNN k must be >= 1")
-    elif kind == "DT":
-        _require(full["max_depth"] is None or full["max_depth"] >= 0,
-                 "DT max_depth must be None or >= 0")
-        _require(full["min_samples_leaf"] >= 1, "DT min_samples_leaf must be >= 1")
-    elif kind == "GBRT":
-        _require(full["rounds"] >= 1, "GBRT rounds must be >= 1")
-        _require(full["learning_rate"] > 0, "GBRT learning_rate must be positive")
-        _require(full["max_depth"] >= 0, "GBRT max_depth must be >= 0")
-        _require(full["reg_lambda"] >= 0, "GBRT reg_lambda must be >= 0")
-        _require(full["gamma"] >= 0, "GBRT gamma must be >= 0")
-        _require(full["min_samples_leaf"] >= 1, "GBRT min_samples_leaf must be >= 1")
-    elif kind == "SVR":
-        _require(full["C"] > 0, "SVR C must be positive")
-        _require(full["epsilon"] >= 0, "SVR epsilon must be >= 0")
-        _require(full["gamma"] is None or full["gamma"] > 0,
-                 "SVR gamma must be positive or None")
-        _require(full["tol"] > 0, "SVR tol must be positive")
-        _require(full["max_iterations"] >= 1, "SVR max_iterations must be >= 1")
-    elif kind == "MLPR":
-        _require(full["hidden"] >= 1, "MLPR hidden must be >= 1")
-        _require(full["learning_rate"] > 0, "MLPR learning_rate must be positive")
-        _require(full["max_epochs"] >= 1, "MLPR max_epochs must be >= 1")
-        _require(full["tol"] > 0, "MLPR tol must be positive")
-        _require(full["patience"] >= 1, "MLPR patience must be >= 1")
+    return dict(_entry(kind).defaults)
 
 
 @dataclass(frozen=True)
@@ -124,12 +69,16 @@ class ModelSpec:
 
     def __post_init__(self):
         hp = dict(self.hyperparameters) if self.hyperparameters else {}
-        _validate(self.kind, hp)
+        entry = _entry(self.kind)
+        unknown = set(hp) - set(entry.defaults)
+        if unknown:
+            raise InvalidSpec(f"{self.kind} does not accept hyperparameters {sorted(unknown)}")
+        entry.check(**{**entry.defaults, **hp})
         object.__setattr__(self, "hyperparameters", hp)
 
     def effective_hyperparameters(self) -> dict:
         """Defaults overlaid with this spec's overrides."""
-        return {**_DEFAULTS[self.kind], **self.hyperparameters}
+        return {**REGISTRY[self.kind].defaults, **self.hyperparameters}
 
 
 def fit(spec: ModelSpec, train) -> TrainedModel:
@@ -142,22 +91,6 @@ def fit(spec: ModelSpec, train) -> TrainedModel:
     else:
         X, y = train
     hp = spec.effective_hyperparameters()
-    kind = spec.kind
-    if kind == "LR":
-        model = fit_lr(X, y)
-    elif kind == "LASSO":
-        model = fit_lasso(X, y, **hp)
-    elif kind == "GPR":
-        model = fit_gpr(X, y, seed=spec.seed, **hp)
-    elif kind == "KNN":
-        model = fit_knn(X, y, **hp)
-    elif kind == "DT":
-        model = fit_dt(X, y, **hp)
-    elif kind == "GBRT":
-        model = fit_gbrt(X, y, **hp)
-    elif kind == "SVR":
-        model = fit_svr(X, y, **hp)
-    else:
-        model = fit_mlpr(X, y, seed=spec.seed, **hp)
+    model = REGISTRY[spec.kind].fit(X, y, hp, spec.seed)
     model.spec = spec
     return model

@@ -1,8 +1,16 @@
-"""Uniform predict contract shared by every model in the suite."""
+"""Uniform predict contract and registry entry shared by every model kind."""
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, InvalidSpec
+
+# (predicate, requirement) pairs shared by the kinds' range rules
+POSITIVE = (lambda v: v > 0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
 
 class TrainedModel:
@@ -41,3 +49,31 @@ class TrainedModel:
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """Everything the suite knows about one model kind, declared once.
+
+    ``defaults`` maps every accepted hyperparameter to its default and
+    ``rules`` maps a hyperparameter to a (predicate, requirement) pair.
+    ``fit`` adapts the kind's fitting routine to (X, y, hp, seed).
+    ``schema`` lists the model file's (tag, name) fields in file order;
+    ``load`` rebuilds a model from those fields and the declared feature
+    count, and ``dump``, when set, supplies the field values in place of
+    the model attributes of the same names.
+    """
+
+    name: str
+    defaults: dict
+    rules: dict
+    fit: Callable
+    schema: tuple
+    load: Callable
+    dump: Callable | None = None
+
+    def check(self, **hp):
+        """Raise InvalidSpec for the first given hyperparameter out of range."""
+        for key, (ok, requirement) in self.rules.items():
+            if key in hp and not ok(hp[key]):
+                raise InvalidSpec(f"{self.name} {key} {requirement}")

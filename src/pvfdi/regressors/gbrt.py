@@ -11,7 +11,7 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
 from .tree import grow_tree, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -52,8 +52,7 @@ def fit_gbrt(
     gamma: float = 0.0,
     min_samples_leaf: int = 1,
 ) -> GBRTModel:
-    if rounds < 1:
-        raise ValueError("boosting needs at least one round")
+    GBRT.check(rounds=rounds)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
@@ -79,3 +78,21 @@ def fit_gbrt(
         history.append(float(np.mean((yhat - y) ** 2)))
 
     return GBRTModel(base, trees, learning_rate, reg_lambda, gamma, history, X.shape[1])
+
+
+GBRT = ModelKind(
+    "GBRT",
+    defaults={"rounds": 100, "learning_rate": 0.1, "max_depth": 3,
+              "reg_lambda": 1.0, "gamma": 0.0, "min_samples_leaf": 1},
+    rules={"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
+           "max_depth": NON_NEGATIVE, "reg_lambda": NON_NEGATIVE,
+           "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_gbrt(X, y, **hp),
+    schema=(("float", "base_score"), ("float", "learning_rate"),
+            ("float", "reg_lambda"), ("float", "gamma"),
+            ("array", "train_loss_history"), ("trees", "trees")),
+    load=lambda fields, n_features: GBRTModel(
+        fields["base_score"], fields["trees"], fields["learning_rate"],
+        fields["reg_lambda"], fields["gamma"],
+        fields["train_loss_history"].tolist(), n_features),
+)

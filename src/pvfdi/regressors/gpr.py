@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -36,9 +36,11 @@ class GPRModel(TrainedModel):
     kind = "GPR"
 
     def __init__(self, X_train, alpha, length_scale, noise_variance, jitter,
-                 chol_lower, subsampled):
+                 subsampled):
         X_train = np.array(X_train, dtype=np.float64)
         alpha = np.array(alpha, dtype=np.float64)
+        if alpha.shape != X_train.shape[:1]:
+            raise ValueError("alpha needs one weight per training row")
         super().__init__(X_train.shape[1])
         X_train.flags.writeable = False
         alpha.flags.writeable = False
@@ -47,8 +49,6 @@ class GPRModel(TrainedModel):
         self.length_scale = float(length_scale)
         self.noise_variance = float(noise_variance)
         self.jitter = float(jitter)
-        # kept so the posterior variance stays recoverable from the model
-        self._chol_lower = chol_lower
         self.subsampled = bool(subsampled)
 
     def _predict_batch(self, X):
@@ -72,10 +72,7 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, np.newaxis]
-    if length_scale <= 0:
-        raise ValueError(f"length_scale must be positive, got {length_scale}")
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+    GPR.check(length_scale=length_scale, noise_variance=noise_variance)
 
     subsampled = X.shape[0] > max_points
     if subsampled:
@@ -97,6 +94,18 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         except LinAlgError:
             continue
         alpha = cho_solve(factor, y)
-        return GPRModel(X, alpha, length_scale, noise_variance, jitter,
-                        np.tril(factor[0]), subsampled)
+        return GPRModel(X, alpha, length_scale, noise_variance, jitter, subsampled)
     raise NotPositiveDefinite(_JITTERS[-1])
+
+
+GPR = ModelKind(
+    "GPR",
+    defaults={"length_scale": 1.0, "noise_variance": 0.01, "max_points": 2000},
+    rules={"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
+           "max_points": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_gpr(X, y, seed=seed, **hp),
+    schema=(("float", "length_scale"), ("float", "noise_variance"),
+            ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
+            ("matrix", "X_train")),
+    load=lambda fields, n_features: GPRModel(**fields),
+)

@@ -8,7 +8,7 @@ index, so results are fully deterministic.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -21,6 +21,8 @@ class KNNModel(TrainedModel):
     def __init__(self, X_train, y_train, k):
         X_train = np.array(X_train, dtype=np.float64)
         y_train = np.array(y_train, dtype=np.float64)
+        if y_train.shape != X_train.shape[:1]:
+            raise ValueError("y_train needs one target per training row")
         super().__init__(X_train.shape[1])
         X_train.flags.writeable = False
         y_train.flags.writeable = False
@@ -46,8 +48,17 @@ def fit_knn(X, y, k: int = 2) -> KNNModel:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, np.newaxis]
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    KNN.check(k=k)
     if k > X.shape[0]:
         raise KTooLarge(k, X.shape[0])
     return KNNModel(X, y, k)
+
+
+KNN = ModelKind(
+    "KNN",
+    defaults={"k": 2},
+    rules={"k": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_knn(X, y, **hp),
+    schema=(("int", "k"), ("array", "y_train"), ("matrix", "X_train")),
+    load=lambda fields, n_features: KNNModel(**fields),
+)

@@ -8,7 +8,7 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
 
 __all__ = ["LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
 
@@ -90,8 +90,7 @@ def fit_lasso(
     unpenalized (handled by centering). With lam=0 this reduces to
     coordinate-descent least squares.
     """
-    if lam < 0:
-        raise ValueError(f"penalty must be non-negative, got {lam!r}")
+    LASSO.check(lam=lam)
     X, y = _as_design(X, y)
     n, d = X.shape
     x_mean = X.mean(axis=0)
@@ -124,3 +123,24 @@ def fit_lasso(
     return LinearModel(
         theta, y_mean - x_mean @ theta, kind="LASSO", objective_history=history
     )
+
+
+_SCHEMA = (("float", "bias"), ("array", "coefficients"))
+
+LR = ModelKind(
+    "LR",
+    defaults={},
+    rules={},
+    fit=lambda X, y, hp, seed: fit_lr(X, y),
+    schema=_SCHEMA,
+    load=lambda fields, n_features: LinearModel(**fields, kind="LR"),
+)
+
+LASSO = ModelKind(
+    "LASSO",
+    defaults={"lam": 0.01, "tol": 1e-8, "max_sweeps": 10_000},
+    rules={"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_lasso(X, y, **hp),
+    schema=_SCHEMA,
+    load=lambda fields, n_features: LinearModel(**fields, kind="LASSO"),
+)

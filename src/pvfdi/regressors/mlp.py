@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -67,6 +67,8 @@ class MLPRModel(TrainedModel):
         W1 = np.array(W1)
         b1 = np.array(b1)
         W2 = np.array(W2)
+        if W1.ndim != 2 or b1.shape != W1.shape[1:] or W2.shape != W1.shape[1:]:
+            raise ValueError("W1, b1 and W2 disagree on the hidden width")
         for a in (W1, b1, W2):
             a.flags.writeable = False
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, float(b2)
@@ -135,3 +137,18 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
         params = (new[0], new[1], new[2], float(new[3]))
 
     return MLPRModel(params, history, stopped_early)
+
+
+MLPR = ModelKind(
+    "MLPR",
+    defaults={"hidden": 100, "learning_rate": 1e-3, "max_epochs": 500,
+              "tol": 1e-8, "patience": 10},
+    rules={"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
+           "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_mlpr(X, y, seed=seed, **hp),
+    schema=(("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
+            ("array", "b1"), ("array", "W2"), ("matrix", "W1")),
+    load=lambda fields, n_features: MLPRModel(
+        (fields["W1"], fields["b1"], fields["W2"], fields["b2"]),
+        fields["loss_history"].tolist(), fields["stopped_early"]),
+)

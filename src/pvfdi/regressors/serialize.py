@@ -12,56 +12,80 @@ The format is versioned, line-oriented, and binary-free:
     ...
     end
 
-Floats are written with float.hex(), so reload is bit-exact. Every model
-kind in the suite round-trips through save_model/load_model to a model
-with identical predictions.
+Floats are written with float.hex(), so reload is bit-exact. After the
+header come the fields of the kind's registry schema, in schema order.
+Every model kind in the suite round-trips through save_model/load_model
+to a model with identical predictions. Loading checks each field name,
+the closing ``end`` line, the declared feature count, and that every
+tree routes each row to a leaf; a malformed file raises IoError.
 """
 
 import numpy as np
 
 from ..errors import IoError
-from .gbrt import GBRTModel
-from .gpr import GPRModel
-from .knn import KNNModel
-from .linear import LinearModel
-from .mlp import MLPRModel
-from .svr import SVRModel
-from .tree import TreeModel
+from .registry import REGISTRY
 
 __all__ = ["save_model", "load_model", "dumps", "loads", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 _MAGIC = "pvfdi-model"
 
+# A flat tree's five parallel arrays, in file order. A "tree" field is
+# written unprefixed; a "trees" field as "int rounds" followed by one
+# "tree{t}."-prefixed block per tree. Their schema names only key the
+# model-side value.
+_TREE_PARTS = (("iarray", "feature"), ("array", "threshold"),
+               ("iarray", "left"), ("iarray", "right"), ("array", "value"))
+_INT64 = np.iinfo(np.int64)
+
 
 class _Writer:
-    def __init__(self):
-        self.lines = [f"{_MAGIC} {FORMAT_VERSION}"]
+    """Appends fields; ``field`` dispatches on the schema tag."""
 
-    def str_(self, name, value):
+    def __init__(self, kind, n_features):
+        self.lines = [f"{_MAGIC} {FORMAT_VERSION}"]
+        self._str("kind", kind)
+        self._int("n_features", n_features)
+
+    def field(self, tag, name, value):
+        getattr(self, "_" + tag)(name, value)
+
+    def _str(self, name, value):
         self.lines.append(f"str {name} {value}")
 
-    def int_(self, name, value):
+    def _int(self, name, value):
         self.lines.append(f"int {name} {int(value)}")
 
-    def float_(self, name, value):
+    def _float(self, name, value):
         self.lines.append(f"float {name} {float(value).hex()}")
 
-    def array(self, name, values):
+    def _array(self, name, values):
         values = np.asarray(values, dtype=np.float64).ravel()
         body = " ".join(float(v).hex() for v in values)
         self.lines.append(f"array {name} {values.size}:{' ' if values.size else ''}{body}")
 
-    def iarray(self, name, values):
+    def _iarray(self, name, values):
         values = np.asarray(values, dtype=np.intp).ravel()
         body = " ".join(str(int(v)) for v in values)
         self.lines.append(f"iarray {name} {values.size}:{' ' if values.size else ''}{body}")
 
-    def matrix(self, name, values):
+    def _matrix(self, name, values):
         values = np.asarray(values, dtype=np.float64)
         self.lines.append(f"matrix {name} {values.shape[0]} {values.shape[1]}")
         for row in values:
             self.lines.append(" ".join(float(v).hex() for v in row))
+
+    def _tree(self, name, arrays):
+        self._tree_arrays("", arrays)
+
+    def _trees(self, name, trees):
+        self._int("rounds", len(trees))
+        for t, arrays in enumerate(trees):
+            self._tree_arrays(f"tree{t}.", arrays)
+
+    def _tree_arrays(self, prefix, arrays):
+        for (tag, part), values in zip(_TREE_PARTS, arrays):
+            self.field(tag, prefix + part, values)
 
     def text(self):
         self.lines.append("end")
@@ -77,9 +101,12 @@ def _parse_float(token):
 
 def _parse_int(token):
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise IoError(f"malformed integer token {token!r}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise IoError(f"integer token {token!r} out of range")
+    return value
 
 
 class _Reader:
@@ -88,6 +115,27 @@ class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
+        self.n_features = 0
+
+    def header(self):
+        """Check the magic line, record the feature count, return the kind."""
+        magic = self._next().split()
+        if magic[:1] != [_MAGIC] or len(magic) != 2:
+            raise IoError("not a model file: bad magic line")
+        if _parse_int(magic[1]) != FORMAT_VERSION:
+            raise IoError(f"unsupported model format version {magic[1]}")
+        kind = self._str("kind")
+        self.n_features = self._int("n_features")
+        if self.n_features < 0:
+            raise IoError(f"negative n_features {self.n_features}")
+        return kind
+
+    def field(self, tag, name):
+        return getattr(self, "_" + tag)(name)
+
+    def end(self):
+        if self._next() != "end" or self.pos != len(self.lines):
+            raise IoError("model file must close with a single 'end' line")
 
     def _next(self):
         if self.pos >= len(self.lines):
@@ -96,7 +144,7 @@ class _Reader:
         self.pos += 1
         return line
 
-    def _field(self, tag, name):
+    def _payload(self, tag, name):
         line = self._next()
         head, _, rest = line.partition(" ")
         got_name, _, payload = rest.partition(" ")
@@ -104,192 +152,102 @@ class _Reader:
             raise IoError(f"expected {tag} {name!r}, found {line!r}")
         return payload
 
-    def str_(self, name):
-        return self._field("str", name)
+    def _str(self, name):
+        return self._payload("str", name)
 
-    def int_(self, name):
-        return _parse_int(self._field("int", name))
+    def _int(self, name):
+        return _parse_int(self._payload("int", name))
 
-    def float_(self, name):
-        return _parse_float(self._field("float", name))
+    def _float(self, name):
+        return _parse_float(self._payload("float", name))
 
-    def array(self, name):
-        payload = self._field("array", name)
-        count, _, body = payload.partition(":")
-        values = [_parse_float(tok) for tok in body.split()]
+    def _values(self, tag, name, parse):
+        count, _, body = self._payload(tag, name).partition(":")
+        values = [parse(tok) for tok in body.split()]
         if len(values) != _parse_int(count):
-            raise IoError(f"array {name!r} declares {count} entries, has {len(values)}")
-        return np.asarray(values, dtype=np.float64)
+            raise IoError(f"{tag} {name!r} declares {count} entries, has {len(values)}")
+        return values
 
-    def iarray(self, name):
-        payload = self._field("iarray", name)
-        count, _, body = payload.partition(":")
-        values = [_parse_int(tok) for tok in body.split()]
-        if len(values) != _parse_int(count):
-            raise IoError(f"iarray {name!r} declares {count} entries, has {len(values)}")
-        return np.asarray(values, dtype=np.intp)
+    def _array(self, name):
+        return np.asarray(self._values("array", name, _parse_float), dtype=np.float64)
 
-    def matrix(self, name):
-        payload = self._field("matrix", name)
-        dims = [_parse_int(tok) for tok in payload.split()]
-        if len(dims) != 2:
-            raise IoError(f"matrix {name!r} header needs two dimensions")
+    def _iarray(self, name):
+        return np.asarray(self._values("iarray", name, _parse_int), dtype=np.intp)
+
+    def _matrix(self, name):
+        dims = [_parse_int(tok) for tok in self._payload("matrix", name).split()]
+        if len(dims) != 2 or min(dims) < 0:
+            raise IoError(f"matrix {name!r} header needs two non-negative dimensions")
         rows, cols = dims
-        out = np.empty((rows, cols))
+        data = []
         for i in range(rows):
             row = [_parse_float(tok) for tok in self._next().split()]
             if len(row) != cols:
                 raise IoError(f"matrix {name!r} row {i} has {len(row)} of {cols} columns")
-            out[i] = row
-        return out
+            data.append(row)
+        return np.array(data, dtype=np.float64).reshape(rows, cols)
 
+    def _tree(self, name):
+        return self._tree_arrays("")
 
-def _tree_arrays_out(w, prefix, arrays):
-    feature, threshold, left, right, value = arrays
-    w.iarray(f"{prefix}feature", feature)
-    w.array(f"{prefix}threshold", threshold)
-    w.iarray(f"{prefix}left", left)
-    w.iarray(f"{prefix}right", right)
-    w.array(f"{prefix}value", value)
+    def _trees(self, name):
+        rounds = self._int("rounds")
+        if rounds < 0:
+            raise IoError(f"negative tree count {rounds}")
+        return [self._tree_arrays(f"tree{t}.") for t in range(rounds)]
 
-
-def _tree_arrays_in(r, prefix):
-    return (
-        r.iarray(f"{prefix}feature"),
-        r.array(f"{prefix}threshold"),
-        r.iarray(f"{prefix}left"),
-        r.iarray(f"{prefix}right"),
-        r.array(f"{prefix}value"),
-    )
+    def _tree_arrays(self, prefix):
+        arrays = tuple(self.field(tag, prefix + part) for tag, part in _TREE_PARTS)
+        feature, _, left, right, _ = arrays
+        n = feature.size
+        if n == 0 or any(a.size != n for a in arrays):
+            raise IoError(f"{prefix}* tree arrays must be non-empty and of equal length")
+        node = np.arange(n)
+        # children numbered after their parent, as grow_tree does, so
+        # routing a row always reaches a leaf
+        valid = np.where(
+            feature >= 0,
+            (feature < self.n_features) & (node < left) & (left < n)
+            & (node < right) & (right < n),
+            (feature == -1) & (left == -1) & (right == -1),
+        )
+        if not valid.all():
+            raise IoError(f"{prefix}* tree node {int(np.argmin(valid))} is malformed")
+        return arrays
 
 
 def dumps(model) -> str:
     """Serialize a trained model to the versioned text format."""
-    w = _Writer()
-    kind = model.kind
-    w.str_("kind", kind)
-    w.int_("n_features", model.training_feature_count)
-
-    if kind in ("LR", "LASSO"):
-        w.float_("bias", model.bias)
-        w.array("coefficients", model.coefficients)
-    elif kind == "GPR":
-        w.float_("length_scale", model.length_scale)
-        w.float_("noise_variance", model.noise_variance)
-        w.float_("jitter", model.jitter)
-        w.int_("subsampled", model.subsampled)
-        w.array("alpha", model.alpha)
-        w.matrix("X_train", model.X_train)
-    elif kind == "KNN":
-        w.int_("k", model.k)
-        w.array("y_train", model.y_train)
-        w.matrix("X_train", model.X_train)
-    elif kind == "DT":
-        w.int_("max_depth", -1 if model.max_depth is None else model.max_depth)
-        w.int_("min_samples_leaf", model.min_samples_leaf)
-        _tree_arrays_out(w, "", model.arrays)
-    elif kind == "GBRT":
-        w.float_("base_score", model.base_score)
-        w.float_("learning_rate", model.learning_rate)
-        w.float_("reg_lambda", model.reg_lambda)
-        w.float_("gamma", model.gamma)
-        w.array("train_loss_history", model.train_loss_history)
-        w.int_("rounds", model.rounds)
-        for t, arrays in enumerate(model.trees):
-            _tree_arrays_out(w, f"tree{t}.", arrays)
-    elif kind == "SVR":
-        w.float_("bias", model.bias)
-        w.float_("gamma", model.gamma)
-        w.float_("C", model.C)
-        w.float_("epsilon", model.epsilon)
-        w.int_("converged", model.converged)
-        w.int_("iterations", model.iterations)
-        w.float_("kkt_violation", model.kkt_violation)
-        w.float_("dual_objective", model.dual_objective)
-        w.array("sv_coef", model.sv_coef)
-        w.matrix("sv_X", model.sv_X)
-    elif kind == "MLPR":
-        w.float_("b2", model.b2)
-        w.int_("stopped_early", model.stopped_early)
-        w.array("loss_history", model.loss_history)
-        w.array("b1", model.b1)
-        w.array("W2", model.W2)
-        w.matrix("W1", model.W1)
+    entry = REGISTRY.get(model.kind)
+    if entry is None:
+        raise IoError(f"cannot serialize model kind {model.kind!r}")
+    if entry.dump is not None:
+        values = entry.dump(model)
     else:
-        raise IoError(f"cannot serialize model kind {kind!r}")
+        values = {name: getattr(model, name) for _, name in entry.schema}
+    w = _Writer(model.kind, model.training_feature_count)
+    for tag, name in entry.schema:
+        w.field(tag, name, values[name])
     return w.text()
 
 
 def loads(text: str):
     """Rebuild a trained model from its text serialization."""
     r = _Reader(text)
-    header = r._next().split()
-    if header[:1] != [_MAGIC] or len(header) != 2:
-        raise IoError("not a model file: bad magic line")
-    if _parse_int(header[1]) != FORMAT_VERSION:
-        raise IoError(f"unsupported model format version {header[1]}")
-
-    kind = r.str_("kind")
-    n_features = r.int_("n_features")
-
-    if kind in ("LR", "LASSO"):
-        bias = r.float_("bias")
-        coefficients = r.array("coefficients")
-        return LinearModel(coefficients, bias, kind=kind)
-    if kind == "GPR":
-        length_scale = r.float_("length_scale")
-        noise_variance = r.float_("noise_variance")
-        jitter = r.float_("jitter")
-        subsampled = bool(r.int_("subsampled"))
-        alpha = r.array("alpha")
-        X_train = r.matrix("X_train")
-        return GPRModel(X_train, alpha, length_scale, noise_variance, jitter,
-                        None, subsampled)
-    if kind == "KNN":
-        k = r.int_("k")
-        y_train = r.array("y_train")
-        X_train = r.matrix("X_train")
-        return KNNModel(X_train, y_train, k)
-    if kind == "DT":
-        max_depth = r.int_("max_depth")
-        min_samples_leaf = r.int_("min_samples_leaf")
-        arrays = _tree_arrays_in(r, "")
-        return TreeModel(arrays, n_features,
-                         None if max_depth < 0 else max_depth, min_samples_leaf)
-    if kind == "GBRT":
-        base_score = r.float_("base_score")
-        learning_rate = r.float_("learning_rate")
-        reg_lambda = r.float_("reg_lambda")
-        gamma = r.float_("gamma")
-        history = r.array("train_loss_history")
-        rounds = r.int_("rounds")
-        trees = [_tree_arrays_in(r, f"tree{t}.") for t in range(rounds)]
-        return GBRTModel(base_score, trees, learning_rate, reg_lambda, gamma,
-                         history.tolist(), n_features)
-    if kind == "SVR":
-        bias = r.float_("bias")
-        gamma = r.float_("gamma")
-        C = r.float_("C")
-        epsilon = r.float_("epsilon")
-        converged = bool(r.int_("converged"))
-        iterations = r.int_("iterations")
-        kkt_violation = r.float_("kkt_violation")
-        dual_objective = r.float_("dual_objective")
-        sv_coef = r.array("sv_coef")
-        sv_X = r.matrix("sv_X")
-        return SVRModel(sv_X, sv_coef, bias, gamma, C, epsilon, converged,
-                        iterations, kkt_violation, n_features,
-                        dual_objective, ())
-    if kind == "MLPR":
-        b2 = r.float_("b2")
-        stopped_early = bool(r.int_("stopped_early"))
-        loss_history = r.array("loss_history")
-        b1 = r.array("b1")
-        W2 = r.array("W2")
-        W1 = r.matrix("W1")
-        model = MLPRModel((W1, b1, W2, b2), loss_history.tolist(), stopped_early)
-        return model
-    raise IoError(f"unknown model kind {kind!r} in model file")
+    kind = r.header()
+    entry = REGISTRY.get(kind)
+    if entry is None:
+        raise IoError(f"unknown model kind {kind!r} in model file")
+    fields = {name: r.field(tag, name) for tag, name in entry.schema}
+    r.end()
+    try:
+        model = entry.load(fields, r.n_features)
+    except ValueError as exc:
+        raise IoError(f"inconsistent {kind} model file: {exc}") from None
+    if model.training_feature_count != r.n_features:
+        raise IoError(f"{kind} model file declares {r.n_features} features, "
+                      f"its fields hold {model.training_feature_count}")
+    return model
 
 
 def save_model(model, path) -> None:

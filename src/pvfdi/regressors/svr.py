@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
 
@@ -67,6 +67,10 @@ class SVRModel(TrainedModel):
         super().__init__(n_features)
         sv_X = np.array(sv_X, dtype=np.float64)
         sv_coef = np.array(sv_coef, dtype=np.float64)
+        if sv_X.ndim != 2 or sv_X.shape[1] != n_features:
+            raise ValueError(f"support vectors must have {n_features} columns")
+        if sv_coef.shape != sv_X.shape[:1]:
+            raise ValueError("sv_coef needs one weight per support vector")
         sv_X.flags.writeable = False
         sv_coef.flags.writeable = False
         self.sv_X = sv_X
@@ -223,10 +227,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, np.newaxis]
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    SVR.check(C=C, epsilon=epsilon)
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -261,3 +262,22 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
                      -0.5 * float(z @ (G + p)), history)
     model._dual_z = z  # full (alpha; alpha*) iterate, for KKT auditing
     return model
+
+
+SVR = ModelKind(
+    "SVR",
+    # gamma None means 1/n_features at fit time
+    defaults={"C": 1.0, "epsilon": 0.1, "gamma": None, "tol": 1e-3,
+              "max_iterations": 200_000, "cache_mb": 128.0},
+    rules={"C": POSITIVE, "epsilon": NON_NEGATIVE,
+           "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
+           "tol": POSITIVE, "max_iterations": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_svr(X, y, **hp),
+    schema=(("float", "bias"), ("float", "gamma"), ("float", "C"),
+            ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
+            ("float", "kkt_violation"), ("float", "dual_objective"),
+            ("array", "sv_coef"), ("matrix", "sv_X")),
+    # the per-iteration objective trace is not stored
+    load=lambda fields, n_features: SVRModel(
+        **fields, n_features=n_features, dual_objective_history=()),
+)

@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "best_split"]
 
@@ -193,10 +193,7 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, np.newaxis]
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be at least 1")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be non-negative or None")
+    DT.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     arrays = grow_tree(
         X,
         y,
@@ -206,3 +203,23 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
         min_samples_leaf=min_samples_leaf,
     )
     return TreeModel(arrays, X.shape[1], max_depth, min_samples_leaf)
+
+
+DT = ModelKind(
+    "DT",
+    defaults={"max_depth": None, "min_samples_leaf": 5},
+    rules={"max_depth": (lambda v: v is None or v >= 0, "must be None or >= 0"),
+           "min_samples_leaf": AT_LEAST_ONE},
+    fit=lambda X, y, hp, seed: fit_dt(X, y, **hp),
+    # the file stores an unlimited max_depth as -1
+    schema=(("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays")),
+    load=lambda fields, n_features: TreeModel(
+        fields["arrays"], n_features,
+        None if fields["max_depth"] < 0 else fields["max_depth"],
+        fields["min_samples_leaf"]),
+    dump=lambda model: {
+        "max_depth": -1 if model.max_depth is None else model.max_depth,
+        "min_samples_leaf": model.min_samples_leaf,
+        "arrays": model.arrays,
+    },
+)

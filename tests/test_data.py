@@ -16,31 +16,13 @@ def small(n=20, seed=3):
     return pvfdi.synth_generate(n, seed)
 
 
-# --- FeatureVector / Dataset ----------------------------------------------------
-
-def test_feature_vector_round_trip():
-    values = np.linspace(0.0, 1.1, 12)
-    fv = pvfdi.FeatureVector.from_array(values)
-    assert np.array_equal(fv.to_array(), values)
-    assert fv.sp == values[2]
-
-
-def test_feature_vector_rejects_bad_shapes_and_values():
-    with pytest.raises(ValueError):
-        pvfdi.FeatureVector.from_array(np.zeros(11))
-    with pytest.raises(ValueError):
-        pvfdi.FeatureVector.from_array([np.inf] + [0.0] * 11)
-
+# --- Dataset ----------------------------------------------------------------------
 
 def test_dataset_accessors_and_immutability():
     ds = small()
     assert len(ds) == 20
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
-    s = ds.sample(3)
-    assert s.power == ds.power[3]
-    assert np.array_equal(s.features.to_array(), ds.features[3])
-    assert len(ds.samples) == 20
 
 
 def test_dataset_validation():

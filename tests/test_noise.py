@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 import pvfdi
-from pvfdi.noise import NOISE_TARGETS, NoiseConfig, inject, sweep_fractions
+from pvfdi.noise import NOISE_TARGETS, NoiseConfig, inject
 
 
 @pytest.fixture(scope="module")
 def clean():
     return pvfdi.synth_generate(200, seed=21)
-
-
-def test_sweep_fractions_ladder():
-    assert sweep_fractions() == [0.0, 0.1, 0.5, 1.0]
 
 
 def test_zero_fraction_is_identity(clean):
