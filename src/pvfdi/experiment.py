@@ -128,13 +128,17 @@ def _prepare(cfg: ExperimentConfig):
     return raw, train, test
 
 
+def _error_text(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _fit_all(cfg, specs, names, train, report):
     """Fit every spec; failures become error rows, not aborts."""
     def one(spec):
         try:
             return fit(spec, train), None
         except Exception as exc:  # error row per failed model
-            return None, f"{type(exc).__name__}: {exc}"
+            return None, _error_text(exc)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -156,6 +160,22 @@ def _evaluate(cfg, model, test: Dataset) -> EvaluationSeries:
     if cfg.clamp_predictions:
         predicted = np.clip(predicted, 0.0, 1.0)
     return EvaluationSeries(actual=test.power, predicted=predicted)
+
+
+def _evaluate_all(cfg, models, test: Dataset, report) -> dict:
+    """Evaluate every model on ``test``; one that raises leaves ``models``,
+    drops its partial results and becomes an error row."""
+    out = {}
+    for name in list(models):
+        try:
+            out[name] = _evaluate(cfg, models[name], test)
+        except Exception as exc:  # error row per failed model
+            del models[name]
+            for table in (report.clean_table, report.noise_table,
+                          report.prediction_series):
+                table.pop(name, None)
+            report.errors[name] = _error_text(exc)
+    return out
 
 
 def _noise_seed(cfg, fraction, repeat):
@@ -214,10 +234,7 @@ def run_clean_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     report.provenance = _provenance(cfg, specs, names, raw)
 
     models = _fit_all(cfg, specs, names, train, report)
-    for name in names:
-        if name not in models:
-            continue
-        series = _evaluate(cfg, models[name], test)
+    for name, series in _evaluate_all(cfg, models, test, report).items():
         report.clean_table[name] = metric_triple(series)
         report.prediction_series[name] = {"clean": series}
     return report
@@ -237,12 +254,8 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     report.provenance = _provenance(cfg, specs, names, raw)
 
     models = _fit_all(cfg, specs, names, train, report)
-    live = [name for name in names if name in models]
-
-    clean_series = {}
-    for name in live:
-        series = _evaluate(cfg, models[name], test)
-        clean_series[name] = series
+    clean_series = _evaluate_all(cfg, models, test, report)
+    for name, series in clean_series.items():
         report.clean_table[name] = metric_triple(series)
         report.prediction_series[name] = {"clean": series}
         report.noise_table[name] = {}
@@ -251,13 +264,13 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     for f in cfg.fractions:
         if f == 0.0:
             # the zero column IS the clean benchmark, bit for bit
-            for name in live:
+            for name in models:
                 report.noise_table[name][f] = report.clean_table[name].rmse
             if max_fraction == 0.0:
-                for name in live:
+                for name in models:
                     report.prediction_series[name]["noisy"] = clean_series[name]
             continue
-        sums = {name: 0.0 for name in live}
+        sums = {name: 0.0 for name in models}
         for r in range(cfg.repeats):
             noise_cfg = NoiseConfig(
                 fraction=f, mean=cfg.noise_mean, std=cfg.noise_std,
@@ -265,12 +278,11 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                 seed=_noise_seed(cfg, f, r),
             )
             noisy, _ = inject(test, noise_cfg)
-            for name in live:
-                series = _evaluate(cfg, models[name], noisy)
+            for name, series in _evaluate_all(cfg, models, noisy, report).items():
                 sums[name] += rmse(series)
                 if f == max_fraction and r == 0:
                     report.prediction_series[name]["noisy"] = series
-        for name in live:
+        for name in models:
             report.noise_table[name][f] = sums[name] / cfg.repeats
 
     report.sensitivity_table = compute_sensitivity(report.noise_table)

@@ -19,7 +19,7 @@ from .mlp import MLPRModel, fit_mlpr, init_params, loss_and_gradient, mlp_loss
 from .registry import REGISTRY
 from .serialize import FORMAT_VERSION, dumps, load_model, loads, save_model
 from .svr import SVRModel, fit_svr
-from .tree import TreeModel, best_split, fit_dt, grow_tree, route
+from .tree import TreeModel, fit_dt, grow_tree, presort, route
 
 __all__ = [
     "KINDS",
@@ -31,7 +31,7 @@ __all__ = [
     "LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max",
     "GPRModel", "fit_gpr", "rbf_kernel",
     "KNNModel", "fit_knn",
-    "TreeModel", "fit_dt", "grow_tree", "best_split", "route",
+    "TreeModel", "fit_dt", "grow_tree", "presort", "route",
     "GBRTModel", "fit_gbrt",
     "SVRModel", "fit_svr",
     "MLPRModel", "fit_mlpr", "init_params", "mlp_loss", "loss_and_gradient",

@@ -45,6 +45,8 @@ class TrainedModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise DimensionMismatch(self._n_features, X.shape[-1] if X.ndim else 0)
+        if not np.isfinite(X).all():
+            raise ValueError("feature vector contains non-finite values")
         return np.asarray(self._predict_batch(X), dtype=np.float64)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:

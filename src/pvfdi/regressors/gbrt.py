@@ -12,7 +12,7 @@ learning_rate times each tree's leaf weight.
 import numpy as np
 
 from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
-from .tree import grow_tree, route
+from .tree import grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
 
@@ -58,6 +58,7 @@ def fit_gbrt(
     if X.ndim == 1:
         X = X[:, np.newaxis]
 
+    columns = presort(X)  # X is fixed, so every round shares one sort
     base = float(y.mean())
     yhat = np.full(y.shape[0], base)
     history = [float(np.mean((yhat - y) ** 2))]
@@ -65,7 +66,7 @@ def fit_gbrt(
     for _ in range(rounds):
         grad = yhat - y
         arrays = grow_tree(
-            X,
+            columns,
             grad,
             reg_lambda=reg_lambda,
             leaf_sign=-1.0,

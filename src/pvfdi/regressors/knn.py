@@ -2,7 +2,8 @@
 
 Fitting stores the training set. Prediction averages the targets of the
 k nearest training points; equal distances resolve to the lower training
-index, so results are fully deterministic.
+index, so results are fully deterministic. The k nearest are found by
+partial selection; only rows tied at the k-th distance pay for a sort.
 """
 
 import numpy as np
@@ -32,13 +33,22 @@ class KNNModel(TrainedModel):
 
     def _predict_batch(self, X):
         out = np.empty(X.shape[0])
+        k = self.k
         train_sq = np.einsum("ij,ij->i", self.X_train, self.X_train)
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
             d2 = train_sq - 2.0 * (chunk @ self.X_train.T)
             d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
-            # stable sort: ties fall to the lower training index
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            nearest = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+            kth = np.take_along_axis(d2, nearest, axis=1).max(axis=1)
+            # a row with other than k distances <= its k-th has a tie at the
+            # boundary (or NaNs): re-select it by a stable sort, so ties fall
+            # to the lower training index
+            redo = np.flatnonzero(np.count_nonzero(d2 <= kth[:, np.newaxis], axis=1) != k)
+            nearest[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+            # mean sums in order, so order the k by (distance, index)
+            within = np.argsort(np.take_along_axis(d2, nearest, axis=1), axis=1, kind="stable")
+            nearest = np.take_along_axis(nearest, within, axis=1)
             out[start : start + _CHUNK_ROWS] = self.y_train[nearest].mean(axis=1)
         return out
 

@@ -18,62 +18,23 @@ import numpy as np
 
 from .base import AT_LEAST_ONE, ModelKind, TrainedModel
 
-__all__ = ["TreeModel", "fit_dt", "grow_tree", "best_split"]
+__all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
 
-def best_split(X, g, indices, reg_lambda=0.0, min_samples_leaf=1):
-    """Best axis-aligned split of the rows in ``indices``.
+def presort(X):
+    """Column blocks for ``grow_tree``: each feature's rows and values sorted.
 
-    Returns (quality, feature, threshold) where quality is
-    score(L) + score(R) - score(parent), or None when no candidate
-    satisfies the leaf-size floor or separates distinct values.
+    Returns (order, values), both (n_features, n_samples): row ``j`` of
+    ``order`` lists the sample indices by (X[:, j], index) and row ``j``
+    of ``values`` the matching feature values. Computed once per fit.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    n = indices.size
-    if n < 2 * min_samples_leaf or n < 2:
-        return None
-    g_node = g[indices]
-    total = g_node.sum()
-    parent_score = total * total / (n + reg_lambda)
-
-    best_quality = -np.inf
-    best_feature = -1
-    best_threshold = np.inf
-    for j in range(X.shape[1]):
-        values = X[indices, j]
-        order = np.argsort(values, kind="stable")
-        v = values[order]
-        gs = g_node[order]
-        left_g = np.cumsum(gs)[:-1]
-        left_n = np.arange(1, n)
-
-        thresholds = 0.5 * (v[:-1] + v[1:])
-        valid = (v[:-1] < v[1:]) & (thresholds < v[1:])
-        if min_samples_leaf > 1:
-            valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-        if not valid.any():
-            continue
-
-        right_g = total - left_g
-        quality = (
-            left_g * left_g / (left_n + reg_lambda)
-            + right_g * right_g / ((n - left_n) + reg_lambda)
-            - parent_score
-        )
-        quality[~valid] = -np.inf
-        pos = int(np.argmax(quality))  # first max -> lowest threshold
-        if quality[pos] > best_quality:
-            best_quality = float(quality[pos])
-            best_feature = j
-            best_threshold = float(thresholds[pos])
-
-    if best_feature < 0:
-        return None
-    return best_quality, best_feature, best_threshold
+    X = np.asarray(X, dtype=np.float64)
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    return order, np.take_along_axis(X.T, order, axis=1)
 
 
 def grow_tree(
-    X,
+    columns,
     g,
     reg_lambda=0.0,
     leaf_sign=1.0,
@@ -83,13 +44,19 @@ def grow_tree(
 ):
     """Greedy tree growth over gradient statistics.
 
-    A node splits only when the best split's quality strictly exceeds
+    ``columns`` is ``presort(X)``. Each node keeps its rows in ascending
+    index order plus its slice of every sorted column, so candidate splits
+    of all features are scored at once without sorting; a split partitions
+    the blocks stably, which keeps each column in (value, index) order. A
+    node splits only when the best split's quality strictly exceeds
     ``min_split_quality`` (boosting passes 2*gamma there). Returns flat
     parallel arrays (feature, threshold, left, right, value); feature -1
     marks a leaf. Samples with x <= threshold go left.
     """
-    X = np.asarray(X, dtype=np.float64)
+    order, values = columns
     g = np.asarray(g, dtype=np.float64)
+    n_features, n_samples = order.shape
+    goes_left = np.zeros(n_samples, dtype=bool)
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -101,33 +68,56 @@ def grow_tree(
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(X.shape[0], dtype=np.intp), 0)]
+    stack = [(root, np.arange(n_samples, dtype=np.intp), order, values, 0)]
     while stack:
-        node, indices, depth = stack.pop()
-        g_node = g[indices]
-        total = g_node.sum()
-        leaf_value = leaf_sign * total / (indices.size + reg_lambda)
+        node, rows, order, values, depth = stack.pop()
+        n = rows.size
+        g_node = g[rows]
+        total = g_node.sum()  # ascending rows: pairwise summation order matters
+        leaf_value = leaf_sign * total / (n + reg_lambda)
 
-        can_split = (max_depth is None or depth < max_depth) and np.any(
-            g_node != g_node[0]
+        can_split = (
+            (max_depth is None or depth < max_depth)
+            and n >= 2 * min_samples_leaf
+            and n >= 2
+            and np.any(g_node != g_node[0])
         )
-        found = (
-            best_split(X, g, indices, reg_lambda, min_samples_leaf)
-            if can_split
-            else None
-        )
-        if found is None or found[0] <= min_split_quality:
+        quality = -np.inf
+        if can_split:
+            left_g = np.cumsum(g[order], axis=1)[:, :-1]
+            left_n = np.arange(1, n)
+            cuts = 0.5 * (values[:, :-1] + values[:, 1:])
+            valid = (values[:, :-1] < values[:, 1:]) & (cuts < values[:, 1:])
+            valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
+            right_g = total - left_g
+            gains = (
+                left_g * left_g / (left_n + reg_lambda)
+                + right_g * right_g / ((n - left_n) + reg_lambda)
+                - total * total / (n + reg_lambda)
+            )
+            gains[~valid] = -np.inf
+            pos = np.argmax(gains, axis=1)  # first max -> lowest threshold
+            best = gains[np.arange(n_features), pos]
+            best[np.isnan(best)] = -np.inf  # NaN never compares as better
+            j = int(np.argmax(best))  # first max -> lowest feature index
+            quality = float(best[j])
+        if not quality > min_split_quality:
             value[node] = float(leaf_value)
             continue
 
-        _, j, t = found
-        mask = X[indices, j] <= t
+        t = float(cuts[j, pos[j]])
+        goes_left[order[j][values[j] <= t]] = True
+        mask = goes_left[order]
+        row_mask = goes_left[rows]
+        goes_left[rows] = False
         feature[node] = j
         threshold[node] = t
         left[node] = new_node()
         right[node] = new_node()
-        stack.append((right[node], indices[~mask], depth + 1))
-        stack.append((left[node], indices[mask], depth + 1))
+        stack.append((right[node], rows[~row_mask], order[~mask].reshape(n_features, -1),
+                      values[~mask].reshape(n_features, -1), depth + 1))
+        stack.append((left[node], rows[row_mask], order[mask].reshape(n_features, -1),
+                      values[mask].reshape(n_features, -1), depth + 1))
 
     return (
         np.asarray(feature, dtype=np.intp),
@@ -195,7 +185,7 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
         X = X[:, np.newaxis]
     DT.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     arrays = grow_tree(
-        X,
+        presort(X),
         y,
         reg_lambda=0.0,
         leaf_sign=1.0,

@@ -16,7 +16,7 @@ from pvfdi.experiment import (
 )
 from pvfdi.metrics import rmse
 from pvfdi.noise import NoiseConfig, inject
-from pvfdi.regressors import ModelSpec
+from pvfdi.regressors import KNNModel, ModelSpec
 from pvfdi.rng import derive_seed
 
 BASE = dict(synth_n=240, seed=13)
@@ -147,6 +147,39 @@ def test_failed_model_becomes_error_row(tmp_path):
     assert knn_row == "KNN,ERROR,ERROR"
     text = (tmp_path / "report.txt").read_text()
     assert "Model errors" in text and "KTooLarge" in text
+
+
+@pytest.mark.parametrize("bad_call", [0, 2])  # the clean or the 100% evaluation
+def test_non_finite_prediction_fails_only_its_model(tmp_path, monkeypatch, bad_call):
+    cfg = ExperimentConfig(
+        **BASE, models=(ModelSpec("LR"), ModelSpec("KNN"), ModelSpec("DT")),
+        fractions=(0.0, 0.5, 1.0),
+    )
+    emit_report(run_noise_sweep(cfg), tmp_path / "ok")
+    calls = []
+    predict = KNNModel._predict_batch
+
+    def one_nan(self, X):
+        out = predict(self, X)
+        if len(calls) == bad_call:
+            out[0] = np.nan
+        calls.append(X.shape[0])
+        return out
+
+    monkeypatch.setattr(KNNModel, "_predict_batch", one_nan)
+    report = run_noise_sweep(cfg)
+    assert report.errors == {"KNN": "ValueError: evaluation series contains non-finite values"}
+    emit_report(report, tmp_path / "bad")
+
+    ok, bad = read_bytes_tree(tmp_path / "ok"), read_bytes_tree(tmp_path / "bad")
+    assert sorted(bad) == sorted(n for n in ok if not n.startswith("series/KNN_"))
+    for name in ("clean_metrics.csv", "noise_rmse.csv", "sensitivity.csv"):
+        ok_rows, bad_rows = ok[name].decode().splitlines(), bad[name].decode().splitlines()
+        knn = bad_rows.index(next(r for r in bad_rows if r.startswith("KNN,")))
+        assert set(bad_rows[knn].split(",")[1:]) == {"ERROR"}
+        assert bad_rows[:knn] + bad_rows[knn + 1 :] == ok_rows[:knn] + ok_rows[knn + 1 :]
+    assert all(bad[n] == ok[n] for n in bad if n.startswith("series/"))
+    assert bad["provenance.json"] == ok["provenance.json"]
 
 
 def test_clamped_predictions_stay_in_unit_interval():

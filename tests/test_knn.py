@@ -12,6 +12,35 @@ def exhaustive_predict(X_train, y_train, x, k):
     return float(np.mean([y_train[i] for i in order[:k]]))
 
 
+def stable_sort_predict(model, X):
+    """The kernel with a full stable argsort per row in place of selection."""
+    out = np.empty(X.shape[0])
+    train_sq = np.einsum("ij,ij->i", model.X_train, model.X_train)
+    for start in range(0, X.shape[0], 256):
+        chunk = X[start : start + 256]
+        d2 = train_sq - 2.0 * (chunk @ model.X_train.T)
+        d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        out[start : start + 256] = model.y_train[nearest].mean(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_selection_matches_stable_sort_oracle(rng, grid):
+    # on a coarse grid, with duplicated training rows, boundary ties are
+    # common; off it the k nearest are distinct and their order matters
+    draw = ((lambda size: rng.integers(0, 3, size=size) * 0.5) if grid
+            else (lambda size: rng.normal(size=size)))
+    X = draw((40, 2))
+    X[20:30] = X[:10]
+    y = rng.normal(size=40)
+    queries = draw((600, 2))  # three 256-row chunks
+    for k in range(1, X.shape[0] + 1):
+        model = fit_knn(X, y, k=k)
+        got = model.predict_batch(queries)
+        assert got.tobytes() == stable_sort_predict(model, queries).tobytes(), k
+
+
 def test_hand_case_two_neighbours():
     X = np.array([-1.0, 1.0, 4.0])
     y = np.array([0.0, 1.0, 9.0])

@@ -99,6 +99,21 @@ def test_predict_rejects_wrong_width(norm_split):
         model.predict_batch(np.zeros((4, 13)))
 
 
+@pytest.mark.parametrize("kind", DEFAULT_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_batch_rejects_non_finite_rows(norm_split, kind, bad):
+    train, test = norm_split
+    small = {"GBRT": {"rounds": 2}, "MLPR": {"hidden": 4, "max_epochs": 3}}
+    model = fit(ModelSpec(kind, small.get(kind, {}), seed=9), train)
+    query = test.features[:3].copy()
+    query[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite") as batch:
+        model.predict_batch(query)
+    with pytest.raises(ValueError, match="non-finite") as single:
+        model.predict(query[1])
+    assert str(batch.value) == str(single.value)
+
+
 def test_lr_identity_passthrough():
     X = np.eye(12)
     y = X[:, 3].copy()

@@ -1,8 +1,122 @@
 import numpy as np
 import pytest
 
-from pvfdi.regressors import fit_dt
+from pvfdi.regressors import fit_dt, fit_gbrt
+from pvfdi.regressors.tree import route
 from tests.conftest import leaf_of
+
+
+def reference_grow_tree(X, g, reg_lambda=0.0, leaf_sign=1.0, max_depth=None,
+                        min_samples_leaf=1, min_split_quality=0.0):
+    """Tree growth that stable-sorts every feature at every node.
+
+    The plain form of the split search: rows stay in ascending index
+    order, each node sorts each feature's values stably, and features
+    are scanned in index order keeping the first strictly better split.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for arr, init in ((feature, -1), (threshold, 0.0), (left, -1),
+                          (right, -1), (value, 0.0)):
+            arr.append(init)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(X.shape[0]), 0)]
+    while stack:
+        node, indices, depth = stack.pop()
+        n = indices.size
+        g_node = g[indices]
+        total = g_node.sum()
+        found = None
+        if ((max_depth is None or depth < max_depth) and np.any(g_node != g_node[0])
+                and n >= 2 * min_samples_leaf and n >= 2):
+            best = (-np.inf, -1, np.inf)
+            for j in range(X.shape[1]):
+                order = np.argsort(X[indices, j], kind="stable")
+                v = X[indices, j][order]
+                left_g = np.cumsum(g_node[order])[:-1]
+                left_n = np.arange(1, n)
+                cuts = 0.5 * (v[:-1] + v[1:])
+                valid = (v[:-1] < v[1:]) & (cuts < v[1:])
+                valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
+                if not valid.any():
+                    continue
+                right_g = total - left_g
+                quality = (left_g * left_g / (left_n + reg_lambda)
+                           + right_g * right_g / ((n - left_n) + reg_lambda)
+                           - total * total / (n + reg_lambda))
+                quality[~valid] = -np.inf
+                pos = int(np.argmax(quality))
+                if quality[pos] > best[0]:
+                    best = (float(quality[pos]), j, float(cuts[pos]))
+            if best[1] >= 0:
+                found = best
+        if found is None or found[0] <= min_split_quality:
+            value[node] = float(leaf_sign * total / (n + reg_lambda))
+            continue
+        _, j, t = found
+        mask = X[indices, j] <= t
+        feature[node], threshold[node] = j, t
+        left[node], right[node] = new_node(), new_node()
+        stack.append((right[node], indices[~mask], depth + 1))
+        stack.append((left[node], indices[mask], depth + 1))
+    return (np.asarray(feature, dtype=np.intp), np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp),
+            np.asarray(value, dtype=np.float64))
+
+
+def assert_same_tree(arrays, expected):
+    for got, want in zip(arrays, expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def tie_heavy(rng, n, d, binary):
+    """Grid features, duplicated rows and a duplicated column.
+
+    Values repeat within each feature, and the last column equals the
+    first, so their best splits tie and the lower feature index must win.
+    Binary targets also make equal gains at different thresholds of one
+    feature, where the lower threshold must win.
+    """
+    X = rng.integers(0, 4, size=(n, d)) * 0.25
+    X[n // 2 :: 3] = X[: len(X[n // 2 :: 3])]
+    X[:, -1] = X[:, 0]
+    y = rng.integers(0, 2, size=n).astype(float) if binary else rng.normal(size=n)
+    return X, y
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+@pytest.mark.parametrize("max_depth", [0, 1, 3, None])
+def test_dt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf):
+    for n, d, binary in ((12, 2, True), (60, 3, True), (150, 5, False)):
+        X, y = tie_heavy(rng, n, d, binary)
+        model = fit_dt(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        expected = reference_grow_tree(X, y, max_depth=max_depth,
+                                       min_samples_leaf=min_samples_leaf)
+        assert_same_tree(model.arrays, expected)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+@pytest.mark.parametrize("max_depth", [0, 1, 3, None])
+@pytest.mark.parametrize("binary", [True, False])
+def test_gbrt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf, binary):
+    X, y = tie_heavy(rng, 120, 4, binary)
+    hp = dict(learning_rate=0.3, reg_lambda=0.7, gamma=0.01)
+    model = fit_gbrt(X, y, rounds=6, max_depth=max_depth,
+                     min_samples_leaf=min_samples_leaf, **hp)
+    yhat = np.full(y.shape[0], float(y.mean()))
+    history = [float(np.mean((yhat - y) ** 2))]
+    for arrays in model.trees:
+        expected = reference_grow_tree(
+            X, yhat - y, reg_lambda=hp["reg_lambda"], leaf_sign=-1.0,
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            min_split_quality=2.0 * hp["gamma"])
+        assert_same_tree(arrays, expected)
+        yhat += hp["learning_rate"] * route(expected, X)
+        history.append(float(np.mean((yhat - y) ** 2)))
+    assert model.train_loss_history == tuple(history)
 
 
 def best_root_split_sse(X, y):
@@ -44,6 +158,15 @@ def test_four_point_root_threshold():
     # the only zero-SSE root split is between 1 and 2
     assert model.threshold[0] == pytest.approx(1.5)
     assert model.training_sse(X, y) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_equal_gains_pick_lowest_feature_then_threshold():
+    # splitting off either end row gains the same; so does either column
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
+    assert (model.feature[0], model.threshold[0]) == (0, 0.5)
+    assert_same_tree(model.arrays, reference_grow_tree(X, y, max_depth=1))
 
 
 def test_depth_one_matches_enumerated_best_split(rng):
