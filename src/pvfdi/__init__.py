@@ -52,6 +52,7 @@ from .errors import (
     NonNumericCell,
     NotPositiveDefinite,
     PvfdiError,
+    UnreadableCsv,
     ZeroBaseline,
 )
 from .experiment import (
@@ -112,8 +113,8 @@ __all__ = [
     "load_csv", "normalize", "save_csv", "split", "synth_generate",
     # errors
     "PvfdiError", "ConfigError", "DataError", "MissingColumn",
-    "NonNumericCell", "EmptyFile", "DatasetTooSmall", "InvalidCount",
-    "MetricError", "LengthMismatch", "EmptySeries", "ZeroBaseline",
+    "NonNumericCell", "EmptyFile", "UnreadableCsv", "DatasetTooSmall",
+    "InvalidCount", "MetricError", "LengthMismatch", "EmptySeries", "ZeroBaseline",
     "ModelError", "InvalidSpec", "DimensionMismatch", "KTooLarge",
     "NotPositiveDefinite", "NonFiniteLoss", "IoError",
     # metrics

@@ -21,6 +21,7 @@ from .errors import (
     InvalidCount,
     MissingColumn,
     NonNumericCell,
+    UnreadableCsv,
 )
 from .rng import stream
 
@@ -229,9 +230,19 @@ def load_csv(path) -> Dataset:
     The header must name all twelve feature columns and POWER; TIMESTAMP
     is optional and extra columns are ignored. Any cell that does not
     parse to a finite float (missing cells included) raises
-    NonNumericCell with its 0-based data-row index.
+    NonNumericCell with its 0-based data-row index. A file that is not
+    UTF-8, or that the csv module cannot split, raises UnreadableCsv.
     """
     path = Path(path)
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError:
+        raise UnreadableCsv(path, "not UTF-8 text") from None
+    except csv.Error as exc:
+        raise UnreadableCsv(path, str(exc)) from None
+
+
+def _read_csv(path) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = None

@@ -48,6 +48,15 @@ class EmptyFile(DataError):
         super().__init__(f"file has no data rows: {self.path}")
 
 
+class UnreadableCsv(DataError):
+    """A CSV file that is not UTF-8 text or that the csv module rejects."""
+
+    def __init__(self, path="", reason: str = ""):
+        self.path = str(path)
+        self.reason = reason
+        super().__init__(f"cannot read CSV {self.path}: {reason}")
+
+
 class DatasetTooSmall(DataError):
     def __init__(self, n: int, detail: str = ""):
         self.n = n

@@ -13,6 +13,17 @@ NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
 
+def require_finite(**values):
+    """Raise ValueError for the first named value holding a NaN or infinity.
+
+    Model constructors pass what prediction reads, so a model file with
+    such a value fails to load instead of predicting NaN.
+    """
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contains non-finite values")
+
+
 class TrainedModel:
     """A fitted model exposing deterministic single- and batch-prediction.
 

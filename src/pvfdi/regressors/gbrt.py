@@ -11,7 +11,7 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
 from .tree import grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -23,6 +23,9 @@ class GBRTModel(TrainedModel):
     def __init__(self, base_score, trees, learning_rate, reg_lambda, gamma,
                  train_loss_history, n_features):
         super().__init__(n_features)
+        require_finite(base_score=base_score, learning_rate=learning_rate)
+        for t, (_, threshold, _, _, value) in enumerate(trees):
+            require_finite(**{f"tree{t}.threshold": threshold, f"tree{t}.value": value})
         self.base_score = float(base_score)
         self.trees = tuple(trees)  # flat-array tuples, unscaled leaf weights
         self.learning_rate = float(learning_rate)

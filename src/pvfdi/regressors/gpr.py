@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -41,6 +41,7 @@ class GPRModel(TrainedModel):
         alpha = np.array(alpha, dtype=np.float64)
         if alpha.shape != X_train.shape[:1]:
             raise ValueError("alpha needs one weight per training row")
+        require_finite(X_train=X_train, alpha=alpha, length_scale=length_scale)
         super().__init__(X_train.shape[1])
         X_train.flags.writeable = False
         alpha.flags.writeable = False

@@ -9,7 +9,7 @@ partial selection; only rows tied at the k-th distance pay for a sort.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -24,6 +24,7 @@ class KNNModel(TrainedModel):
         y_train = np.array(y_train, dtype=np.float64)
         if y_train.shape != X_train.shape[:1]:
             raise ValueError("y_train needs one target per training row")
+        require_finite(X_train=X_train, y_train=y_train)
         super().__init__(X_train.shape[1])
         X_train.flags.writeable = False
         y_train.flags.writeable = False

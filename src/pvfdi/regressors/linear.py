@@ -8,7 +8,7 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
 
@@ -19,6 +19,7 @@ class LinearModel(TrainedModel):
     def __init__(self, coefficients, bias, kind=None, objective_history=None):
         coefficients = np.array(coefficients, dtype=np.float64)
         super().__init__(coefficients.size)
+        require_finite(coefficients=coefficients, bias=bias)
         coefficients.flags.writeable = False
         self.coefficients = coefficients
         self.bias = float(bias)

@@ -4,13 +4,34 @@ Architecture is input -> hidden (ReLU) -> linear output, squared loss.
 ``mlp_loss`` and ``loss_and_gradient`` are module-level and operate on a
 plain (W1, b1, W2, b2) tuple so the backward pass can be checked against
 finite differences without touching a trained model.
+
+Training runs every epoch in two (n, hidden) float64 buffers allocated
+once per fit: ``a1`` holds the hidden activations, built in place as
+``X @ W1``, ``+= b1``, ReLU, and ``d`` the hidden-layer delta. Both give
+the bits of the textbook form (fresh ``z1 = X @ W1 + b1``, an outer product
+and a ``z1 <= 0`` mask), so weights, loss history and predictions are
+unchanged:
+
+- ``a1 > 0`` equals ``z1 > 0`` for every non-NaN ``z1``. A NaN makes the
+  loss NaN, and the fit raises NonFiniteLoss before using the gradient.
+- ``d`` is the 0/1 mask times ``W2`` times ``d_out``. An active entry is
+  ``1.0 * W2[j] * d_out[i]``, exactly ``d_out[i] * W2[j]`` since
+  multiplication by 1.0 is exact and IEEE multiplication commutes. A
+  masked entry is a zero of either sign, and ``d += 0.0`` turns -0.0
+  into the +0.0 the mask used to store. (An active product that is
+  itself exactly zero, which needs ``r[i] == 0`` or ``W2[j] == 0``,
+  becomes +0.0 too. That can at most flip the sign of a zero gradient
+  entry, and Adam takes the same step for a zero of either sign.)
+- ``X.T @ d`` and ``d.sum(axis=0)`` see the same C-ordered layout as
+  before, so BLAS and numpy sum in the same order. Splitting the rows
+  into chunks would change that order.
 """
 
 import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -28,34 +49,50 @@ def init_params(n_features, hidden, seed):
     return W1, b1, W2, b2
 
 
-def _forward(params, X):
+def _forward(params, X, a1=None):
+    """Hidden activations and outputs; ``a1`` is (n, hidden) scratch space.
+
+    The ReLU layer is built in place, so no pre-activation array is kept.
+    """
     W1, b1, W2, b2 = params
-    z1 = X @ W1 + b1
-    a1 = np.maximum(z1, 0.0)
-    return z1, a1, a1 @ W2 + b2
+    if a1 is None:
+        a1 = np.empty((X.shape[0], W1.shape[1]))
+    np.matmul(X, W1, out=a1)
+    a1 += b1
+    np.maximum(a1, 0.0, out=a1)
+    return a1, a1 @ W2 + b2
 
 
 def mlp_loss(params, X, y):
     """Mean squared error of the net on (X, y)."""
-    _, _, yhat = _forward(params, X)
+    _, yhat = _forward(params, X)
     r = yhat - y
     return float(r @ r) / X.shape[0]
 
 
-def loss_and_gradient(params, X, y):
-    """Loss plus its gradient in the same (W1, b1, W2, b2) layout."""
-    W1, b1, W2, b2 = params
+def _loss_and_gradient(params, X, y, a1, d):
+    """``loss_and_gradient`` writing into two (n, hidden) buffers."""
+    W2 = params[2]
     n = X.shape[0]
-    z1, a1, yhat = _forward(params, X)
+    a1, yhat = _forward(params, X, a1)
     r = yhat - y
     d_out = (2.0 / n) * r
     gW2 = a1.T @ d_out
     gb2 = float(d_out.sum())
-    d_z1 = np.outer(d_out, W2)
-    d_z1[z1 <= 0.0] = 0.0
-    gW1 = X.T @ d_z1
-    gb1 = d_z1.sum(axis=0)
+    # d = mask * W2 * d_out; see the module docstring for why the bits match
+    np.greater(a1, 0.0, out=d)
+    d *= W2
+    d *= d_out[:, np.newaxis]
+    d += 0.0
+    gW1 = X.T @ d
+    gb1 = d.sum(axis=0)
     return float(r @ r) / n, (gW1, gb1, gW2, gb2)
+
+
+def loss_and_gradient(params, X, y):
+    """Loss plus its gradient in the same (W1, b1, W2, b2) layout."""
+    shape = (X.shape[0], np.shape(params[0])[1])
+    return _loss_and_gradient(params, X, y, np.empty(shape), np.empty(shape))
 
 
 class MLPRModel(TrainedModel):
@@ -69,6 +106,7 @@ class MLPRModel(TrainedModel):
         W2 = np.array(W2)
         if W1.ndim != 2 or b1.shape != W1.shape[1:] or W2.shape != W1.shape[1:]:
             raise ValueError("W1, b1 and W2 disagree on the hidden width")
+        require_finite(W1=W1, b1=b1, W2=W2, b2=b2)
         for a in (W1, b1, W2):
             a.flags.writeable = False
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, float(b2)
@@ -84,7 +122,7 @@ class MLPRModel(TrainedModel):
         return len(self.loss_history)
 
     def _predict_batch(self, X):
-        return _forward(self.params, X)[2]
+        return _forward(self.params, X)[1]
 
 
 def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
@@ -104,6 +142,9 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
         X = X[:, np.newaxis]
     params = init_params(X.shape[1], hidden, seed)
 
+    a1 = np.empty((X.shape[0], hidden))
+    d = np.empty_like(a1)
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
     v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
@@ -113,7 +154,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     streak = 0
     stopped_early = False
     for epoch in range(max_epochs):
-        loss, grads = loss_and_gradient(params, X, y)
+        loss, grads = _loss_and_gradient(params, X, y, a1, d)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
         history.append(loss)

@@ -262,6 +262,6 @@ def load_model(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read model file {path}: {exc}") from None
     return loads(text)

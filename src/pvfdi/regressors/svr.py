@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
 
@@ -71,6 +71,8 @@ class SVRModel(TrainedModel):
             raise ValueError(f"support vectors must have {n_features} columns")
         if sv_coef.shape != sv_X.shape[:1]:
             raise ValueError("sv_coef needs one weight per support vector")
+        # kkt_violation and dual_objective may be infinite (no SMO step yet)
+        require_finite(sv_X=sv_X, sv_coef=sv_coef, bias=bias, gamma=gamma)
         sv_X.flags.writeable = False
         sv_coef.flags.writeable = False
         self.sv_X = sv_X

@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -153,6 +153,7 @@ class TreeModel(TrainedModel):
         self.feature, self.threshold, self.left, self.right, self.value = (
             np.asarray(a) for a in arrays
         )
+        require_finite(threshold=self.threshold, value=self.value)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
 

@@ -204,6 +204,15 @@ def test_report_missing_grid_exits_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_utf8_data_exits_two(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    assert run(["synth", "--n", 20, "--out", path]) == 0
+    path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+    assert run(["bench", "--data", path, "--models", "LR", "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "not UTF-8" in err
+
+
 # --- argparse behaviour ---------------------------------------------------------------
 
 def test_unknown_flag_exits_one(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvfdi
 from pvfdi.data import SYNTH_RANGES, fit_normalization
@@ -9,6 +11,8 @@ from pvfdi.errors import (
     InvalidCount,
     MissingColumn,
     NonNumericCell,
+    UnreadableCsv,
+    PvfdiError,
 )
 
 
@@ -115,6 +119,29 @@ def test_load_errors(tmp_path):
         pvfdi.load_csv(path)
 
 
+def test_unreadable_csv_raises_data_error_naming_the_path(tmp_path):
+    ds = small(10)
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(text.encode("utf-16"))  # starts with the BOM b"\xff\xfe"
+    with pytest.raises(UnreadableCsv) as err:
+        pvfdi.load_csv(path)
+    assert err.value.path == str(path) and str(path) in str(err.value)
+    assert err.value.reason == "not UTF-8 text"
+    # a bad byte past the decoder's first chunk, in a data row
+    lines = text.splitlines(keepends=True)
+    body = "".join(lines[:2]).encode("utf-8") + b"0.5\xc3," + "".join(lines[2:]).encode("utf-8")
+    path.write_bytes(b"# " + b"x" * 20000 + b"\n" + body)
+    with pytest.raises(UnreadableCsv):
+        pvfdi.load_csv(path)
+    # a cell beyond the csv module's field size limit
+    path.write_text(lines[0] + "1" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(UnreadableCsv) as err:
+        pvfdi.load_csv(path)
+    assert "field larger than field limit" in err.value.reason
+
+
 def test_comment_rows_are_skipped_in_body(tmp_path):
     ds = small(10)
     path = tmp_path / "d.csv"
@@ -123,6 +150,59 @@ def test_comment_rows_are_skipped_in_body(tmp_path):
     lines.insert(2, "# injected provenance comment")
     path.write_text("\n".join(lines) + "\n")
     assert pvfdi.load_csv(path) == ds
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    """A valid 10-row CSV (timestamps, one comment line) and a scratch path."""
+    root = tmp_path_factory.mktemp("csv-fuzz")
+    ds = small(10)
+    ds = pvfdi.Dataset(ds.features, ds.power,
+                       timestamps=[f"2014-04-01T{i:02d}:00" for i in range(10)])
+    pvfdi.save_csv(ds, root / "valid.csv", header_comment="fuzz seed")
+    return root
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e999", "x", "\"", "\"1.5\"", "#", " 2 ",
+                     "0x1p3", "1_0", "POWER", "tclw", "\u00e9", "1,2"]),
+    st.floats(allow_nan=False).map(repr),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=2000)
+def test_mutated_csv_loads_or_raises_pvfdi_error(csv_fuzz_dir, data):
+    raw = (csv_fuzz_dir / "valid.csv").read_bytes()
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        lines = raw.split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        op = data.draw(st.sampled_from(("drop", "duplicate", "truncate", "cell", "bytes")),
+                       label="op")
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "cell":
+            cells = lines[i].split(b",")
+            k = data.draw(st.integers(0, len(cells) - 1), label="cell")
+            cells[k] = data.draw(CELLS, label="value").encode("utf-8")
+            lines[i] = b",".join(cells)
+        raw = b"\n".join(lines)
+        if op == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw)), label="cut")]
+        elif op == "bytes":
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=4), label="insert") + raw[at:]
+    path = csv_fuzz_dir / "mutated.csv"
+    path.write_bytes(raw)
+    try:
+        ds = pvfdi.load_csv(path)
+    except PvfdiError:
+        return
+    assert isinstance(ds, pvfdi.Dataset)
+    assert ds.features.shape == (len(ds), pvfdi.N_FEATURES)
+    assert np.isfinite(ds.features).all() and np.isfinite(ds.power).all()
 
 
 # --- normalization ----------------------------------------------------------------

@@ -3,7 +3,13 @@ import pytest
 
 from pvfdi.errors import NonFiniteLoss
 from pvfdi.regressors import fit_mlpr
-from pvfdi.regressors.mlp import init_params, loss_and_gradient, mlp_loss
+from pvfdi.regressors.mlp import (
+    MLPRModel,
+    _loss_and_gradient,
+    init_params,
+    loss_and_gradient,
+    mlp_loss,
+)
 
 
 def finite_difference_gradient(params, X, y, h=1e-5):
@@ -54,9 +60,9 @@ def test_zero_weights_output_is_b2():
     W2 = np.zeros(5)
     params = (W1, b1, W2, 1.75)
     X = np.random.default_rng(0).normal(size=(6, 12))
-    from pvfdi.regressors.mlp import _forward
+    model = MLPRModel(params, [], False)
 
-    np.testing.assert_array_equal(_forward(params, X)[2], 1.75)
+    np.testing.assert_array_equal(model.predict_batch(X), 1.75)
 
 
 def test_constant_targets_converge_and_stop_early(rng):
@@ -118,3 +124,192 @@ def test_learns_linear_map_better_than_mean(rng):
     model = fit_mlpr(X, y, hidden=32, learning_rate=3e-3, max_epochs=500, seed=1)
     rmse = float(np.sqrt(np.mean((model.predict_batch(X) - y) ** 2)))
     assert rmse < 0.5 * float(np.std(y))
+
+
+# --- oracle: the unfused kernel the in-place one must match bit for bit ------
+
+def reference_backward(params, X, y):
+    """Fresh pre-activations, np.outer and a boolean mask on every call.
+
+    Returns the loss, the gradient and the hidden-layer delta ``d_z1``.
+    """
+    W1, b1, W2, b2 = params
+    n = X.shape[0]
+    z1 = X @ W1 + b1
+    a1 = np.maximum(z1, 0.0)
+    r = a1 @ W2 + b2 - y
+    d_out = (2.0 / n) * r
+    gW2 = a1.T @ d_out
+    gb2 = float(d_out.sum())
+    d_z1 = np.outer(d_out, W2)
+    d_z1[z1 <= 0.0] = 0.0
+    gW1 = X.T @ d_z1
+    gb1 = d_z1.sum(axis=0)
+    return float(r @ r) / n, (gW1, gb1, gW2, gb2), d_z1
+
+
+def reference_loss_and_gradient(params, X, y):
+    return reference_backward(params, X, y)[:2]
+
+
+def reference_fit(X, y, hidden, learning_rate=1e-3, max_epochs=500, tol=1e-8,
+                  patience=10, seed=0):
+    """fit_mlpr's Adam loop over the reference kernel: (params, history, stopped)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, np.newaxis]
+    params = init_params(X.shape[1], hidden, seed)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+    v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+    history, previous, streak = [], np.inf, 0
+    for epoch in range(max_epochs):
+        loss, grads = reference_loss_and_gradient(params, X, y)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(epoch)
+        history.append(loss)
+        if abs(previous - loss) < tol:
+            streak += 1
+            if streak >= patience:
+                return params, history, True
+        else:
+            streak = 0
+        previous = loss
+        t = epoch + 1
+        scale = learning_rate * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        new = []
+        for idx, (p, g) in enumerate(zip(params, grads)):
+            m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
+            v[idx] = beta2 * v[idx] + (1.0 - beta2) * np.square(g)
+            new.append(p - scale * m[idx] / (np.sqrt(v[idx]) + eps))
+        params = (new[0], new[1], new[2], float(new[3]))
+    return params, history, False
+
+
+def as_bytes(values):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in values]
+
+
+def assert_same_gradient(params, X, y):
+    loss, grads = loss_and_gradient(params, X, y)
+    ref_loss, ref_grads = reference_loss_and_gradient(params, X, y)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert as_bytes(grads) == as_bytes(ref_grads)
+    assert np.float64(mlp_loss(params, X, y)).tobytes() == np.float64(ref_loss).tobytes()
+
+
+def assert_same_fit(X, y, **kw):
+    model = fit_mlpr(X, y, **kw)
+    params, history, stopped = reference_fit(X, y, **kw)
+    assert as_bytes(model.params) == as_bytes(params)
+    assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+    assert model.stopped_early == stopped
+    return model
+
+
+def dead_unit_case():
+    """Unit 0 is off on every row, W2[0] > 0 and every d_out < 0.
+
+    So every masked entry 0.0 * W2[0] * d_out[i] is -0.0 until the
+    kernel adds +0.0; the old kernel stored +0.0 there.
+    """
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(9, 4))
+    W1, b1, W2, b2 = init_params(4, 3, seed=2)
+    b1 = b1.copy()
+    b1[0] = -100.0
+    W2 = np.abs(W2)
+    return (W1, b1, W2, b2), X, np.full(9, 50.0)
+
+
+@pytest.mark.parametrize("n,d,hidden", [(1, 12, 1), (1, 3, 5), (7, 12, 1),
+                                        (40, 12, 6), (300, 5, 17)])
+def test_gradient_matches_unfused_reference_bitwise(n, d, hidden):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n)
+        params = init_params(d, hidden, seed=seed)
+        params = (params[0], params[1] + 0.3 * rng.normal(size=hidden), params[2], 0.1)
+        assert_same_gradient(params, X, y)
+
+
+def test_dead_unit_gradient_is_positive_zero_like_the_reference():
+    params, X, y = dead_unit_case()
+    assert_same_gradient(params, X, y)
+    _, (gW1, gb1, _, _) = loss_and_gradient(params, X, y)
+    assert gb1[0] == 0.0 and not np.signbit(gb1[0])
+    assert not np.signbit(gW1[:, 0]).any()
+
+
+def test_backward_buffer_holds_the_reference_delta():
+    # the reductions over d start from +0.0 and hide a -0.0 entry, so
+    # check the buffer itself against the reference d_z1
+    rng = np.random.default_rng(8)
+    random_case = (init_params(5, 7, seed=8), rng.normal(size=(30, 5)), rng.normal(size=30))
+    for params, X, y in (dead_unit_case(), random_case):
+        a1 = np.empty((X.shape[0], params[0].shape[1]))
+        d = np.empty_like(a1)
+        _loss_and_gradient(params, X, y, a1, d)
+        d_z1 = reference_backward(params, X, y)[2]
+        assert (d_z1 == 0.0).any()
+        assert d.tobytes() == d_z1.tobytes()
+
+
+def test_dead_unit_fit_matches_reference():
+    _, X, y = dead_unit_case()
+    # the fit draws its own weights; after the first step unit 0 is off
+    # on every row while W2[0] > 0 and every d_out < 0
+    assert_same_fit(X, y, hidden=3, learning_rate=0.5, max_epochs=60, seed=2)
+
+
+@pytest.mark.parametrize("n,hidden", [(1, 1), (1, 4), (9, 1), (64, 10)])
+def test_fit_matches_unfused_reference_bitwise(n, hidden):
+    rng = np.random.default_rng(n * 100 + hidden)
+    X = rng.normal(size=(n, 12))
+    y = rng.normal(size=n)
+    model = assert_same_fit(X, y, hidden=hidden, learning_rate=1e-2, max_epochs=80, seed=3)
+    assert model.epochs_run == 80
+
+
+def test_one_dimensional_input_matches_reference():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=50)
+    y = np.sin(2.0 * x)
+    assert_same_gradient(init_params(1, 6, seed=1), x[:, np.newaxis], y)
+    model = assert_same_fit(x, y, hidden=6, learning_rate=1e-2, max_epochs=120, seed=1)
+    assert model.training_feature_count == 1
+
+
+def test_early_stop_matches_reference(rng):
+    X = rng.normal(size=(50, 12))
+    y = np.full(50, 0.4)
+    model = assert_same_fit(X, y, hidden=8, learning_rate=1e-2, max_epochs=500, tol=1e-6)
+    assert model.stopped_early and model.epochs_run < 500
+
+
+def test_divergence_raises_at_the_reference_epoch(rng):
+    X = rng.normal(size=(20, 3))
+    y = rng.normal(size=20)
+    kw = dict(hidden=4, learning_rate=1e77, max_epochs=50, seed=1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLoss) as got:
+            fit_mlpr(X, y, **kw)
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_fit(X, y, **kw)
+    # epoch 0 is finite, so one Adam step ran on the fused gradient
+    assert got.value.epoch == want.value.epoch == 1
+
+
+def test_nan_pre_activation_gives_nan_loss():
+    # the ReLU keeps a NaN pre-activation, so the loss is NaN and a fit
+    # stops before the gradient is used
+    X = np.random.default_rng(4).normal(size=(5, 2))
+    params = (np.ones((2, 3)), np.array([0.0, np.nan, 0.0]), np.ones(3), 0.0)
+    assert np.isnan(loss_and_gradient(params, X, np.zeros(5))[0])
+    assert np.isnan(mlp_loss(params, X, np.zeros(5)))
+    X[2, 1] = np.nan
+    with pytest.raises(NonFiniteLoss) as got:
+        fit_mlpr(X, np.zeros(5), hidden=3, max_epochs=5)
+    assert got.value.epoch == 0

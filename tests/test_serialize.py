@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pvfdi
 from pvfdi.errors import IoError
-from pvfdi.regressors import DEFAULT_KINDS, ModelSpec, fit
+from pvfdi.regressors import DEFAULT_KINDS, ModelSpec, fit, fit_svr
 from pvfdi.regressors.serialize import FORMAT_VERSION, dumps, load_model, loads, save_model
 
 # Format-version-1 files of tiny fits: synth_generate(40, 5), split 0.8
@@ -59,6 +59,16 @@ def shorten(text, head):
         tokens[2] = f"{len(tokens) - 3}:"
         return tokens
     return edit_field(text, head, edit)
+
+
+def set_entry(text, head, row, col, value):
+    """Set one entry of the matrix whose header line starts ``head``."""
+    lines = text.splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(head + " ")]
+    tokens = lines[i + 1 + row].split(" ")
+    tokens[col] = value
+    lines[i + 1 + row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +149,13 @@ def test_missing_file_raises_io_error(tmp_path):
         load_model(tmp_path / "nope.model")
 
 
+def test_non_utf8_file_raises_io_error(tmp_path):
+    path = tmp_path / "LR.model"
+    path.write_bytes(golden("LR").encode("utf-16"))
+    with pytest.raises(IoError):
+        load_model(path)
+
+
 def test_mangled_float_rejected(fitted_models):
     models, _ = fitted_models
     text = dumps(models["LR"]).replace("0x", "0q", 1)
@@ -168,6 +185,27 @@ MALFORMED = {
     "SVR sv_coef vs rows": ("SVR", lambda t: shorten(t, "array sv_coef")),
     "MLPR b1 vs W1": ("MLPR", lambda t: shorten(t, "array b1")),
     "MLPR W2 vs W1": ("MLPR", lambda t: shorten(t, "array W2")),
+    # non-finite values that prediction reads
+    "LR bias NaN": ("LR", lambda t: set_token(t, "float bias", 2, "nan")),
+    "LASSO coefficient -inf": ("LASSO", lambda t: set_token(t, "array coefficients", 3, "-inf")),
+    "GPR alpha NaN": ("GPR", lambda t: set_token(t, "array alpha", 3, "nan")),
+    "GPR X_train inf": ("GPR", lambda t: set_entry(t, "matrix X_train", 0, 0, "inf")),
+    "GPR length_scale inf": ("GPR", lambda t: set_token(t, "float length_scale", 2, "inf")),
+    "KNN X_train inf": ("KNN", lambda t: set_entry(t, "matrix X_train", 3, 5, "inf")),
+    "KNN y_train NaN": ("KNN", lambda t: set_token(t, "array y_train", 4, "nan")),
+    "DT threshold inf": ("DT", lambda t: set_token(t, "array threshold", 3, "inf")),
+    "DT leaf value NaN": ("DT", lambda t: set_token(t, "array value", -1, "nan")),
+    "GBRT base_score NaN": ("GBRT", lambda t: set_token(t, "float base_score", 2, "nan")),
+    "GBRT learning_rate inf": ("GBRT", lambda t: set_token(t, "float learning_rate", 2, "inf")),
+    "GBRT tree value -inf": ("GBRT", lambda t: set_token(t, "array tree2.value", -1, "-inf")),
+    "SVR bias inf": ("SVR", lambda t: set_token(t, "float bias", 2, "inf")),
+    "SVR gamma NaN": ("SVR", lambda t: set_token(t, "float gamma", 2, "nan")),
+    "SVR sv_coef NaN": ("SVR", lambda t: set_token(t, "array sv_coef", 3, "nan")),
+    "SVR sv_X -inf": ("SVR", lambda t: set_entry(t, "matrix sv_X", 1, 2, "-inf")),
+    "MLPR W1 NaN": ("MLPR", lambda t: set_entry(t, "matrix W1", 2, 1, "nan")),
+    "MLPR b1 inf": ("MLPR", lambda t: set_token(t, "array b1", 3, "inf")),
+    "MLPR W2 -inf": ("MLPR", lambda t: set_token(t, "array W2", 4, "-inf")),
+    "MLPR b2 NaN": ("MLPR", lambda t: set_token(t, "float b2", 2, "nan")),
 }
 
 
@@ -177,6 +215,25 @@ def test_malformed_model_file_rejected(case):
     text = mutate(golden(kind))
     with time_limit(5), pytest.raises(IoError):
         loads(text)
+
+
+def test_svr_with_infinite_kkt_violation_round_trips():
+    # no SMO step: the violation is still its initial inf
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 4))
+    model = fit_svr(X, rng.normal(size=12), max_iterations=0)
+    assert model.kkt_violation == np.inf and not model.converged
+    text = dumps(model)
+    restored = loads(text)
+    assert restored.kkt_violation == np.inf
+    assert dumps(restored) == text
+    np.testing.assert_array_equal(restored.predict_batch(X), model.predict_batch(X))
+    # the diagnostics may be infinite in a stored file too
+    text = set_token(golden("SVR"), "float kkt_violation", 2, "inf")
+    text = set_token(text, "float dual_objective", 2, "-inf")
+    restored = loads(text)
+    assert (restored.kkt_violation, restored.dual_objective) == (np.inf, -np.inf)
+    assert dumps(restored) == text
 
 
 REPLACEMENTS = st.one_of(
