@@ -48,7 +48,6 @@ train_ratio = 0.8
 fractions = 0, 0.1, 0.5, 1.0
 models = LR, GPR, KNN, DT, GBRT, SVR, MLPR, LASSO
 repeats = 1
-jobs = 1
 clamp_predictions = false
 out = pvfdi-out
 
@@ -106,7 +105,7 @@ def _scalar(text):
 
 _EXPERIMENT_KEYS = frozenset({
     "data", "synth_n", "seed", "train_ratio", "fractions", "models",
-    "repeats", "jobs", "clamp_predictions", "out",
+    "repeats", "clamp_predictions", "out",
 })
 _NOISE_KEYS = frozenset({"mean", "std", "target", "columns"})
 
@@ -218,7 +217,6 @@ def _build_experiment(args) -> tuple:
             repeats=pick(getattr(args, "repeats", None), "repeats", exp, 1, int),
             clamp_predictions=(args.clamp_predictions
                                or bool(pick(None, "clamp_predictions", exp, False, _scalar))),
-            jobs=pick(getattr(args, "jobs", None), "jobs", exp, 1, int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -378,7 +376,6 @@ def _add_experiment_flags(sub):
                      help=f"feature names from: {', '.join(FEATURE_NAMES)}")
     sub.add_argument("--clamp-predictions", action="store_true",
                      dest="clamp_predictions", help="clip predictions to [0, 1]")
-    sub.add_argument("--jobs", type=int, metavar="N", help="concurrent model fits")
     sub.add_argument("--repeats", type=int, metavar="N",
                      help="noise realizations averaged per fraction")
 

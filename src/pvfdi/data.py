@@ -231,7 +231,8 @@ def load_csv(path) -> Dataset:
     is optional and extra columns are ignored. Any cell that does not
     parse to a finite float (missing cells included) raises
     NonNumericCell with its 0-based data-row index. A file that is not
-    UTF-8, or that the csv module cannot split, raises UnreadableCsv.
+    UTF-8, or that the csv module cannot split, raises UnreadableCsv; a
+    leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
@@ -243,7 +244,7 @@ def load_csv(path) -> Dataset:
 
 
 def _read_csv(path) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = None
         for row in reader:

@@ -9,7 +9,6 @@ order is fixed, and no timestamps are written.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     noise_columns: tuple | None = None
     repeats: int = 1
     clamp_predictions: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         fractions = tuple(float(f) for f in self.fractions)
@@ -73,8 +71,6 @@ class ExperimentConfig:
             object.__setattr__(self, "models", models)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         # fail fast on bad noise parameters; fraction filled per sweep step
         NoiseConfig(fraction=0.0, mean=self.noise_mean, std=self.noise_std,
                     target=self.noise_target, columns=self.noise_columns)
@@ -132,43 +128,47 @@ def _error_text(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fit_all(cfg, specs, names, train, report):
+def _fit_all(specs, names, train, report):
     """Fit every spec; failures become error rows, not aborts."""
-    def one(spec):
-        try:
-            return fit(spec, train), None
-        except Exception as exc:  # error row per failed model
-            return None, _error_text(exc)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(one, specs))
-    else:
-        outcomes = [one(spec) for spec in specs]
-
     models = {}
-    for name, (model, error) in zip(names, outcomes):
-        if error is None:
-            models[name] = model
-        else:
-            report.errors[name] = error
+    for name, spec in zip(names, specs):
+        try:
+            models[name] = fit(spec, train)
+        except Exception as exc:  # error row per failed model
+            report.errors[name] = _error_text(exc)
     return models
 
 
-def _evaluate(cfg, model, test: Dataset) -> EvaluationSeries:
-    predicted = model.predict_batch(test.features)
+def _evaluate(cfg, model, test: Dataset, clean=None, rows=None) -> EvaluationSeries:
+    """Series of ``model`` on ``test``.
+
+    Given the model's ``clean`` series and the ``rows`` in which ``test``
+    differs from the clean test set, a row-wise model re-predicts only
+    those rows and keeps its clean predictions elsewhere, bit for bit.
+    """
+    if clean is not None and model.rowwise:
+        predicted = np.array(clean.predicted)
+        if rows:
+            predicted[rows] = model.predict_batch(test.features[rows])
+    else:
+        predicted = model.predict_batch(test.features)
     if cfg.clamp_predictions:
         predicted = np.clip(predicted, 0.0, 1.0)
     return EvaluationSeries(actual=test.power, predicted=predicted)
 
 
-def _evaluate_all(cfg, models, test: Dataset, report) -> dict:
+def _evaluate_all(cfg, models, test: Dataset, report, clean=None, rows=None) -> dict:
     """Evaluate every model on ``test``; one that raises leaves ``models``,
-    drops its partial results and becomes an error row."""
+    drops its partial results and becomes an error row.
+
+    ``clean`` maps a model name to its clean series and ``rows`` lists
+    the rows ``test`` changed, as ``inject`` returns them.
+    """
     out = {}
     for name in list(models):
         try:
-            out[name] = _evaluate(cfg, models[name], test)
+            prior = clean[name] if clean is not None else None
+            out[name] = _evaluate(cfg, models[name], test, prior, rows)
         except Exception as exc:  # error row per failed model
             del models[name]
             for table in (report.clean_table, report.noise_table,
@@ -233,7 +233,7 @@ def run_clean_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(model_order=names)
     report.provenance = _provenance(cfg, specs, names, raw)
 
-    models = _fit_all(cfg, specs, names, train, report)
+    models = _fit_all(specs, names, train, report)
     for name, series in _evaluate_all(cfg, models, test, report).items():
         report.clean_table[name] = metric_triple(series)
         report.prediction_series[name] = {"clean": series}
@@ -245,7 +245,8 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 
     Models are fit once on clean training data and never retrained; each
     fraction perturbs the test set only. With repeats > 1 the RMSE per
-    fraction is the mean over independently seeded realizations.
+    fraction is the mean over independently seeded realizations. Row-wise
+    models re-predict only the rows each injection changed.
     """
     raw, train, test = _prepare(cfg)
     specs = cfg.model_specs()
@@ -253,7 +254,7 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(model_order=names)
     report.provenance = _provenance(cfg, specs, names, raw)
 
-    models = _fit_all(cfg, specs, names, train, report)
+    models = _fit_all(specs, names, train, report)
     clean_series = _evaluate_all(cfg, models, test, report)
     for name, series in clean_series.items():
         report.clean_table[name] = metric_triple(series)
@@ -277,8 +278,9 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                 target=cfg.noise_target, columns=cfg.noise_columns,
                 seed=_noise_seed(cfg, f, r),
             )
-            noisy, _ = inject(test, noise_cfg)
-            for name, series in _evaluate_all(cfg, models, noisy, report).items():
+            noisy, affected = inject(test, noise_cfg)
+            evaluated = _evaluate_all(cfg, models, noisy, report, clean_series, affected)
+            for name, series in evaluated.items():
                 sums[name] += rmse(series)
                 if f == max_fraction and r == 0:
                     report.prediction_series[name]["noisy"] = series

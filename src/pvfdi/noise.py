@@ -57,7 +57,8 @@ def inject(test: Dataset, cfg: NoiseConfig) -> tuple:
     cfg.seed's "noise-rows" stream; each targeted cell in them gains an
     independent draw from the "noise-cells" stream. ``affected`` is the
     sorted list of perturbed row indices. Rows outside it are
-    value-identical to the input, and the input is never modified.
+    value-identical to the input, and the input is never modified. The
+    noise sweep relies on this: row-wise models re-predict only ``affected``.
     """
     n = len(test)
     count = math.floor(cfg.fraction * n + 0.5)  # round half up

@@ -30,9 +30,18 @@ class TrainedModel:
     Subclasses set ``kind`` and implement ``_predict_batch`` over a
     validated (n, d) array. Instances are immutable after fit; predict is
     reentrant.
+
+    ``rowwise`` is True when a row's prediction does not depend on the
+    other rows of its batch, bit for bit: ``predict_batch(X[rows])``
+    equals ``predict_batch(X)[rows]`` for every row subset. The noise
+    sweep then re-predicts only the injected rows. Kinds whose batch
+    goes through a BLAS matrix-vector product leave it False, because
+    such kernels round the trailing rows of a batch differently
+    depending on the batch length.
     """
 
     kind = "?"
+    rowwise = False
 
     def __init__(self, n_features: int):
         self._n_features = int(n_features)

@@ -19,6 +19,7 @@ __all__ = ["GBRTModel", "fit_gbrt"]
 
 class GBRTModel(TrainedModel):
     kind = "GBRT"
+    rowwise = True  # per-row tree walks summed elementwise
 
     def __init__(self, base_score, trees, learning_rate, reg_lambda, gamma,
                  train_loss_history, n_features):

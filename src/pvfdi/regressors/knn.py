@@ -18,6 +18,7 @@ _CHUNK_ROWS = 256  # bounds the (chunk x n_train) distance block
 
 class KNNModel(TrainedModel):
     kind = "KNN"
+    rowwise = True  # a row's distances and selection involve no other row
 
     def __init__(self, X_train, y_train, k):
         X_train = np.array(X_train, dtype=np.float64)
@@ -35,10 +36,19 @@ class KNNModel(TrainedModel):
     def _predict_batch(self, X):
         out = np.empty(X.shape[0])
         k = self.k
-        train_sq = np.einsum("ij,ij->i", self.X_train, self.X_train)
+        X_train = self.X_train
+        train_sq = np.einsum("ij,ij->i", X_train, X_train)
+        # one distance block per call, shared by its chunks; a local, so
+        # predict stays reentrant
+        block = np.empty((min(_CHUNK_ROWS, X.shape[0]), X_train.shape[0]))
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
-            d2 = train_sq - 2.0 * (chunk @ self.X_train.T)
+            d2 = block[: chunk.shape[0]]
+            # the bits of train_sq - 2.0 * (chunk @ X_train.T): scaling by
+            # -2 is exact, and a + (-b) == a - b
+            np.matmul(chunk, X_train.T, out=d2)
+            d2 *= -2.0
+            d2 += train_sq
             d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
             nearest = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
             kth = np.take_along_axis(d2, nearest, axis=1).max(axis=1)

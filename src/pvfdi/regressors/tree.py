@@ -147,6 +147,7 @@ class TreeModel(TrainedModel):
     """CART regression tree stored as flat parallel arrays."""
 
     kind = "DT"
+    rowwise = True  # each row walks the tree alone
 
     def __init__(self, arrays, n_features, max_depth=None, min_samples_leaf=1):
         super().__init__(n_features)

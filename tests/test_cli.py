@@ -108,14 +108,6 @@ def test_sweep_custom_fractions_and_rerun_identical(tmp_path):
     assert tree_bytes(a) == tree_bytes(b)
 
 
-def test_sweep_jobs_flag_does_not_change_bytes(tmp_path):
-    base = ["sweep", "--n", 120, "--seed", 2, "--models", "LR,DT,KNN"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(base + ["--out", a, "--jobs", 1]) == 0
-    assert run(base + ["--out", b, "--jobs", 3]) == 0
-    assert tree_bytes(a) == tree_bytes(b)
-
-
 def test_failed_model_exits_three_but_emits(tmp_path, capsys):
     cfg = tmp_path / "pv.ini"
     cfg.write_text("[model.KNN]\nk = 100000\n")

@@ -67,6 +67,14 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert again == ds
 
 
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    ds = small(30, seed=11)
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert pvfdi.load_csv(path) == ds
+
+
 def test_round_trip_with_timestamps_and_comment(tmp_path):
     ds = small(12)
     ds = pvfdi.Dataset(ds.features, ds.power,

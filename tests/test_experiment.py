@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pvfdi.experiment import (
 )
 from pvfdi.metrics import rmse
 from pvfdi.noise import NoiseConfig, inject
-from pvfdi.regressors import KNNModel, ModelSpec
+from pvfdi.regressors import GBRTModel, KNNModel, ModelSpec, TreeModel
 from pvfdi.rng import derive_seed
 
 BASE = dict(synth_n=240, seed=13)
@@ -210,13 +211,35 @@ def test_fresh_run_reproduces_identical_bytes(sweep_report, tmp_path):
     assert read_bytes_tree(first) == read_bytes_tree(second)
 
 
-def test_jobs_do_not_change_output(tmp_path):
-    cfg1 = ExperimentConfig(**BASE, jobs=1)
-    cfg4 = ExperimentConfig(**BASE, jobs=4)
-    a, b = tmp_path / "a", tmp_path / "b"
-    emit_report(run_noise_sweep(cfg1), a)
-    emit_report(run_noise_sweep(cfg4), b)
-    assert read_bytes_tree(a) == read_bytes_tree(b)
+@pytest.mark.parametrize("noise", [
+    dict(noise_target="FEATURES"),
+    dict(noise_target="POWER"),
+    dict(noise_target="BOTH", noise_columns=("ssrd", "t2m", "tcc")),
+])
+def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noise):
+    # 0.01 of 48 test rows rounds to none, so no row is re-predicted there
+    fractions = (0.0, 0.01, 0.1, 0.5, 1.0)
+    models = tuple(ModelSpec(kind, seed=13) for kind in ("LR", "KNN", "DT", "GBRT"))
+    cfg = ExperimentConfig(**BASE, models=models, fractions=fractions, repeats=2,
+                           clamp_predictions=True, **noise)
+    knn_rows = []
+    predict = KNNModel._predict_batch
+
+    def counted(self, X):
+        knn_rows.append(len(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(KNNModel, "_predict_batch", counted)
+    spliced = run_noise_sweep(cfg)
+    emit_report(spliced, tmp_path / "spliced")
+    n_test = len(spliced.prediction_series["KNN"]["clean"])
+    assert sum(knn_rows) == n_test + sum(
+        cfg.repeats * math.floor(f * n_test + 0.5) for f in fractions)
+
+    for cls in (KNNModel, TreeModel, GBRTModel):
+        monkeypatch.setattr(cls, "rowwise", False)
+    emit_report(run_noise_sweep(cfg), tmp_path / "full")
+    assert read_bytes_tree(tmp_path / "spliced") == read_bytes_tree(tmp_path / "full")
 
 
 def test_emitted_grid_reparses_exactly(sweep_report, tmp_path):
@@ -298,8 +321,6 @@ def test_config_validation():
         ExperimentConfig(models=())
     with pytest.raises(ValueError):
         ExperimentConfig(repeats=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(jobs=0)
     with pytest.raises(ValueError):
         ExperimentConfig(noise_std=-1.0)
     with pytest.raises(ValueError):

@@ -5,10 +5,16 @@ from pvfdi.errors import DimensionMismatch, InvalidSpec
 from pvfdi.regressors import (
     DEFAULT_KINDS,
     KINDS,
+    GBRTModel,
+    KNNModel,
     ModelSpec,
+    TrainedModel,
+    TreeModel,
     default_hyperparameters,
     fit,
 )
+
+ROWWISE_KINDS = tuple(cls.kind for cls in TrainedModel.__subclasses__() if cls.rowwise)
 
 
 def test_suite_covers_eight_kinds():
@@ -112,6 +118,31 @@ def test_predict_batch_rejects_non_finite_rows(norm_split, kind, bad):
     with pytest.raises(ValueError, match="non-finite") as single:
         model.predict(query[1])
     assert str(batch.value) == str(single.value)
+
+
+def test_rowwise_kinds_opt_in_explicitly():
+    # the noise sweep splices clean predictions for these classes; any
+    # other kind predicts through BLAS gemv and must stay out
+    rowwise = {cls for cls in TrainedModel.__subclasses__() if cls.rowwise}
+    assert rowwise == {KNNModel, TreeModel, GBRTModel}
+    assert set(ROWWISE_KINDS) == {"KNN", "DT", "GBRT"} <= KINDS
+
+
+@pytest.mark.parametrize("kind", ROWWISE_KINDS)
+def test_rowwise_prediction_ignores_the_rest_of_the_batch(norm_split, rng, kind):
+    train, _ = norm_split
+    model = fit(ModelSpec(kind, seed=9), train)
+    assert type(model).rowwise
+    # 700 rows cross KNN's 256-row chunks twice; the training copies give
+    # KNN exact distance ties
+    X = np.vstack([rng.uniform(-0.2, 1.2, size=(600, 12)), train.features[:100]])
+    full = model.predict_batch(X)
+    subsets = [np.sort(rng.choice(len(X), size, replace=False))
+               for size in (1, 2, 3, 5, 255, 256, 257)]
+    subsets += [rng.choice(len(X), size, replace=False) for size in (4, 300, 700)]
+    subsets += [np.arange(257), np.arange(len(X) - 3, len(X))]
+    for rows in subsets:
+        assert model.predict_batch(X[rows]).tobytes() == full[rows].tobytes(), len(rows)
 
 
 def test_lr_identity_passthrough():
