@@ -18,15 +18,11 @@ __version__ = "0.1.0"
 
 from .data import (
     FEATURE_NAMES,
-    FEATURE_UNITS,
     N_FEATURES,
     POWER_COLUMN,
     TIMESTAMP_COLUMN,
     Dataset,
-    NormalizationStats,
     SplitConfig,
-    apply_normalization,
-    fit_normalization,
     load_csv,
     normalize,
     save_csv,
@@ -107,10 +103,9 @@ from .rng import derive_seed, stream
 __all__ = [
     "__version__",
     # data
-    "FEATURE_NAMES", "FEATURE_UNITS", "N_FEATURES", "POWER_COLUMN",
-    "TIMESTAMP_COLUMN", "Dataset", "NormalizationStats",
-    "SplitConfig", "apply_normalization", "fit_normalization",
-    "load_csv", "normalize", "save_csv", "split", "synth_generate",
+    "FEATURE_NAMES", "N_FEATURES", "POWER_COLUMN", "TIMESTAMP_COLUMN",
+    "Dataset", "SplitConfig", "load_csv", "normalize", "save_csv", "split",
+    "synth_generate",
     # errors
     "PvfdiError", "ConfigError", "DataError", "MissingColumn",
     "NonNumericCell", "EmptyFile", "UnreadableCsv", "DatasetTooSmall",

@@ -29,8 +29,8 @@ from .experiment import (
     run_noise_sweep,
     sensitivity_label,
 )
-from .noise import NoiseConfig, inject
-from .regressors import KINDS, ModelSpec, default_hyperparameters
+from .noise import NOISE_TARGETS, NoiseConfig, inject
+from .regressors import DEFAULT_KINDS, KINDS, ModelSpec, default_hyperparameters
 
 __all__ = ["main"]
 
@@ -80,14 +80,19 @@ def _csv_list(text):
 
 
 def _fractions_list(text):
+    return tuple(float(tok) for tok in _csv_list(text))
+
+
+def _boolean(text):
+    """An INI boolean word: 1/yes/true/on or 0/no/false/off, any case."""
     try:
-        return tuple(float(tok) for tok in _csv_list(text))
-    except ValueError:
-        raise ConfigError(f"fractions must be a comma-separated number list, got {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _scalar(text):
-    """Best-effort typed parse of a config value."""
+    """Best-effort typed parse of a [model.KIND] value."""
     lowered = text.strip().lower()
     if lowered in ("none", "null"):
         return None
@@ -103,11 +108,45 @@ def _scalar(text):
     return text.strip()
 
 
-_EXPERIMENT_KEYS = frozenset({
-    "data", "synth_n", "seed", "train_ratio", "fractions", "models",
-    "repeats", "clamp_predictions", "out",
-})
-_NOISE_KEYS = frozenset({"mean", "std", "target", "columns"})
+_NOISE_TARGET_CHOICES = {"choices": NOISE_TARGETS, "metavar": "{features,power,both}"}
+
+# Each run setting once: the ExperimentConfig field it fills, its INI
+# section and key, the parser of an INI value or a flag argument, and its
+# flag with the flag's other argparse options (flags show in --help in
+# this order). Two rows fill no field as they stand: "models" lists the
+# kind names that become ModelSpecs, and "out" is the output directory.
+_SETTINGS = (
+    ("data_path", "experiment", "data", str,
+     "--data", {"metavar": "PATH", "help": "dataset CSV (default: synthetic)"}),
+    ("out", "experiment", "out", str,
+     "--out", {"metavar": "DIR", "help": "output directory"}),
+    ("seed", "experiment", "seed", int,
+     "--seed", {"metavar": "U64", "help": "root seed"}),
+    ("synth_n", "experiment", "synth_n", int,
+     "--n", {"metavar": "N", "help": "synthetic sample count"}),
+    ("fractions", "experiment", "fractions", _fractions_list,
+     "--fractions", {"metavar": "LIST", "help": "noise fractions, e.g. 0,0.1,0.5,1.0"}),
+    ("models", "experiment", "models", _csv_list,
+     "--models", {"metavar": "LIST", "help": "model kinds, e.g. LR,KNN,SVR"}),
+    ("noise_target", "noise", "target", str.upper,
+     "--noise-target", _NOISE_TARGET_CHOICES),
+    ("noise_std", "noise", "std", float, "--noise-std", {"metavar": "REAL"}),
+    ("noise_mean", "noise", "mean", float, "--noise-mean", {"metavar": "REAL"}),
+    ("noise_columns", "noise", "columns", _csv_list,
+     "--noise-columns", {"metavar": "LIST",
+                         "help": f"feature names from: {', '.join(FEATURE_NAMES)}"}),
+    ("clamp_predictions", "experiment", "clamp_predictions", _boolean,
+     "--clamp-predictions", {"action": "store_true", "default": None,
+                             "help": "clip predictions to [0, 1]"}),
+    ("repeats", "experiment", "repeats", int,
+     "--repeats", {"metavar": "N", "help": "noise realizations averaged per fraction"}),
+    ("train_ratio", "experiment", "train_ratio", float, None, None),
+)
+
+_INI_KEYS = {
+    section: {key for _, sec, key, *_ in _SETTINGS if sec == section}
+    for section in ("experiment", "noise")
+}
 
 
 def _read_config(path) -> dict:
@@ -123,16 +162,11 @@ def _read_config(path) -> dict:
 
     out = {"experiment": {}, "noise": {}, "model": {}}
     for section in parser.sections():
-        if section == "experiment":
+        if section in _INI_KEYS:
             for key, value in parser.items(section):
-                if key not in _EXPERIMENT_KEYS:
-                    raise ConfigError(f"unknown field {key!r} in [experiment]")
-                out["experiment"][key] = value
-        elif section == "noise":
-            for key, value in parser.items(section):
-                if key not in _NOISE_KEYS:
-                    raise ConfigError(f"unknown field {key!r} in [noise]")
-                out["noise"][key] = value
+                if key not in _INI_KEYS[section]:
+                    raise ConfigError(f"unknown field {key!r} in [{section}]")
+                out[section][key] = value
         elif section.startswith("model."):
             kind = section[len("model."):]
             if kind not in KINDS:
@@ -148,80 +182,43 @@ def _read_config(path) -> dict:
 
 
 def _build_experiment(args) -> tuple:
-    """Merge defaults, config file, and flags into an ExperimentConfig."""
+    """Resolve flags over config-file values into (ExperimentConfig, out dir).
+
+    Only the settings a flag or the file gives reach ExperimentConfig, so
+    its defaults are the only ones.
+    """
     file_cfg = _read_config(args.config) if args.config else {
         "experiment": {}, "noise": {}, "model": {},
     }
-    exp = file_cfg["experiment"]
-    noi = file_cfg["noise"]
-
-    def pick(flag_value, file_key, section, default, cast):
-        if flag_value is not None:
-            return flag_value
-        if file_key in section:
-            raw = section[file_key]
+    settings = {}
+    for name, section, key, parse, flag, _ in _SETTINGS:
+        value = getattr(args, name) if flag else None
+        if value is None and key in file_cfg[section]:
+            raw = file_cfg[section][key]
             try:
-                return cast(raw) if isinstance(raw, str) else raw
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {file_key!r}: {raw!r}")
-        return default
+                value = parse(raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+        if value is not None:
+            settings[name] = value
 
-    seed = pick(args.seed, "seed", exp, 0, int)
-    data_path = pick(getattr(args, "data", None), "data", exp, None, str)
-    models_csv = pick(getattr(args, "models", None), "models", exp, None,
-                      lambda v: _csv_list(v))
-    if isinstance(models_csv, str):
-        models_csv = _csv_list(models_csv)
-
-    specs = None
-    if models_csv is not None:
+    out_dir = Path(settings.pop("out", "pvfdi-out"))
+    kinds = settings.pop("models", None)
+    if kinds is not None or file_cfg["model"]:
+        # a [model.KIND] section alone still customizes the default suite
+        seed = settings.get("seed", ExperimentConfig.seed)
         specs = []
-        for kind in models_csv:
+        for kind in DEFAULT_KINDS if kinds is None else kinds:
             if kind not in KINDS:
                 raise ConfigError(f"unknown model kind {kind!r} in models list")
             hp = dict(file_cfg["model"].get(kind, {}))
             model_seed = hp.pop("seed", seed)
             specs.append(ModelSpec(kind, hp, seed=model_seed))
-        specs = tuple(specs)
-    elif file_cfg["model"]:
-        # section-only customization still applies to the default suite
-        from .regressors import DEFAULT_KINDS
-
-        specs = []
-        for kind in DEFAULT_KINDS:
-            hp = dict(file_cfg["model"].get(kind, {}))
-            model_seed = hp.pop("seed", seed)
-            specs.append(ModelSpec(kind, hp, seed=model_seed))
-        specs = tuple(specs)
-
-    columns = pick(getattr(args, "noise_columns", None), "columns", noi, None,
-                   lambda v: _csv_list(v))
-    if isinstance(columns, str):
-        columns = _csv_list(columns)
-
-    target = pick(getattr(args, "noise_target", None), "target", noi, "features", str)
-
+        settings["models"] = tuple(specs)
     try:
-        cfg = ExperimentConfig(
-            data_path=data_path,
-            synth_n=pick(getattr(args, "n", None), "synth_n", exp, 10_000, int),
-            seed=seed,
-            train_ratio=pick(None, "train_ratio", exp, 0.8, float),
-            models=specs,
-            fractions=pick(getattr(args, "fractions", None), "fractions", exp,
-                           (0.0, 0.1, 0.5, 1.0), _fractions_list),
-            noise_mean=pick(getattr(args, "noise_mean", None), "mean", noi, 0.0, float),
-            noise_std=pick(getattr(args, "noise_std", None), "std", noi, 1.0, float),
-            noise_target=str(target).upper(),
-            noise_columns=columns,
-            repeats=pick(getattr(args, "repeats", None), "repeats", exp, 1, int),
-            clamp_predictions=(args.clamp_predictions
-                               or bool(pick(None, "clamp_predictions", exp, False, _scalar))),
-        )
+        return ExperimentConfig(**settings), out_dir
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out_dir = pick(getattr(args, "out", None), "out", exp, "pvfdi-out", str)
-    return cfg, Path(out_dir)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -245,14 +242,17 @@ def cmd_synth(args) -> int:
 
 def cmd_inject(args) -> int:
     dataset = load_csv(args.data)
-    cfg = NoiseConfig(
-        fraction=args.fraction,
-        mean=args.noise_mean,
-        std=args.noise_std,
-        target=args.noise_target.upper(),
-        columns=_csv_list(args.noise_columns) if args.noise_columns else None,
-        seed=args.seed,
-    )
+    try:
+        cfg = NoiseConfig(
+            fraction=args.fraction,
+            mean=args.noise_mean,
+            std=args.noise_std,
+            target=args.noise_target,
+            columns=args.noise_columns or None,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     noisy, affected = inject(dataset, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -318,6 +318,8 @@ def _load_noise_grid(path: Path) -> dict:
         fractions = [float(cell.rstrip("%")) / 100.0 for cell in header[1:]]
     except ValueError:
         raise DataError(f"bad fraction labels in {path} header")
+    if 0.0 not in fractions:
+        raise DataError(f"{path} has no 0% column to compare against")
     table = {}
     for line in lines[1:]:
         cells = line.split(",")
@@ -325,7 +327,10 @@ def _load_noise_grid(path: Path) -> dict:
             raise DataError(f"row {cells[:1]} in {path} has {len(cells)} cells")
         if "ERROR" in cells[1:]:
             continue
-        table[cells[0]] = {f: float(v) for f, v in zip(fractions, cells[1:])}
+        try:
+            table[cells[0]] = {f: float(v) for f, v in zip(fractions, cells[1:])}
+        except ValueError:
+            raise DataError(f"row {cells[:1]} in {path} has a non-numeric RMSE") from None
     if not table:
         raise DataError(f"no model rows in {path}")
     return table
@@ -360,24 +365,10 @@ def cmd_report(args) -> int:
 
 def _add_experiment_flags(sub):
     sub.add_argument("--config", metavar="PATH", help="INI config file")
-    sub.add_argument("--data", metavar="PATH", help="dataset CSV (default: synthetic)")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
-    sub.add_argument("--seed", type=int, metavar="U64", help="root seed")
-    sub.add_argument("--n", type=int, metavar="N", help="synthetic sample count")
-    sub.add_argument("--fractions", type=_fractions_list, metavar="LIST",
-                     help="noise fractions, e.g. 0,0.1,0.5,1.0")
-    sub.add_argument("--models", type=_csv_list, metavar="LIST",
-                     help="model kinds, e.g. LR,KNN,SVR")
-    sub.add_argument("--noise-target", choices=("features", "power", "both"),
-                     dest="noise_target")
-    sub.add_argument("--noise-std", type=float, dest="noise_std", metavar="REAL")
-    sub.add_argument("--noise-mean", type=float, dest="noise_mean", metavar="REAL")
-    sub.add_argument("--noise-columns", dest="noise_columns", metavar="LIST",
-                     help=f"feature names from: {', '.join(FEATURE_NAMES)}")
-    sub.add_argument("--clamp-predictions", action="store_true",
-                     dest="clamp_predictions", help="clip predictions to [0, 1]")
-    sub.add_argument("--repeats", type=int, metavar="N",
-                     help="noise realizations averaged per fraction")
+    for name, _, _, parse, flag, options in _SETTINGS:
+        if flag:
+            typed = {} if "action" in options else {"type": parse}
+            sub.add_argument(flag, dest=name, **typed, **options)
 
 
 def build_parser() -> _Parser:
@@ -408,9 +399,10 @@ def build_parser() -> _Parser:
     injectp.add_argument("--seed", type=int, default=0, metavar="U64")
     injectp.add_argument("--noise-mean", type=float, default=0.0, dest="noise_mean")
     injectp.add_argument("--noise-std", type=float, default=1.0, dest="noise_std")
-    injectp.add_argument("--noise-target", choices=("features", "power", "both"),
-                         default="features", dest="noise_target")
-    injectp.add_argument("--noise-columns", dest="noise_columns", metavar="LIST")
+    injectp.add_argument("--noise-target", type=str.upper, default="features",
+                         dest="noise_target", **_NOISE_TARGET_CHOICES)
+    injectp.add_argument("--noise-columns", type=_csv_list, dest="noise_columns",
+                         metavar="LIST")
     injectp.set_defaults(func=cmd_inject)
 
     reportp = commands.add_parser("report",

@@ -27,18 +27,14 @@ from .rng import stream
 
 __all__ = [
     "FEATURE_NAMES",
-    "FEATURE_UNITS",
     "N_FEATURES",
     "POWER_COLUMN",
     "TIMESTAMP_COLUMN",
     "Dataset",
-    "NormalizationStats",
     "SplitConfig",
     "load_csv",
     "save_csv",
     "normalize",
-    "fit_normalization",
-    "apply_normalization",
     "split",
     "synth_generate",
 ]
@@ -49,62 +45,8 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)
 
-FEATURE_UNITS = {
-    "tclw": "kg m-2",   # total column liquid water
-    "tciw": "kg m-2",   # total column ice water
-    "sp": "Pa",         # surface pressure
-    "rh": "%",          # relative humidity
-    "tcc": "0-1",       # total cloud cover
-    "u10": "m s-1",     # 10-meter U wind component
-    "v10": "m s-1",     # 10-meter V wind component
-    "t2m": "K",         # 2-meter temperature
-    "ssrd": "J m-2",    # surface solar radiation down
-    "strd": "J m-2",    # surface thermal radiation down
-    "tsr": "J m-2",     # top net solar radiation
-    "tp": "m",          # total precipitation
-}
-
 POWER_COLUMN = "POWER"
 TIMESTAMP_COLUMN = "TIMESTAMP"
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-column (min, max) pairs recorded when normalization was fit."""
-
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-    power_min: float
-    power_max: float
-
-    def __post_init__(self):
-        fmin = np.asarray(self.feature_min, dtype=np.float64)
-        fmax = np.asarray(self.feature_max, dtype=np.float64)
-        if fmin.shape != (N_FEATURES,) or fmax.shape != (N_FEATURES,):
-            raise ValueError("feature stats must have one (min, max) pair per column")
-        fmin.flags.writeable = False
-        fmax.flags.writeable = False
-        object.__setattr__(self, "feature_min", fmin)
-        object.__setattr__(self, "feature_max", fmax)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalizationStats):
-            return NotImplemented
-        return (
-            np.array_equal(self.feature_min, other.feature_min)
-            and np.array_equal(self.feature_max, other.feature_max)
-            and self.power_min == other.power_min
-            and self.power_max == other.power_max
-        )
-
-    def column_stats(self) -> dict:
-        """Column name -> (min, max), POWER included."""
-        out = {
-            name: (float(self.feature_min[i]), float(self.feature_max[i]))
-            for i, name in enumerate(FEATURE_NAMES)
-        }
-        out[POWER_COLUMN] = (self.power_min, self.power_max)
-        return out
 
 
 class Dataset:
@@ -115,7 +57,7 @@ class Dataset:
     safe to share across threads.
     """
 
-    def __init__(self, features, power, timestamps=None, normalization_stats=None):
+    def __init__(self, features, power, timestamps=None):
         features = np.array(features, dtype=np.float64)
         power = np.array(power, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != N_FEATURES:
@@ -137,7 +79,6 @@ class Dataset:
         self._features = features
         self._power = power
         self._timestamps = timestamps
-        self._stats = normalization_stats
 
     @property
     def features(self) -> np.ndarray:
@@ -151,10 +92,6 @@ class Dataset:
     def timestamps(self):
         return self._timestamps
 
-    @property
-    def normalization_stats(self):
-        return self._stats
-
     def __len__(self) -> int:
         return self._features.shape[0]
 
@@ -165,7 +102,6 @@ class Dataset:
             np.array_equal(self._features, other._features)
             and np.array_equal(self._power, other._power)
             and self._timestamps == other._timestamps
-            and self._stats == other._stats
         )
 
     def take(self, indices) -> "Dataset":
@@ -174,20 +110,14 @@ class Dataset:
         ts = None
         if self._timestamps is not None:
             ts = tuple(self._timestamps[i] for i in indices)
-        return Dataset(
-            self._features[indices],
-            self._power[indices],
-            timestamps=ts,
-            normalization_stats=self._stats,
-        )
+        return Dataset(self._features[indices], self._power[indices], timestamps=ts)
 
     def replace(self, features=None, power=None) -> "Dataset":
-        """Copy with some arrays swapped out; stats and timestamps kept."""
+        """Copy with some arrays swapped out; timestamps kept."""
         return Dataset(
             self._features if features is None else features,
             self._power if power is None else power,
             timestamps=self._timestamps,
-            normalization_stats=self._stats,
         )
 
     def to_csv_bytes(self) -> bytes:
@@ -306,8 +236,8 @@ def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
 def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:
     """Write a dataset as CSV; floats use shortest round-tripping repr.
 
-    Normalization stats are not persisted. ``header_comment`` adds one
-    leading ``#`` provenance line, which load_csv skips.
+    ``header_comment`` adds one leading ``#`` provenance line, which
+    load_csv skips.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_csv(dataset, fh, header_comment)
@@ -323,42 +253,25 @@ def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return out
 
 
-def fit_normalization(train: Dataset) -> NormalizationStats:
-    """Per-column min/max computed from the training set only."""
-    return NormalizationStats(
-        feature_min=train.features.min(axis=0),
-        feature_max=train.features.max(axis=0),
-        power_min=float(train.power.min()),
-        power_max=float(train.power.max()),
-    )
-
-
-def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
-    """Min-max scale all columns with the given stats; no clipping.
-
-    Values outside the fitted range map outside [0, 1]; constant columns
-    map to 0.0.
-    """
-    features = _scale_columns(dataset.features, stats.feature_min, stats.feature_max)
-    span = stats.power_max - stats.power_min
-    if span == 0:
-        power = np.zeros(len(dataset))
-    else:
-        power = (dataset.power - stats.power_min) / span
-    return Dataset(features, power, timestamps=dataset.timestamps, normalization_stats=stats)
-
-
 def normalize(train: Dataset, others=()) -> tuple:
     """Min-max scale ``train`` and every dataset in ``others`` to train's range.
 
-    Statistics come from ``train`` alone and are recorded on every
-    output, so test-set values beyond the training extrema legitimately
-    fall outside [0, 1].
+    The column minima and maxima come from ``train`` alone, so test-set
+    values beyond the training extrema legitimately fall outside [0, 1];
+    nothing is clipped. Constant columns map to 0.0.
     """
-    stats = fit_normalization(train)
-    train_norm = apply_normalization(train, stats)
-    others_norm = [apply_normalization(d, stats) for d in others]
-    return train_norm, others_norm
+    lo, hi = train.features.min(axis=0), train.features.max(axis=0)
+    power_lo = float(train.power.min())
+    power_span = float(train.power.max()) - power_lo
+
+    def scaled(d: Dataset) -> Dataset:
+        if power_span == 0:
+            power = np.zeros(len(d))
+        else:
+            power = (d.power - power_lo) / power_span
+        return Dataset(_scale_columns(d.features, lo, hi), power, timestamps=d.timestamps)
+
+    return scaled(train), [scaled(d) for d in others]
 
 
 # --- splitting -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Uniform predict contract and registry entry shared by every model kind."""
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -10,7 +11,19 @@ from ..errors import DimensionMismatch, InvalidSpec
 # (predicate, requirement) pairs shared by the kinds' range rules
 POSITIVE = (lambda v: v > 0, "must be positive")
 NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+
+def is_count(v) -> bool:
+    """True for an integer type other than bool, as count hyperparameters need.
+
+    A float such as ``k = 2.5`` is refused rather than truncated, so the
+    fitted model and the recorded provenance agree.
+    """
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+AT_LEAST_ONE = (lambda v: is_count(v) and v >= 1, "must be an integer >= 1")
+DEPTH = (lambda v: is_count(v) and v >= 0, "must be an integer >= 0")
 
 
 def require_finite(**values):

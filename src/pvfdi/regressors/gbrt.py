@@ -11,7 +11,7 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
 from .tree import grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -90,7 +90,7 @@ GBRT = ModelKind(
     defaults={"rounds": 100, "learning_rate": 0.1, "max_depth": 3,
               "reg_lambda": 1.0, "gamma": 0.0, "min_samples_leaf": 1},
     rules={"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
-           "max_depth": NON_NEGATIVE, "reg_lambda": NON_NEGATIVE,
+           "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
            "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_gbrt(X, y, **hp),
     schema=(("float", "base_score"), ("float", "learning_rate"),

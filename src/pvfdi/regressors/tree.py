@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel, is_count, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -169,10 +169,6 @@ class TreeModel(TrainedModel):
     def _predict_batch(self, X):
         return route(self.arrays, X)
 
-    def training_sse(self, X, y) -> float:
-        pred = self.predict_batch(X)
-        return float(np.sum((y - pred) ** 2))
-
 
 def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     """CART regression tree minimizing weighted child variance.
@@ -200,7 +196,8 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
 DT = ModelKind(
     "DT",
     defaults={"max_depth": None, "min_samples_leaf": 5},
-    rules={"max_depth": (lambda v: v is None or v >= 0, "must be None or >= 0"),
+    rules={"max_depth": (lambda v: v is None or is_count(v) and v >= 0,
+                         "must be None or an integer >= 0"),
            "min_samples_leaf": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_dt(X, y, **hp),
     # the file stores an unlimited max_depth as -1

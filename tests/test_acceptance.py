@@ -41,7 +41,7 @@ from tests.test_gpr import dense_posterior_mean
 from tests.test_knn import exhaustive_predict
 from tests.test_linear import normal_equation_oracle, orthonormal_design
 from tests.test_svr import oracle_predict, slsqp_dual
-from tests.test_tree import best_root_split_sse
+from tests.test_tree import best_root_split_sse, training_sse
 
 
 def _verdict(number, text, started):
@@ -163,7 +163,7 @@ def test_criterion_3_model_oracles():
         n = int(rng.integers(4, 17))
         X, y = rng.normal(size=(n, 2)), rng.normal(size=n)
         model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
-        assert model.training_sse(X, y) == pytest.approx(best_root_split_sse(X, y), abs=1e-9)
+        assert training_sse(model, X, y) == pytest.approx(best_root_split_sse(X, y), abs=1e-9)
 
     # SVR vs dense dual oracle on tiny instances
     for _ in range(4):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import pvfdi
-from pvfdi.cli import main
+from pvfdi.cli import _build_experiment, build_parser, main
+from pvfdi.experiment import ExperimentConfig, emit_report, run_noise_sweep
+from pvfdi.regressors import ModelSpec
 
 
 def run(argv):
@@ -83,7 +85,32 @@ def test_inject_power_target_spares_features(dataset_csv, tmp_path):
     assert not np.array_equal(after.power, before.power)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fraction", 1.5],
+    ["--fraction", 0.5, "--noise-columns", "foo"],
+    ["--fraction", 0.5, "--noise-std", -1],
+])
+def test_inject_bad_noise_setting_exits_one(dataset_csv, tmp_path, capsys, flags):
+    assert run(["inject", "--data", dataset_csv, "--out", tmp_path / "o.csv"] + flags) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 # --- bench / sweep ----------------------------------------------------------------
+
+def test_no_settings_leave_every_default_to_experiment_config():
+    cfg, out_dir = _build_experiment(build_parser().parse_args(["sweep"]))
+    assert cfg == ExperimentConfig()
+    assert str(out_dir) == "pvfdi-out"
+
+
+def test_sweep_flags_match_library_run(tmp_path):
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    assert run(["sweep", "--n", 120, "--models", "LR,KNN", "--out", cli_out]) == 0
+    cfg = ExperimentConfig(synth_n=120, models=(ModelSpec("LR"), ModelSpec("KNN")))
+    emit_report(run_noise_sweep(cfg), lib_out)
+    assert tree_bytes(cli_out) == tree_bytes(lib_out)
+
 
 def test_bench_single_model(tmp_path, capsys):
     out = tmp_path / "out"
@@ -172,6 +199,29 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert "fractions" in capsys.readouterr().err
 
 
+def test_config_booleans_take_only_ini_words(tmp_path, capsys):
+    cfg = tmp_path / "pv.ini"
+    for word, clamped in (("on", True), ("No", False), ("1", True)):
+        cfg.write_text(f"[experiment]\nclamp_predictions = {word}\n")
+        out = tmp_path / word
+        assert run(["bench", "--config", cfg, "--n", 40, "--models", "LR",
+                    "--out", out]) == 0
+        assert json.loads((out / "provenance.json").read_text())["clamp_predictions"] is clamped
+    capsys.readouterr()
+    cfg.write_text("[experiment]\nclamp_predictions = maybe\n")
+    assert run(["bench", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "clamp_predictions" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_fractions_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--fractions", "zero"])
+    assert exc.value.code == 1
+    assert "--fractions" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_one(tmp_path):
     assert run(["bench", "--config", tmp_path / "absent.ini",
                 "--out", tmp_path / "out"]) == 1
@@ -194,6 +244,18 @@ def test_report_missing_grid_exits_two(tmp_path, capsys):
     assert run(["report", "--data", tmp_path / "nothing.csv",
                 "--out", tmp_path / "out"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    "model,10%,100%\nLR,0.1,0.2\n",
+    "model,0%,100%\nLR,0.1,abc\n",
+])
+def test_report_bad_grid_exits_two(tmp_path, capsys, grid):
+    path = tmp_path / "noise_rmse.csv"
+    path.write_text(grid)
+    assert run(["report", "--data", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err and "Traceback" not in err
 
 
 def test_non_utf8_data_exits_two(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvfdi
-from pvfdi.data import SYNTH_RANGES, fit_normalization
+from pvfdi.data import SYNTH_RANGES
 from pvfdi.errors import (
     DatasetTooSmall,
     EmptyFile,
@@ -216,19 +216,21 @@ def test_mutated_csv_loads_or_raises_pvfdi_error(csv_fuzz_dir, data):
 # --- normalization ----------------------------------------------------------------
 
 def test_normalize_maps_train_to_unit_range():
-    train, (test,) = pvfdi.normalize(small(100, seed=1), [small(40, seed=2)])
+    raw_train, raw_test = small(100, seed=1), small(40, seed=2)
+    train, (test,) = pvfdi.normalize(raw_train, [raw_test])
     assert np.allclose(train.features.min(axis=0), 0.0)
     assert np.allclose(train.features.max(axis=0), 1.0)
     assert train.power.min() == 0.0 and train.power.max() == 1.0
-    # test columns may leave [0, 1]; values must come from train's stats
-    stats = train.normalization_stats
-    assert stats is not None and test.normalization_stats == stats
+    # test columns may leave [0, 1]; they are scaled by train's extrema
+    lo, hi = raw_train.features.min(axis=0), raw_train.features.max(axis=0)
+    np.testing.assert_array_equal(test.features, (raw_test.features - lo) / (hi - lo))
+    p_lo, p_hi = raw_train.power.min(), raw_train.power.max()
+    np.testing.assert_array_equal(test.power, (raw_test.power - p_lo) / (p_hi - p_lo))
 
 
 def test_normalization_is_idempotent_on_own_output():
     train, _ = pvfdi.normalize(small(50, seed=9))
-    stats = fit_normalization(train)
-    again = pvfdi.apply_normalization(train, stats)
+    again, _ = pvfdi.normalize(train)
     assert np.array_equal(again.features, train.features)
     assert np.array_equal(again.power, train.power)
 
@@ -244,17 +246,10 @@ def test_constant_column_normalizes_to_zero():
 
 def test_no_clipping_beyond_training_range():
     train = small(50, seed=1)
-    stats = fit_normalization(train)
     wild = np.array(train.features)
-    wild[0] = stats.feature_max * 2 + 1
-    out = pvfdi.apply_normalization(pvfdi.Dataset(wild, train.power), stats)
+    wild[0] = train.features.max(axis=0) * 2 + 1
+    _, (out,) = pvfdi.normalize(train, [pvfdi.Dataset(wild, train.power)])
     assert (out.features[0] > 1.0).any()
-
-
-def test_column_stats_keys():
-    stats = fit_normalization(small(25))
-    table = stats.column_stats()
-    assert set(table) == set(pvfdi.FEATURE_NAMES) | {pvfdi.POWER_COLUMN}
 
 
 # --- split -------------------------------------------------------------------------

@@ -54,6 +54,25 @@ def test_out_of_range_values_rejected():
         ModelSpec("MLPR", {"hidden": 0})
 
 
+COUNT_HYPERPARAMETERS = [
+    ("KNN", "k"), ("LASSO", "max_sweeps"), ("GPR", "max_points"),
+    ("DT", "min_samples_leaf"), ("DT", "max_depth"),
+    ("GBRT", "min_samples_leaf"), ("GBRT", "rounds"), ("GBRT", "max_depth"),
+    ("SVR", "max_iterations"),
+    ("MLPR", "hidden"), ("MLPR", "max_epochs"), ("MLPR", "patience"),
+]
+
+
+@pytest.mark.parametrize("kind,name", COUNT_HYPERPARAMETERS)
+def test_count_hyperparameters_must_be_integers(kind, name):
+    assert isinstance(default_hyperparameters(kind)[name], (int, type(None)))
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(InvalidSpec, match=name):
+            ModelSpec(kind, {name: bad})
+    for good in (2, np.int64(2)):
+        assert ModelSpec(kind, {name: good}).hyperparameters == {name: good}
+
+
 def test_effective_hyperparameters_merge_defaults():
     spec = ModelSpec("GBRT", {"rounds": 7})
     merged = spec.effective_hyperparameters()

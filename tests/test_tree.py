@@ -119,6 +119,11 @@ def test_gbrt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf, 
     assert model.train_loss_history == tuple(history)
 
 
+def training_sse(model, X, y) -> float:
+    """Sum of squared residuals of ``model`` on its own training rows."""
+    return float(np.sum((y - model.predict_batch(X)) ** 2))
+
+
 def best_root_split_sse(X, y):
     """Enumerate every (feature, midpoint) split and return the lowest SSE."""
     n = X.shape[0]
@@ -148,7 +153,7 @@ def test_two_points_fit_exactly():
     y = np.array([3.0, 7.0])
     model = fit_dt(X, y, min_samples_leaf=1)
     np.testing.assert_array_equal(model.predict_batch(X), y)
-    assert model.training_sse(X, y) == 0.0
+    assert training_sse(model, X, y) == 0.0
 
 
 def test_four_point_root_threshold():
@@ -157,7 +162,7 @@ def test_four_point_root_threshold():
     model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
     # the only zero-SSE root split is between 1 and 2
     assert model.threshold[0] == pytest.approx(1.5)
-    assert model.training_sse(X, y) == pytest.approx(0.0, abs=1e-15)
+    assert training_sse(model, X, y) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_equal_gains_pick_lowest_feature_then_threshold():
@@ -176,14 +181,14 @@ def test_depth_one_matches_enumerated_best_split(rng):
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
         model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
-        assert model.training_sse(X, y) == pytest.approx(best_root_split_sse(X, y), abs=1e-9)
+        assert training_sse(model, X, y) == pytest.approx(best_root_split_sse(X, y), abs=1e-9)
 
 
 def test_deeper_trees_never_fit_worse(rng):
     X = rng.normal(size=(60, 4))
     y = rng.normal(size=60)
     sses = [
-        fit_dt(X, y, max_depth=depth, min_samples_leaf=1).training_sse(X, y)
+        training_sse(fit_dt(X, y, max_depth=depth, min_samples_leaf=1), X, y)
         for depth in (0, 1, 2, 4, 8, None)
     ]
     for shallow, deep in zip(sses[:-1], sses[1:]):
