@@ -7,7 +7,7 @@ Sensitivity is the relative percent RMSE change against the clean run.
 """
 
 from pathlib import Path
-from tempfile import mkdtemp
+from tempfile import TemporaryDirectory
 
 from pvfdi.experiment import (
     ExperimentConfig,
@@ -38,9 +38,10 @@ for name in report.model_order:
 
 # Emission writes the same numbers as exact-round-trip CSVs plus a
 # provenance block; a rerun of this script reproduces every byte.
-out_dir = Path(mkdtemp(prefix="pvfdi-demo-"))
-written = emit_report(report, out_dir)
-print(f"\nwrote {len(written)} files under {out_dir}")
-for path in written[:4]:
-    print(f"  {path.relative_to(out_dir)}")
-print("  ...")
+with TemporaryDirectory(prefix="pvfdi-demo-") as tmp:
+    out_dir = Path(tmp)
+    written = emit_report(report, out_dir)
+    print(f"\nwrote {len(written)} files under {out_dir}")
+    for path in written[:4]:
+        print(f"  {path.relative_to(out_dir)}")
+    print("  ...")

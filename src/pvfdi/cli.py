@@ -204,20 +204,20 @@ def _build_experiment(args) -> tuple:
 
     out_dir = Path(settings.pop("out", "pvfdi-out"))
     kinds = settings.pop("models", None)
-    if kinds is not None or file_cfg["model"]:
-        # a [model.KIND] section alone still customizes the default suite
-        seed = settings.get("seed", ExperimentConfig.seed)
-        specs = []
-        for kind in DEFAULT_KINDS if kinds is None else kinds:
-            if kind not in KINDS:
-                raise ConfigError(f"unknown model kind {kind!r} in models list")
-            hp = dict(file_cfg["model"].get(kind, {}))
-            model_seed = hp.pop("seed", seed)
-            specs.append(ModelSpec(kind, hp, seed=model_seed))
-        settings["models"] = tuple(specs)
     try:
+        if kinds is not None or file_cfg["model"]:
+            # a [model.KIND] section alone still customizes the default suite
+            seed = settings.get("seed", ExperimentConfig.seed)
+            specs = []
+            for kind in DEFAULT_KINDS if kinds is None else kinds:
+                if kind not in KINDS:
+                    raise ConfigError(f"unknown model kind {kind!r} in models list")
+                hp = dict(file_cfg["model"].get(kind, {}))
+                model_seed = hp.pop("seed", seed)
+                specs.append(ModelSpec(kind, hp, seed=model_seed))
+            settings["models"] = tuple(specs)
         return ExperimentConfig(**settings), out_dir
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidSpec is a ValueError too
         raise ConfigError(str(exc))
 
 

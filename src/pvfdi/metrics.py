@@ -47,6 +47,11 @@ class EvaluationSeries:
         object.__setattr__(self, "actual", actual)
         object.__setattr__(self, "predicted", predicted)
 
+    def __reduce__(self):
+        # an unpickled copy (a model job's result from a worker process)
+        # goes through the same checks and is read-only too
+        return (EvaluationSeries, (self.actual, self.predicted))
+
     def __len__(self) -> int:
         return self.actual.size
 

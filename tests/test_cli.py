@@ -199,6 +199,16 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert "fractions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["2.5", "0"])
+def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
+    cfg = tmp_path / "pv.ini"
+    cfg.write_text(f"[model.KNN]\nk = {k}\n")
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: KNN k must be an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_booleans_take_only_ini_words(tmp_path, capsys):
     cfg = tmp_path / "pv.ini"
     for word, clamped in (("on", True), ("No", False), ("1", True)):

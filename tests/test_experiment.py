@@ -1,10 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
 import pvfdi
+import pvfdi.experiment as experiment
 from pvfdi.errors import ZeroBaseline
 from pvfdi.experiment import (
     ExperimentConfig,
@@ -17,7 +21,7 @@ from pvfdi.experiment import (
 )
 from pvfdi.metrics import rmse
 from pvfdi.noise import NoiseConfig, inject
-from pvfdi.regressors import GBRTModel, KNNModel, ModelSpec, TreeModel
+from pvfdi.regressors import DEFAULT_KINDS, GBRTModel, KNNModel, ModelSpec, TreeModel
 from pvfdi.rng import derive_seed
 
 BASE = dict(synth_n=240, seed=13)
@@ -33,6 +37,17 @@ def read_bytes_tree(root):
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def fake_host(monkeypatch, n):
+    """Let the sweep see ``n`` usable CPUs, as ``taskset`` would, and no
+    BLAS thread, as under ``OPENBLAS_NUM_THREADS=1``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(experiment, "_threads", lambda: 1)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="workers are forked")
 
 
 def test_labels():
@@ -217,6 +232,8 @@ def test_fresh_run_reproduces_identical_bytes(sweep_report, tmp_path):
     dict(noise_target="BOTH", noise_columns=("ssrd", "t2m", "tcc")),
 ])
 def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noise):
+    # the row counter sees only this process, so the jobs must run here
+    fake_host(monkeypatch, 1)
     # 0.01 of 48 test rows rounds to none, so no row is re-predicted there
     fractions = (0.0, 0.01, 0.1, 0.5, 1.0)
     models = tuple(ModelSpec(kind, seed=13) for kind in ("LR", "KNN", "DT", "GBRT"))
@@ -233,13 +250,95 @@ def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noi
     spliced = run_noise_sweep(cfg)
     emit_report(spliced, tmp_path / "spliced")
     n_test = len(spliced.prediction_series["KNN"]["clean"])
-    assert sum(knn_rows) == n_test + sum(
-        cfg.repeats * math.floor(f * n_test + 0.5) for f in fractions)
+    if cfg.noise_target == "POWER":
+        # no feature changes, so every step reuses the clean predictions
+        assert sum(knn_rows) == n_test
+    else:
+        assert sum(knn_rows) == n_test + sum(
+            cfg.repeats * math.floor(f * n_test + 0.5) for f in fractions)
 
     for cls in (KNNModel, TreeModel, GBRTModel):
         monkeypatch.setattr(cls, "rowwise", False)
     emit_report(run_noise_sweep(cfg), tmp_path / "full")
     assert read_bytes_tree(tmp_path / "spliced") == read_bytes_tree(tmp_path / "full")
+
+
+# every kind, with MLPR diverging so that its ERROR row is compared too
+POOL_CFG = ExperimentConfig(
+    **BASE, repeats=2,
+    models=tuple(ModelSpec(kind, {"learning_rate": 1e300} if kind == "MLPR" else {}, seed=13)
+                 for kind in DEFAULT_KINDS),
+)
+
+
+@needs_fork
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging MLPR
+def test_pool_emits_the_serial_bytes(tmp_path, monkeypatch):
+    fits = []  # a forked worker's fits stay in the worker: this sees only ours
+    fit = experiment.fit
+
+    def counted(spec, train):
+        fits.append(spec.kind)
+        return fit(spec, train)
+
+    monkeypatch.setattr(experiment, "fit", counted)
+    fake_host(monkeypatch, 1)
+    serial = run_noise_sweep(POOL_CFG)
+    assert sorted(fits) == sorted(DEFAULT_KINDS)
+    assert serial.errors == {
+        "MLPR": "NonFiniteLoss: training loss became non-finite at epoch 1"}
+    emit_report(serial, tmp_path / "serial")
+
+    fits.clear()
+    fake_host(monkeypatch, 2)
+    emit_report(run_noise_sweep(POOL_CFG), tmp_path / "pool")
+    assert fits == []  # every job ran in a worker
+    assert read_bytes_tree(tmp_path / "pool") == read_bytes_tree(tmp_path / "serial")
+
+
+def _daemon_sweep(out_dir):
+    emit_report(run_noise_sweep(POOL_CFG), out_dir)
+
+
+@needs_fork
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging MLPR
+def test_daemonic_process_sweeps_serially(tmp_path, monkeypatch):
+    # a daemonic process may not start workers, so its sweep runs in-process
+    fake_host(monkeypatch, 2)
+    emit_report(run_noise_sweep(POOL_CFG), tmp_path / "parent")
+    child = multiprocessing.get_context("fork").Process(
+        target=_daemon_sweep, args=(tmp_path / "daemon",), daemon=True)
+    child.start()
+    child.join(timeout=120)
+    assert not child.is_alive() and child.exitcode == 0
+    assert read_bytes_tree(tmp_path / "daemon") == read_bytes_tree(tmp_path / "parent")
+
+
+@needs_fork
+def test_other_threads_keep_the_sweep_in_process(monkeypatch):
+    fake_host(monkeypatch, 4)
+    assert experiment._worker_count(8) == 4
+    assert experiment._worker_count(3) == 3
+    # a BLAS running its own threads would run as many in every worker
+    monkeypatch.setattr(experiment, "_threads", lambda: 2)
+    assert experiment._worker_count(8) == 1
+
+
+def test_thread_count_sees_a_started_thread():
+    before = experiment._threads()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert experiment._threads() == before + 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_cost_rank_orders_every_kind():
+    assert sorted(experiment.COST_RANK) == sorted(DEFAULT_KINDS)
 
 
 def test_emitted_grid_reparses_exactly(sweep_report, tmp_path):
