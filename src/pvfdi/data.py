@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -218,19 +219,25 @@ def _read_csv(path) -> Dataset:
 
 
 def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
     if header_comment:
         fh.write(f"# {header_comment}\n")
-    columns = list(FEATURE_NAMES) + [POWER_COLUMN]
+    columns = [*FEATURE_NAMES, POWER_COLUMN]
+    # repr of a float never holds a comma, quote or line break, so the
+    # numeric cells need no csv quoting; rendering a row at a time keeps
+    # the whole table's Python floats from being alive at once
+    table = np.column_stack((dataset.features, dataset.power))
+    lines = (",".join(map(repr, row.tolist())) for row in table)
     if dataset.timestamps is not None:
-        columns = [TIMESTAMP_COLUMN] + columns
-    writer.writerow(columns)
-    for i in range(len(dataset)):
-        row = [repr(float(v)) for v in dataset.features[i]]
-        row.append(repr(float(dataset.power[i])))
-        if dataset.timestamps is not None:
-            row = [dataset.timestamps[i]] + row
-        writer.writerow(row)
+        columns.insert(0, TIMESTAMP_COLUMN)
+        # a timestamp may need quoting: csv renders each as the row
+        # "<stamp>," (one write per row), and its numbers follow
+        stamped = []
+        csv.writer(SimpleNamespace(write=stamped.append), lineterminator="\n").writerows(
+            (stamp, "") for stamp in dataset.timestamps
+        )
+        lines = (stamp[:-1] + line for stamp, line in zip(stamped, lines))
+    fh.write(",".join(columns) + "\n")
+    fh.writelines(line + "\n" for line in lines)
 
 
 def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:

@@ -186,12 +186,13 @@ def _worker_job(index):
 
 
 # Model kinds by the cost of one job at the default hyperparameters, most
-# expensive first. Measured on a traced c6-sweep (seed 42, one BLAS
-# thread): MLPR fit 2.9 s, GBRT fit 1.3 s, KNN predict 0.3 s, GPR fit and
-# predict 0.25 s, DT fit 0.15 s, SVR, LR and LASSO under 0.1 s. Submitting
-# longest first (Graham's LPT list scheduling) starts MLPR at once, so it
-# never lands last on a worker that the short jobs have kept busy.
-COST_RANK = ("MLPR", "GBRT", "KNN", "GPR", "DT", "SVR", "LR", "LASSO")
+# expensive first. Measured as fit plus predict time, summed over traced
+# serial runs of c6-sweep and attack-grid (seed 42, one CPU, one BLAS
+# thread): MLPR 3.3 s, GBRT 1.4 s, GPR 0.80 s, KNN 0.55 s, DT 0.37 s,
+# SVR 0.23 s, LR and LASSO under 0.01 s. Submitting longest first
+# (Graham's LPT list scheduling) starts MLPR at once, so it never lands
+# last on a worker that the short jobs have kept busy.
+COST_RANK = ("MLPR", "GBRT", "GPR", "KNN", "DT", "SVR", "LR", "LASSO")
 
 
 def _usable_cpus() -> int:

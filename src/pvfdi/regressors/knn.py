@@ -1,9 +1,34 @@
 """K-nearest-neighbor regression: brute-force Euclidean search.
 
 Fitting stores the training set. Prediction averages the targets of the
-k nearest training points; equal distances resolve to the lower training
-index, so results are fully deterministic. The k nearest are found by
-partial selection; only rows tied at the k-th distance pay for a sort.
+k nearest training points, taken in (distance, training index) order:
+equal distances resolve to the lower training index, and a NaN distance
+(expanded distances can overflow at extreme feature values) ranks last.
+That is the first k of a stable sort of the query's distance row, so
+results are fully deterministic.
+
+The k nearest are found by a filter, then a sort of the few columns it
+keeps. With G = _GROUP, the n columns of a distance row form m = n // G
+groups of G strided columns (group j holds columns j, j + m, ...,
+j + (G - 1)m) and n mod G tail columns. Let g_j be the minimum of group
+j's non-NaN distances and tau the k-th smallest g_j (NaN last).
+
+- The k groups with the smallest minima hold k distinct columns at
+  distance <= tau, so the k-th smallest distance d_k is <= tau too.
+- Each of the k nearest then lies at a distance d <= d_k <= tau, in a
+  group with g_j <= d <= tau.
+- So the groups with g_j <= tau, with the tail, hold the k nearest. If
+  tau is NaN (fewer than k groups hold a non-NaN distance), every group
+  is taken.
+
+A chunk takes the same number w of groups in every row: those with the
+w smallest minima (NaN last), where w is the most groups any of its
+rows has at or below its tau (all of them if tau is NaN). That is a
+superset of each row's needed groups, and extra columns change nothing:
+gathered in ascending training index, the columns are ordered by a
+stable sort exactly as they are within the whole row, so its first k
+are the same k in the same order. Below k * G training rows there are
+fewer than k groups, and every column is a tail column.
 """
 
 import numpy as np
@@ -14,6 +39,7 @@ from .base import AT_LEAST_ONE, ModelKind, TrainedModel, require_finite
 __all__ = ["KNNModel", "fit_knn"]
 
 _CHUNK_ROWS = 256  # bounds the (chunk x n_train) distance block
+_GROUP = 20  # columns per group of the selection filter
 
 
 class KNNModel(TrainedModel):
@@ -37,6 +63,10 @@ class KNNModel(TrainedModel):
         out = np.empty(X.shape[0])
         k = self.k
         X_train = self.X_train
+        n = X_train.shape[0]
+        m = n // _GROUP if n >= k * _GROUP else 0  # tau needs k groups
+        lanes = m * np.arange(_GROUP)[:, np.newaxis]  # group j's columns: j + lanes
+        tail = np.arange(m * _GROUP, n)
         train_sq = np.einsum("ij,ij->i", X_train, X_train)
         # one distance block per call, shared by its chunks; a local, so
         # predict stays reentrant
@@ -50,16 +80,20 @@ class KNNModel(TrainedModel):
             d2 *= -2.0
             d2 += train_sq
             d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
-            nearest = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-            kth = np.take_along_axis(d2, nearest, axis=1).max(axis=1)
-            # a row with other than k distances <= its k-th has a tie at the
-            # boundary (or NaNs): re-select it by a stable sort, so ties fall
-            # to the lower training index
-            redo = np.flatnonzero(np.count_nonzero(d2 <= kth[:, np.newaxis], axis=1) != k)
-            nearest[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+            cols = np.broadcast_to(tail, (d2.shape[0], tail.size))
+            if m:
+                gm = np.fmin.reduce(d2[:, : m * _GROUP].reshape(-1, _GROUP, m), axis=1)
+                order = np.argpartition(gm, k - 1, axis=1)
+                tau = np.take_along_axis(gm, order[:, k - 1 : k], axis=1)
+                width = np.count_nonzero(~(gm > tau), axis=1).max()
+                if width > k:  # a row with ties at its tau, or a NaN tau
+                    order = np.argpartition(gm, width - 1, axis=1)
+                groups = np.sort(order[:, :width], axis=1)
+                grouped = (groups[:, np.newaxis, :] + lanes).reshape(-1, _GROUP * width)
+                cols = np.concatenate((grouped, cols), axis=1)
             # mean sums in order, so order the k by (distance, index)
-            within = np.argsort(np.take_along_axis(d2, nearest, axis=1), axis=1, kind="stable")
-            nearest = np.take_along_axis(nearest, within, axis=1)
+            pick = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+            nearest = np.take_along_axis(cols, pick[:, :k], axis=1)
             out[start : start + _CHUNK_ROWS] = self.y_train[nearest].mean(axis=1)
         return out
 

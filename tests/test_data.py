@@ -1,10 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvfdi
-from pvfdi.data import SYNTH_RANGES
+from pvfdi.data import POWER_COLUMN, SYNTH_RANGES, TIMESTAMP_COLUMN
 from pvfdi.errors import (
     DatasetTooSmall,
     EmptyFile,
@@ -55,6 +58,38 @@ def test_checksum_tracks_content():
     assert ds.checksum() == small().checksum()
     other = ds.replace(power=ds.power + 1.0)
     assert other.checksum() != ds.checksum()
+
+
+def csv_writer_reference(ds):
+    """The dataset's CSV bytes as csv.writer renders them, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = [*pvfdi.FEATURE_NAMES, POWER_COLUMN]
+    rows = [[repr(float(v)) for v in (*ds.features[i], ds.power[i])] for i in range(len(ds))]
+    if ds.timestamps is not None:
+        columns = [TIMESTAMP_COLUMN, *columns]
+        rows = [[stamp, *row] for stamp, row in zip(ds.timestamps, rows)]
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("stamped", [False, True])
+def test_csv_bytes_match_csv_writer(tmp_path, stamped):
+    ds = small(10)
+    features = ds.features.copy()
+    features[0, :3] = [-0.0, 5e-324, 1e308]
+    power = ds.power.copy()
+    power[1] = -0.0
+    stamps = ["2014-04-01 12:00", "a,b", 'say "hi"', "", " lead", "two\nlines", "cr\r",
+              "tab\t", "#", "'"]
+    ds = pvfdi.Dataset(features, power, timestamps=stamps if stamped else None)
+    assert ds.to_csv_bytes() == csv_writer_reference(ds)
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path, header_comment="a comment")
+    comment, body = path.read_bytes().split(b"\n", 1)
+    assert comment == b"# a comment"
+    assert body == ds.to_csv_bytes()
 
 
 # --- CSV round trip --------------------------------------------------------------

@@ -12,33 +12,60 @@ def exhaustive_predict(X_train, y_train, x, k):
     return float(np.mean([y_train[i] for i in order[:k]]))
 
 
-def stable_sort_predict(model, X):
-    """The kernel with a full stable argsort per row in place of selection."""
-    out = np.empty(X.shape[0])
-    train_sq = np.einsum("ij,ij->i", model.X_train, model.X_train)
+def stable_sort_order(X_train, X):
+    """Training rows per query in (distance, index) order, NaN last.
+
+    The kernel's distances, with a full stable argsort per row in place
+    of its selection.
+    """
+    order = np.empty((X.shape[0], X_train.shape[0]), dtype=np.intp)
+    train_sq = np.einsum("ij,ij->i", X_train, X_train)
     for start in range(0, X.shape[0], 256):
         chunk = X[start : start + 256]
-        d2 = train_sq - 2.0 * (chunk @ model.X_train.T)
+        d2 = train_sq - 2.0 * (chunk @ X_train.T)
         d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        out[start : start + 256] = model.y_train[nearest].mean(axis=1)
-    return out
+        order[start : start + 256] = np.argsort(d2, axis=1, kind="stable")
+    return order
 
 
-@pytest.mark.parametrize("grid", [True, False])
-def test_selection_matches_stable_sort_oracle(rng, grid):
+def _huge(rng, size):
+    """Positive draws near 1e110; every 61st row of the first half is near
+    +-1e200.
+
+    Squared norms overflow in those rows, so expanded distances come out
+    inf or NaN. A query near 1e110 meets NaN in a few column groups and
+    finite distances in the rest. A query near 1e200 meets only NaN, and
+    inf from rows near -1e200. Of 600 queries, only the first 256-row
+    chunk holds such queries, so the other two are filtered.
+    """
+    X = np.abs(rng.normal(size=size)) * 1e110
+    X[: size[0] // 2 : 61] *= 1e90
+    X[: size[0] // 2 : 122] *= -1.0
+    return X
+
+
+@pytest.mark.parametrize("n_train", [40, 1000, 1013])
+@pytest.mark.parametrize("draw", ["grid", "normal", "huge"])
+def test_selection_matches_stable_sort_oracle(rng, draw, n_train):
     # on a coarse grid, with duplicated training rows, boundary ties are
-    # common; off it the k nearest are distinct and their order matters
-    draw = ((lambda size: rng.integers(0, 3, size=size) * 0.5) if grid
-            else (lambda size: rng.normal(size=size)))
-    X = draw((40, 2))
-    X[20:30] = X[:10]
-    y = rng.normal(size=40)
+    # common; off it the k nearest are distinct and their order matters.
+    # 40 rows give fewer than k column groups for k > 2, so every column
+    # is a candidate; 1000 and 1013 rows (13 tail columns) go through the
+    # group filter. Overflowed distances rank as a stable sort ranks them
+    draw = {
+        "grid": lambda size: rng.integers(0, 3, size=size) * 0.5,
+        "normal": lambda size: rng.normal(size=size),
+        "huge": lambda size: _huge(rng, size),
+    }[draw]
+    X = draw((n_train, 2))
+    X[n_train // 2 : n_train // 2 + 10] = X[:10]
+    y = rng.normal(size=n_train)
     queries = draw((600, 2))  # three 256-row chunks
-    for k in range(1, X.shape[0] + 1):
-        model = fit_knn(X, y, k=k)
-        got = model.predict_batch(queries)
-        assert got.tobytes() == stable_sort_predict(model, queries).tobytes(), k
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = stable_sort_order(X, queries)
+        for k in range(1, 41) if n_train == 40 else (1, 2, 3, 5, 12, 40):
+            got = fit_knn(X, y, k=k).predict_batch(queries)
+            assert got.tobytes() == y[order[:, :k]].mean(axis=1).tobytes(), k
 
 
 def test_hand_case_two_neighbours():
