@@ -55,7 +55,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentReport,
     compute_sensitivity,
-    emit_plot_series,
     emit_report,
     fraction_label,
     run_clean_benchmark,
@@ -125,8 +124,8 @@ __all__ = [
     "NoiseConfig", "NOISE_TARGETS", "inject",
     # experiment
     "ExperimentConfig", "ExperimentReport", "run_clean_benchmark",
-    "run_noise_sweep", "compute_sensitivity", "emit_report",
-    "emit_plot_series", "fraction_label", "sensitivity_label",
+    "run_noise_sweep", "compute_sensitivity", "emit_report", "fraction_label",
+    "sensitivity_label",
     # rng
     "stream", "derive_seed",
 ]

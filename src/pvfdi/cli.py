@@ -1,6 +1,6 @@
 """Command-line entry point: synth | bench | sweep | inject | report.
 
-Configuration lives in an INI-style file (see CONFIG_EXAMPLE below);
+Configuration lives in an INI-style file (the README shows one);
 command-line flags override file values, which override defaults. Every
 run writes a provenance file naming the tool version, seeds, effective
 settings, and input checksum, so any output can be reproduced exactly.
@@ -39,33 +39,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
 
-CONFIG_EXAMPLE = """\
-[experiment]
-# data = measurements.csv   ; omit to use synthetic data
-synth_n = 10000
-seed = 0
-train_ratio = 0.8
-fractions = 0, 0.1, 0.5, 1.0
-models = LR, GPR, KNN, DT, GBRT, SVR, MLPR, LASSO
-repeats = 1
-clamp_predictions = false
-out = pvfdi-out
-
-[noise]
-mean = 0.0
-std = 1.0
-target = features
-# columns = ssrd, tsr       ; omit to hit all twelve features
-
-[model.KNN]
-k = 2
-
-[model.SVR]
-C = 1.0
-epsilon = 0.1
-"""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract wants 1."""
 
@@ -91,21 +64,16 @@ def _boolean(text):
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _scalar(text):
-    """Best-effort typed parse of a [model.KIND] value."""
-    lowered = text.strip().lower()
-    if lowered in ("none", "null"):
+def _scalar(section, key, text):
+    """A [model.KIND] value: none/null, an int or a float."""
+    if text.strip().lower() in ("none", "null"):
         return None
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
     for cast in (int, float):
         try:
             return cast(text)
         except ValueError:
             pass
-    return text.strip()
+    raise ConfigError(f"bad value for {key!r} in [{section}]: {text!r}")
 
 
 _NOISE_TARGET_CHOICES = {"choices": NOISE_TARGETS, "metavar": "{features,power,both}"}
@@ -171,11 +139,13 @@ def _read_config(path) -> dict:
             kind = section[len("model."):]
             if kind not in KINDS:
                 raise ConfigError(f"unknown model kind in section [{section}]")
-            known = set(default_hyperparameters(kind)) | {"seed"}
+            # configparser lowercases keys: match them to the names in any case (SVR's C)
+            known = {name.lower(): name for name in (*default_hyperparameters(kind), "seed")}
+            hp = out["model"][kind] = {}
             for key, value in parser.items(section):
                 if key not in known:
                     raise ConfigError(f"unknown field {key!r} in [{section}]")
-            out["model"][kind] = {k: _scalar(v) for k, v in parser.items(section)}
+                hp[known[key]] = _scalar(section, known[key], value)
         else:
             raise ConfigError(f"unknown config section [{section}]")
     return out

@@ -174,15 +174,37 @@ def load_csv(path) -> Dataset:
         raise UnreadableCsv(path, str(exc)) from None
 
 
+def _comment(text: str) -> bool:
+    """True for a ``#`` provenance line: its first non-space character is ``#``."""
+    return text.lstrip().startswith("#")
+
+
+def _records(fh):
+    """(first raw line, row) of every csv record in ``fh``.
+
+    A record is a comment when its raw first line is one, so a quoted
+    ``"#3"`` cell and a continuation line that starts with ``#`` are data.
+    """
+    consumed = []
+
+    def lines():
+        for line in fh:
+            consumed.append(line)
+            yield line
+
+    for row in csv.reader(lines()):
+        yield consumed[0], row
+        consumed.clear()
+
+
 def _read_csv(path) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        records = _records(fh)
         header = None
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                continue  # provenance comment lines
-            header = row
-            break
+        for raw, row in records:
+            if not _comment(raw):  # skip provenance comment lines
+                header = row
+                break
         if header is None:
             raise EmptyFile(path)
         header = [name.strip() for name in header]
@@ -197,8 +219,8 @@ def _read_csv(path) -> Dataset:
 
         features, power, timestamps = [], [], []
         row_no = 0
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
+        for raw, row in records:
+            if not row or _comment(raw):
                 continue
             row = row + [""] * (len(header) - len(row))
             features.append(
@@ -230,12 +252,16 @@ def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
     if dataset.timestamps is not None:
         columns.insert(0, TIMESTAMP_COLUMN)
         # a timestamp may need quoting: csv renders each as the row
-        # "<stamp>," (one write per row), and its numbers follow
+        # "<stamp>," (one write per row), and its numbers follow. csv
+        # leaves a stamp that reads as a comment line bare, so quote it
         stamped = []
         csv.writer(SimpleNamespace(write=stamped.append), lineterminator="\n").writerows(
             (stamp, "") for stamp in dataset.timestamps
         )
-        lines = (stamp[:-1] + line for stamp, line in zip(stamped, lines))
+        lines = (
+            (f'"{stamp[:-2]}",' if _comment(stamp) else stamp[:-1]) + line
+            for stamp, line in zip(stamped, lines)
+        )
     fh.write(",".join(columns) + "\n")
     fh.writelines(line + "\n" for line in lines)
 
@@ -326,7 +352,7 @@ SYNTH_TCC_WEIGHT = 0.25
 SYNTH_RESIDUAL_STD = 0.02
 
 
-def synth_generate(n: int, seed: int, residual_std: float = SYNTH_RESIDUAL_STD) -> Dataset:
+def synth_generate(n: int, seed: int) -> Dataset:
     """Deterministic synthetic PV dataset of ``n`` samples.
 
     Power is a clamped linear function of the internally rescaled solar
@@ -347,6 +373,6 @@ def synth_generate(n: int, seed: int, residual_std: float = SYNTH_RESIDUAL_STD) 
         + SYNTH_TSR_WEIGHT * unit[:, col["tsr"]]
         - SYNTH_TCC_WEIGHT * unit[:, col["tcc"]]
     )
-    residual = rng.normal(0.0, 1.0, size=n) * residual_std
+    residual = rng.normal(0.0, 1.0, size=n) * SYNTH_RESIDUAL_STD
     power = np.clip(signal + residual, 0.0, 1.0)
     return Dataset(features, power)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
-from .errors import IoError, ZeroBaseline
-from .metrics import EvaluationSeries, MetricTriple, metric_triple, percent_change, rmse
+from .errors import IoError
+from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
 from .rng import derive_seed
@@ -33,7 +33,6 @@ __all__ = [
     "run_noise_sweep",
     "compute_sensitivity",
     "emit_report",
-    "emit_plot_series",
     "fraction_label",
     "sensitivity_label",
 ]
@@ -129,10 +128,6 @@ def _prepare(cfg: ExperimentConfig):
     return raw, train, test
 
 
-def _error_text(exc) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _series(cfg, actual, predicted) -> EvaluationSeries:
     if cfg.clamp_predictions:
         predicted = np.clip(predicted, 0.0, 1.0)
@@ -168,7 +163,7 @@ def _model_job(shared, index):
             out.append(_series(cfg, noisy.power, predicted))
         return out
     except Exception as exc:  # error row per failed model
-        return _error_text(exc)
+        return f"{type(exc).__name__}: {exc}"
 
 
 # One model's job in a worker process reads the run's data from here. A
@@ -316,12 +311,8 @@ def _noisy_steps(cfg, test: Dataset) -> list:
     ]
 
 
-def _evaluate_models(cfg, sweep: bool) -> tuple:
-    """Run every model's job and fill the report's clean columns.
-
-    Returns the report and, for each model that did not fail, its noisy
-    series in sweep order (none unless ``sweep``).
-    """
+def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
+    """Run every model's job and build the report: clean columns, and the sweep's if ``sweep``."""
     raw, train, test = _prepare(cfg)
     steps = _noisy_steps(cfg, test) if sweep else []
     specs = cfg.model_specs()
@@ -329,20 +320,36 @@ def _evaluate_models(cfg, sweep: bool) -> tuple:
     report = ExperimentReport(model_order=names)
     outcomes, report.provenance = _run_jobs(
         cfg, specs, train, test, steps, lambda: _provenance(cfg, specs, names, raw))
-    noisy = {}
+    nonzero = [f for f in cfg.fractions if f != 0.0]
+    top = max(cfg.fractions)
     for name, outcome in zip(names, outcomes):
         if isinstance(outcome, str):
             report.errors[name] = outcome
             continue
-        clean, *noisy[name] = outcome
+        clean, *noisy = outcome
         report.clean_table[name] = metric_triple(clean)
-        report.prediction_series[name] = {"clean": clean}
-    return report, noisy
+        series = report.prediction_series[name] = {"clean": clean}
+        if not sweep:
+            continue
+        # the zero column IS the clean benchmark, bit for bit
+        row = report.noise_table[name] = {0.0: report.clean_table[name].rmse}
+        series["noisy"] = clean  # kept only when every fraction is 0
+        for k, f in enumerate(nonzero):
+            block = noisy[k * cfg.repeats:(k + 1) * cfg.repeats]
+            total = 0.0
+            for step in block:
+                total += rmse(step)
+            row[f] = total / cfg.repeats
+            if f == top:
+                series["noisy"] = block[0]
+    if sweep:
+        report.sensitivity_table = compute_sensitivity(report.noise_table)
+    return report
 
 
 def run_clean_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit every model on the clean split and record test metrics."""
-    return _evaluate_models(cfg, sweep=False)[0]
+    return _evaluate_models(cfg, sweep=False)
 
 
 def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
@@ -350,32 +357,11 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 
     Models are fit once on clean training data and never retrained; each
     fraction perturbs the test set only. With repeats > 1 the RMSE per
-    fraction is the mean over independently seeded realizations. Row-wise
-    models re-predict only the rows each injection changed.
+    fraction is the mean over independently seeded realizations, and the
+    noisy series is the first realization of the largest fraction.
+    Row-wise models re-predict only the rows each injection changed.
     """
-    report, noisy = _evaluate_models(cfg, sweep=True)
-    max_fraction = max(cfg.fractions)
-    for name, steps in noisy.items():
-        series = report.prediction_series[name]
-        row = report.noise_table[name] = {}
-        steps = iter(steps)
-        for f in cfg.fractions:
-            if f == 0.0:
-                # the zero column IS the clean benchmark, bit for bit
-                row[f] = report.clean_table[name].rmse
-                if max_fraction == 0.0:
-                    series["noisy"] = series["clean"]
-                continue
-            total = 0.0
-            for r in range(cfg.repeats):
-                step = next(steps)
-                total += rmse(step)
-                if f == max_fraction and r == 0:
-                    series["noisy"] = step
-            row[f] = total / cfg.repeats
-
-    report.sensitivity_table = compute_sensitivity(report.noise_table)
-    return report
+    return _evaluate_models(cfg, sweep=True)
 
 
 def compute_sensitivity(noise_table: dict) -> dict:
@@ -412,10 +398,7 @@ def _write_json(path: Path, block: dict):
 
 
 def _csv_table(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _aligned(header, rows) -> str:
@@ -427,41 +410,15 @@ def _aligned(header, rows) -> str:
     return "\n".join([fmt(header)] + [fmt(r) for r in rows]) + "\n"
 
 
-def _clean_rows(report, cell):
+def _rows(report, header, values, cell) -> list:
+    """One row per model in config order; a failed model's cells read ERROR."""
     rows = []
     for name in report.model_order:
-        if name in report.clean_table:
-            t = report.clean_table[name]
-            rows.append([name, cell(t.rmse), cell(t.mse), cell(t.mae)])
+        if name in values:
+            rows.append([name] + [cell(v) for v in values[name]])
         elif name in report.errors:
-            rows.append([name, "ERROR", "ERROR", "ERROR"])
+            rows.append([name] + ["ERROR"] * (len(header) - 1))
     return rows
-
-
-def _grid_rows(report, table, columns, keyed_by, cell):
-    rows = []
-    for name in report.model_order:
-        if name in table:
-            rows.append([name] + [cell(table[name][k]) for k in keyed_by])
-        elif name in report.errors:
-            rows.append([name] + ["ERROR"] * len(columns))
-    return rows
-
-
-def emit_plot_series(report: ExperimentReport, out_dir) -> list:
-    """One (index, actual, predicted) CSV per model per condition."""
-    out_dir = Path(out_dir)
-    written = []
-    for name in report.model_order:
-        for condition, series in report.prediction_series.get(name, {}).items():
-            path = out_dir / "series" / f"{name}_{condition}.csv"
-            rows = [
-                [str(i), repr(float(a)), repr(float(p))]
-                for i, (a, p) in enumerate(zip(series.actual, series.predicted))
-            ]
-            _write_text(path, _csv_table(["index", "actual", "predicted"], rows))
-            written.append(path)
-    return written
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:
@@ -472,42 +429,45 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     byte-deterministic. Returns the written paths.
     """
     out_dir = Path(out_dir)
-    written = []
-    exact = lambda v: repr(float(v))
-    human = lambda v: f"{v:.6f}"
-    text_blocks = []
-
-    header = ["model", "rmse", "mse", "mae"]
-    written.append(out_dir / "clean_metrics.csv")
-    _write_text(written[-1], _csv_table(header, _clean_rows(report, exact)))
-    text_blocks.append("Clean test metrics\n" + _aligned(header, _clean_rows(report, human)))
-
+    # (file, report.txt title, header, values per model, report.txt cell format)
+    tables = [("clean_metrics.csv", "Clean test metrics", ["model", "rmse", "mse", "mae"],
+               {name: (t.rmse, t.mse, t.mae) for name, t in report.clean_table.items()},
+               "{:.6f}")]
     if report.noise_table:
         fractions = sorted(next(iter(report.noise_table.values())))
-        header = ["model"] + [fraction_label(f) for f in fractions]
-        rows = _grid_rows(report, report.noise_table, header[1:], fractions, exact)
-        written.append(out_dir / "noise_rmse.csv")
-        _write_text(written[-1], _csv_table(header, rows))
-        text_blocks.append("RMSE under injection\n" + _aligned(
-            header, _grid_rows(report, report.noise_table, header[1:], fractions, human)))
-
         labels = [sensitivity_label(f) for f in fractions if f != 0.0]
-        header = ["model"] + labels
-        rows = _grid_rows(report, report.sensitivity_table, labels, labels, exact)
-        written.append(out_dir / "sensitivity.csv")
-        _write_text(written[-1], _csv_table(header, rows))
-        text_blocks.append("RMSE change vs clean (percent)\n" + _aligned(
-            header, _grid_rows(report, report.sensitivity_table, labels, labels,
-                               lambda v: f"{v:+.2f}%")))
-    else:
+        tables += [
+            ("noise_rmse.csv", "RMSE under injection",
+             ["model"] + [fraction_label(f) for f in fractions],
+             {name: [row[f] for f in fractions] for name, row in report.noise_table.items()},
+             "{:.6f}"),
+            ("sensitivity.csv", "RMSE change vs clean (percent)", ["model"] + labels,
+             {name: [row[label] for label in labels]
+              for name, row in report.sensitivity_table.items()},
+             "{:+.2f}%"),
+        ]
+    written = []
+    text_blocks = []
+    exact = lambda v: repr(float(v))
+    for file, title, header, values, human in tables:
+        written.append(out_dir / file)
+        _write_text(written[-1], _csv_table(header, _rows(report, header, values, exact)))
+        text_blocks.append(title + "\n" + _aligned(
+            header, _rows(report, header, values, human.format)))
+    if not report.noise_table:
         text_blocks.append("Noise sweep: not run; sweep files skipped.\n")
 
     if report.errors:
-        rows = [[name, report.errors[name]] for name in report.model_order
-                if name in report.errors]
+        rows = [[name, report.errors[name]] for name in report.model_order if name in report.errors]
         text_blocks.append("Model errors\n" + _aligned(["model", "error"], rows))
 
-    written.extend(emit_plot_series(report, out_dir))
+    # one (index, actual, predicted) CSV per model per condition
+    for name in report.model_order:
+        for condition, series in report.prediction_series.get(name, {}).items():
+            rows = [[str(i), repr(float(a)), repr(float(p))]
+                    for i, (a, p) in enumerate(zip(series.actual, series.predicted))]
+            written.append(out_dir / "series" / f"{name}_{condition}.csv")
+            _write_text(written[-1], _csv_table(["index", "actual", "predicted"], rows))
 
     written.append(out_dir / "provenance.json")
     _write_json(written[-1], report.provenance)

@@ -84,13 +84,10 @@ class ModelSpec:
 def fit(spec: ModelSpec, train) -> TrainedModel:
     """Fit ``spec`` on a training Dataset (or an (X, y) pair).
 
-    Returns the kind-specific TrainedModel with ``spec`` attached.
+    Returns the kind-specific TrainedModel.
     """
     if hasattr(train, "features"):
         X, y = train.features, train.power
     else:
         X, y = train
-    hp = spec.effective_hyperparameters()
-    model = REGISTRY[spec.kind].fit(X, y, hp, spec.seed)
-    model.spec = spec
-    return model
+    return REGISTRY[spec.kind].fit(X, y, spec.effective_hyperparameters(), spec.seed)

@@ -37,6 +37,19 @@ def require_finite(**values):
             raise ValueError(f"{name} contains non-finite values")
 
 
+def as_design(X, y):
+    """Training (X, y) as float arrays, a 1-D X as one column; ValueError if unusable."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, np.newaxis]
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y disagree on sample count")
+    if X.shape[0] == 0:
+        raise ValueError("empty training set")
+    return X, y
+
+
 class TrainedModel:
     """A fitted model exposing deterministic single- and batch-prediction.
 
@@ -58,7 +71,6 @@ class TrainedModel:
 
     def __init__(self, n_features: int):
         self._n_features = int(n_features)
-        self.spec = None  # attached by the suite-level fit()
 
     @property
     def training_feature_count(self) -> int:

@@ -11,7 +11,8 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+                   require_finite)
 from .tree import grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -57,10 +58,7 @@ def fit_gbrt(
     min_samples_leaf: int = 1,
 ) -> GBRTModel:
     GBRT.check(rounds=rounds)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
 
     columns = presort(X)  # X is fixed, so every round shares one sort
     base = float(y.mean())

@@ -11,7 +11,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+                   require_finite)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -69,10 +70,7 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     from the ``seed``-keyed stream replaces it. Raises NotPositiveDefinite
     if the kernel matrix cannot be factored even at the largest jitter.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
     GPR.check(length_scale=length_scale, noise_variance=noise_variance)
 
     subsampled = X.shape[0] > max_points

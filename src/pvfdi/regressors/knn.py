@@ -34,7 +34,7 @@ fewer than k groups, and every column is a tail column.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel, as_design, require_finite
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -99,10 +99,7 @@ class KNNModel(TrainedModel):
 
 
 def fit_knn(X, y, k: int = 2) -> KNNModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
     KNN.check(k=k)
     if k > X.shape[0]:
         raise KTooLarge(k, X.shape[0])

@@ -8,7 +8,8 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+                   require_finite)
 
 __all__ = ["LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
 
@@ -32,18 +33,6 @@ class LinearModel(TrainedModel):
         return X @ self.coefficients + self.bias
 
 
-def _as_design(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y disagree on sample count")
-    if X.shape[0] == 0:
-        raise ValueError("empty training set")
-    return X, y
-
-
 def fit_lr(X, y) -> LinearModel:
     """Ordinary least squares with intercept.
 
@@ -52,7 +41,7 @@ def fit_lr(X, y) -> LinearModel:
     bias absorbs the means. On a single sample this degenerates to
     bias = y, coefficients = 0.
     """
-    X, y = _as_design(X, y)
+    X, y = as_design(X, y)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
@@ -69,7 +58,7 @@ def _soft_threshold(value: float, threshold: float) -> float:
 
 def lasso_lambda_max(X, y) -> float:
     """Smallest penalty for which the lasso solution is all zeros."""
-    X, y = _as_design(X, y)
+    X, y = as_design(X, y)
     n = X.shape[0]
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
@@ -92,7 +81,7 @@ def fit_lasso(
     coordinate-descent least squares.
     """
     LASSO.check(lam=lam)
-    X, y = _as_design(X, y)
+    X, y = as_design(X, y)
     n, d = X.shape
     x_mean = X.mean(axis=0)
     y_mean = y.mean()

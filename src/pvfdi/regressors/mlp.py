@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel, as_design, require_finite
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -136,10 +136,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     momentum overshoots early on) does not trigger the stop. Raises
     NonFiniteLoss if the loss leaves the reals (divergence).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
     params = init_params(X.shape[1], hidden, seed)
 
     a1 = np.empty((X.shape[0], hidden))

@@ -15,7 +15,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+                   require_finite)
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
 
@@ -225,10 +226,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             max_iterations: int = 200_000, cache_mb: float = 128.0,
             record_history: bool = False) -> SVRModel:
     """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
     SVR.check(C=C, epsilon=epsilon)
     n = X.shape[0]
     if gamma is None:

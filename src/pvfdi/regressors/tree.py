@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel, is_count, require_finite
+from .base import AT_LEAST_ONE, ModelKind, TrainedModel, as_design, is_count, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -177,10 +177,7 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     drop below ``min_samples_leaf`` samples, or when the node's targets
     have zero variance. Leaves predict the node's mean target.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, np.newaxis]
+    X, y = as_design(X, y)
     DT.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     arrays = grow_tree(
         presort(X),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
     assert "config error: KNN k must be an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = tmp_path / "pv.ini"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    out = tmp_path / "out"
+    assert run(["bench", "--config", cfg, "--n", 120, "--models", "LR,SVR",
+                "--out", out]) == 0
+    # configparser lowercases keys; the README's SVR C still reaches the model
+    assert '"C": 1.0' in (out / "provenance.json").read_text()
+
+
+@pytest.mark.parametrize("epsilon", ["on", "abc"])
+def test_model_values_must_be_numbers(tmp_path, capsys, epsilon):
+    cfg = tmp_path / "pv.ini"
+    cfg.write_text(f"[model.SVR]\nepsilon = {epsilon}\n")
+    assert run(["bench", "--config", cfg, "--n", 120, "--models", "SVR",
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "[model.SVR]" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -61,16 +61,24 @@ def test_checksum_tracks_content():
 
 
 def csv_writer_reference(ds):
-    """The dataset's CSV bytes as csv.writer renders them, row by row."""
+    """The dataset's CSV bytes as csv.writer renders them, row by row.
+
+    A stamp whose first non-space character is ``#`` would read back as a
+    comment line, so its row is rendered with every string cell quoted.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     columns = [*pvfdi.FEATURE_NAMES, POWER_COLUMN]
-    rows = [[repr(float(v)) for v in (*ds.features[i], ds.power[i])] for i in range(len(ds))]
-    if ds.timestamps is not None:
-        columns = [TIMESTAMP_COLUMN, *columns]
-        rows = [[stamp, *row] for stamp, row in zip(ds.timestamps, rows)]
-    writer.writerow(columns)
-    writer.writerows(rows)
+    writer.writerow(columns if ds.timestamps is None else [TIMESTAMP_COLUMN, *columns])
+    for i in range(len(ds)):
+        row = [float(v) for v in (*ds.features[i], ds.power[i])]
+        if ds.timestamps is None:
+            writer.writerow(map(repr, row))
+        elif ds.timestamps[i].lstrip().startswith("#"):
+            quoting.writerow([ds.timestamps[i], *row])
+        else:
+            writer.writerow([ds.timestamps[i], *map(repr, row)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -90,6 +98,19 @@ def test_csv_bytes_match_csv_writer(tmp_path, stamped):
     comment, body = path.read_bytes().split(b"\n", 1)
     assert comment == b"# a comment"
     assert body == ds.to_csv_bytes()
+
+
+@pytest.mark.parametrize("stamp", ["#3", " #3", "a\n#b"])
+def test_hash_timestamps_round_trip(tmp_path, stamp):
+    ds = small(10)
+    stamps = [f"t{i}" for i in range(10)]
+    stamps[3] = stamp
+    ds = pvfdi.Dataset(ds.features, ds.power, timestamps=stamps)
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path, header_comment="a comment")
+    again = pvfdi.load_csv(path)
+    assert len(again) == 10
+    assert again == ds
 
 
 # --- CSV round trip --------------------------------------------------------------

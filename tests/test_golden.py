@@ -3,7 +3,7 @@
 ``tests/data/golden/sweep/`` is the emitted tree of a small all-kinds
 noise sweep (``synth_n=600``, seed 42) and ``versions.json`` records the
 numpy and scipy versions that wrote it. The test regenerates the tree in
-a fresh process pinned to one BLAS thread, because GPR and SVR bytes
+a fresh process pinned to one BLAS thread, because GPR and MLPR bytes
 depend on the thread count.
 
 Under the recorded versions the trees must match byte for byte. Under

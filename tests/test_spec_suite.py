@@ -12,6 +12,14 @@ from pvfdi.regressors import (
     TreeModel,
     default_hyperparameters,
     fit,
+    fit_dt,
+    fit_gbrt,
+    fit_gpr,
+    fit_knn,
+    fit_lasso,
+    fit_lr,
+    fit_mlpr,
+    fit_svr,
 )
 
 ROWWISE_KINDS = tuple(cls.kind for cls in TrainedModel.__subclasses__() if cls.rowwise)
@@ -92,12 +100,21 @@ def test_fit_accepts_dataset_and_arrays(norm_split):
     )
 
 
-def test_fit_attaches_spec(norm_split):
+def test_fit_follows_the_spec(norm_split):
     train, _ = norm_split
-    spec = ModelSpec("DT", {"max_depth": 2})
-    model = fit(spec, train)
-    assert model.spec is spec
+    model = fit(ModelSpec("DT", {"max_depth": 2}), train)
     assert model.kind == "DT"
+    assert model.max_depth == 2
+
+
+@pytest.mark.parametrize("fit_kind", [fit_lr, fit_lasso, fit_gpr, fit_knn, fit_dt, fit_gbrt,
+                                      fit_svr, fit_mlpr])
+@pytest.mark.parametrize("rows", [(10, 9), (0, 0)], ids=["mismatched", "empty"])
+def test_fit_routines_refuse_bad_training_shapes(fit_kind, rows):
+    X = np.zeros((rows[0], 3))
+    y = np.zeros(rows[1])
+    with pytest.raises(ValueError):
+        fit_kind(X, y)
 
 
 def test_fit_is_deterministic_per_kind(norm_split):
