@@ -19,7 +19,10 @@ from .data import FEATURE_NAMES, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, PvfdiError
 from .experiment import (
     ExperimentConfig,
+    ExperimentReport,
+    _aligned,
     _csv_table,
+    _rows,
     _write_json,
     _write_text,
     compute_sensitivity,
@@ -271,8 +274,12 @@ def cmd_sweep(args) -> int:
     return _finish_run(run_noise_sweep(cfg), out_dir)
 
 
-def _load_noise_grid(path: Path) -> dict:
-    """Parse an emitted noise_rmse.csv back into {model: {fraction: rmse}}."""
+def _load_noise_grid(path: Path) -> ExperimentReport:
+    """Parse an emitted noise_rmse.csv back into a report.
+
+    The report holds the rows' model order, the noise table of every
+    numeric row, and an error for every ERROR row.
+    """
     if path.is_dir():
         path = path / "noise_rmse.csv"
     try:
@@ -290,12 +297,14 @@ def _load_noise_grid(path: Path) -> dict:
         raise DataError(f"bad fraction labels in {path} header")
     if 0.0 not in fractions:
         raise DataError(f"{path} has no 0% column to compare against")
-    table = {}
+    order, table, errors = [], {}, {}
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(f"row {cells[:1]} in {path} has {len(cells)} cells")
+        order.append(cells[0])
         if "ERROR" in cells[1:]:
+            errors[cells[0]] = "ERROR"
             continue
         try:
             table[cells[0]] = {f: float(v) for f, v in zip(fractions, cells[1:])}
@@ -303,30 +312,26 @@ def _load_noise_grid(path: Path) -> dict:
             raise DataError(f"row {cells[:1]} in {path} has a non-numeric RMSE") from None
     if not table:
         raise DataError(f"no model rows in {path}")
-    return table
+    return ExperimentReport(model_order=tuple(order), noise_table=table, errors=errors)
 
 
 def cmd_report(args) -> int:
-    table = _load_noise_grid(Path(args.data))
-    sensitivity = compute_sensitivity(table)
-    fractions = sorted(next(iter(table.values())))
-    labels = [sensitivity_label(f) for f in fractions if f != 0.0]
+    report = _load_noise_grid(Path(args.data))
+    sensitivity = compute_sensitivity(report.noise_table)
+    fractions = sorted(next(iter(report.noise_table.values())))
+    header = ["model"] + [sensitivity_label(f) for f in fractions if f != 0.0]
+    values = {name: [row[c] for c in header[1:]] for name, row in sensitivity.items()}
 
     out_dir = Path(args.out)
-    rows = [[name] + [repr(sensitivity[name][c]) for c in labels] for name in sensitivity]
-    _write_text(out_dir / "sensitivity.csv", _csv_table(["model"] + labels, rows))
+    rows = _rows(report, header, values, repr)
+    _write_text(out_dir / "sensitivity.csv", _csv_table(header, rows))
     _write_json(out_dir / "provenance.json", {
         "version": __version__,
         "command": "report",
         "input": str(args.data),
         "fractions": [fraction_label(f) for f in fractions],
     })
-
-    width = max(len(name) for name in sensitivity)
-    print("model".ljust(width) + "  " + "  ".join(labels))
-    for name in sensitivity:
-        cells = "  ".join(f"{sensitivity[name][c]:+.2f}%".rjust(len(c)) for c in labels)
-        print(name.ljust(width) + "  " + cells)
+    print(_aligned(header, _rows(report, header, values, "{:+.2f}%".format)), end="")
     print(f"wrote {out_dir / 'sensitivity.csv'}")
     return EXIT_OK
 

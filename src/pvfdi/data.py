@@ -12,7 +12,6 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,6 +239,17 @@ def _read_csv(path) -> Dataset:
     )
 
 
+def _stamp_cell(stamp: str) -> str:
+    """A timestamp as a CSV cell.
+
+    It is quoted, inner quotes doubled, when bare it would read as a
+    comment line or split its record.
+    """
+    if _comment(stamp) or any(c in stamp for c in ',"\r\n'):
+        return '"' + stamp.replace('"', '""') + '"'
+    return stamp
+
+
 def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
     if header_comment:
         fh.write(f"# {header_comment}\n")
@@ -251,17 +261,7 @@ def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
     lines = (",".join(map(repr, row.tolist())) for row in table)
     if dataset.timestamps is not None:
         columns.insert(0, TIMESTAMP_COLUMN)
-        # a timestamp may need quoting: csv renders each as the row
-        # "<stamp>," (one write per row), and its numbers follow. csv
-        # leaves a stamp that reads as a comment line bare, so quote it
-        stamped = []
-        csv.writer(SimpleNamespace(write=stamped.append), lineterminator="\n").writerows(
-            (stamp, "") for stamp in dataset.timestamps
-        )
-        lines = (
-            (f'"{stamp[:-2]}",' if _comment(stamp) else stamp[:-1]) + line
-            for stamp, line in zip(stamped, lines)
-        )
+        lines = (f"{_stamp_cell(stamp)},{line}" for stamp, line in zip(dataset.timestamps, lines))
     fh.write(",".join(columns) + "\n")
     fh.writelines(line + "\n" for line in lines)
 

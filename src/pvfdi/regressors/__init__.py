@@ -2,9 +2,9 @@
 
 Each kind has a from-scratch fitting routine in its own module, which
 also declares the kind's registry entry (defaults, range rules, fit
-adapter and model-file schema). This package adds the ModelSpec record
-(kind + hyperparameters + seed), validated against that entry, and
-dispatches fit calls through it.
+adapter, model-file schema and model class). This package adds the
+ModelSpec record (kind + hyperparameters + seed), validated against that
+entry, and dispatches fit calls through it.
 """
 
 from dataclasses import dataclass, field

@@ -51,11 +51,13 @@ def as_design(X, y):
 
 
 class TrainedModel:
-    """A fitted model exposing deterministic single- and batch-prediction.
+    """A fitted model exposing deterministic batch prediction.
 
     Subclasses set ``kind`` and implement ``_predict_batch`` over a
     validated (n, d) array. Instances are immutable after fit; predict is
-    reentrant.
+    reentrant. ``width``, when a subclass passes it, is the feature count
+    its fields hold; a ValueError is raised unless it equals
+    ``n_features``.
 
     ``rowwise`` is True when a row's prediction does not depend on the
     other rows of its batch, bit for bit: ``predict_batch(X[rows])``
@@ -69,24 +71,17 @@ class TrainedModel:
     kind = "?"
     rowwise = False
 
-    def __init__(self, n_features: int):
+    def __init__(self, n_features: int, width: int | None = None):
         self._n_features = int(n_features)
+        if width is not None and width != self._n_features:
+            raise ValueError(f"declares {self._n_features} features, its fields hold {width}")
 
     @property
     def training_feature_count(self) -> int:
         return self._n_features
 
-    def predict(self, x) -> float:
-        """Model output for one feature vector; never clamped to [0, 1]."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._n_features,):
-            raise DimensionMismatch(self._n_features, x.size)
-        if not np.isfinite(x).all():
-            raise ValueError("feature vector contains non-finite values")
-        return float(self._predict_batch(x[np.newaxis, :])[0])
-
     def predict_batch(self, X) -> np.ndarray:
-        """Vectorized predict over an (n, d) array of feature vectors."""
+        """Model outputs for an (n, d) array of feature vectors; never clamped to [0, 1]."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise DimensionMismatch(self._n_features, X.shape[-1] if X.ndim else 0)
@@ -106,9 +101,8 @@ class ModelKind:
     ``rules`` maps a hyperparameter to a (predicate, requirement) pair.
     ``fit`` adapts the kind's fitting routine to (X, y, hp, seed).
     ``schema`` lists the model file's (tag, name) fields in file order;
-    ``load`` rebuilds a model from those fields and the declared feature
-    count, and ``dump``, when set, supplies the field values in place of
-    the model attributes of the same names.
+    each name is a keyword of ``model``'s constructor, which also takes
+    ``n_features``, and an attribute of its instances.
     """
 
     name: str
@@ -116,8 +110,7 @@ class ModelKind:
     rules: dict
     fit: Callable
     schema: tuple
-    load: Callable
-    dump: Callable | None = None
+    model: type
 
     def check(self, **hp):
         """Raise InvalidSpec for the first given hyperparameter out of range."""

@@ -22,8 +22,8 @@ class GBRTModel(TrainedModel):
     kind = "GBRT"
     rowwise = True  # per-row tree walks summed elementwise
 
-    def __init__(self, base_score, trees, learning_rate, reg_lambda, gamma,
-                 train_loss_history, n_features):
+    def __init__(self, base_score, learning_rate, reg_lambda, gamma,
+                 train_loss_history, trees, n_features):
         super().__init__(n_features)
         require_finite(base_score=base_score, learning_rate=learning_rate)
         for t, (_, threshold, _, _, value) in enumerate(trees):
@@ -34,7 +34,7 @@ class GBRTModel(TrainedModel):
         self.reg_lambda = float(reg_lambda)
         self.gamma = float(gamma)
         # training MSE after round r; entry 0 is the base-score loss
-        self.train_loss_history = tuple(train_loss_history)
+        self.train_loss_history = tuple(map(float, train_loss_history))
 
     @property
     def rounds(self) -> int:
@@ -80,7 +80,7 @@ def fit_gbrt(
         yhat += learning_rate * route(arrays, X)
         history.append(float(np.mean((yhat - y) ** 2)))
 
-    return GBRTModel(base, trees, learning_rate, reg_lambda, gamma, history, X.shape[1])
+    return GBRTModel(base, learning_rate, reg_lambda, gamma, history, trees, X.shape[1])
 
 
 GBRT = ModelKind(
@@ -94,8 +94,5 @@ GBRT = ModelKind(
     schema=(("float", "base_score"), ("float", "learning_rate"),
             ("float", "reg_lambda"), ("float", "gamma"),
             ("array", "train_loss_history"), ("trees", "trees")),
-    load=lambda fields, n_features: GBRTModel(
-        fields["base_score"], fields["trees"], fields["learning_rate"],
-        fields["reg_lambda"], fields["gamma"],
-        fields["train_loss_history"].tolist(), n_features),
+    model=GBRTModel,
 )

@@ -37,13 +37,13 @@ class GPRModel(TrainedModel):
     kind = "GPR"
 
     def __init__(self, X_train, alpha, length_scale, noise_variance, jitter,
-                 subsampled):
+                 subsampled, n_features):
         X_train = np.array(X_train, dtype=np.float64)
         alpha = np.array(alpha, dtype=np.float64)
         if alpha.shape != X_train.shape[:1]:
             raise ValueError("alpha needs one weight per training row")
         require_finite(X_train=X_train, alpha=alpha, length_scale=length_scale)
-        super().__init__(X_train.shape[1])
+        super().__init__(n_features, X_train.shape[1])
         X_train.flags.writeable = False
         alpha.flags.writeable = False
         self.X_train = X_train
@@ -93,7 +93,8 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         except LinAlgError:
             continue
         alpha = cho_solve(factor, y)
-        return GPRModel(X, alpha, length_scale, noise_variance, jitter, subsampled)
+        return GPRModel(X, alpha, length_scale, noise_variance, jitter, subsampled,
+                        X.shape[1])
     raise NotPositiveDefinite(_JITTERS[-1])
 
 
@@ -106,5 +107,5 @@ GPR = ModelKind(
     schema=(("float", "length_scale"), ("float", "noise_variance"),
             ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
             ("matrix", "X_train")),
-    load=lambda fields, n_features: GPRModel(**fields),
+    model=GPRModel,
 )

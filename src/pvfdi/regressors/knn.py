@@ -46,13 +46,13 @@ class KNNModel(TrainedModel):
     kind = "KNN"
     rowwise = True  # a row's distances and selection involve no other row
 
-    def __init__(self, X_train, y_train, k):
+    def __init__(self, X_train, y_train, k, n_features):
         X_train = np.array(X_train, dtype=np.float64)
         y_train = np.array(y_train, dtype=np.float64)
         if y_train.shape != X_train.shape[:1]:
             raise ValueError("y_train needs one target per training row")
         require_finite(X_train=X_train, y_train=y_train)
-        super().__init__(X_train.shape[1])
+        super().__init__(n_features, X_train.shape[1])
         X_train.flags.writeable = False
         y_train.flags.writeable = False
         self.X_train = X_train
@@ -103,7 +103,7 @@ def fit_knn(X, y, k: int = 2) -> KNNModel:
     KNN.check(k=k)
     if k > X.shape[0]:
         raise KTooLarge(k, X.shape[0])
-    return KNNModel(X, y, k)
+    return KNNModel(X, y, k, X.shape[1])
 
 
 KNN = ModelKind(
@@ -112,5 +112,5 @@ KNN = ModelKind(
     rules={"k": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_knn(X, y, **hp),
     schema=(("int", "k"), ("array", "y_train"), ("matrix", "X_train")),
-    load=lambda fields, n_features: KNNModel(**fields),
+    model=KNNModel,
 )

@@ -1,6 +1,7 @@
 """Linear models: ordinary least squares and L1-penalized least squares.
 
-Both produce a LinearModel (coefficients plus unpenalized bias). OLS is
+Both produce a LinearModel (coefficients plus unpenalized bias), the lasso
+its LassoModel subclass, which differs only in ``kind``. OLS is
 solved by SVD (rank-revealing, minimum-norm on rank-deficient designs);
 the lasso by cyclic coordinate descent with soft-thresholding on the
 objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
@@ -11,26 +12,28 @@ import numpy as np
 from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
                    require_finite)
 
-__all__ = ["LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
+__all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
 
 
 class LinearModel(TrainedModel):
     kind = "LR"
 
-    def __init__(self, coefficients, bias, kind=None, objective_history=None):
+    def __init__(self, coefficients, bias, n_features, objective_history=None):
         coefficients = np.array(coefficients, dtype=np.float64)
-        super().__init__(coefficients.size)
+        super().__init__(n_features, coefficients.size)
         require_finite(coefficients=coefficients, bias=bias)
         coefficients.flags.writeable = False
         self.coefficients = coefficients
         self.bias = float(bias)
-        if kind is not None:
-            self.kind = kind
         # per-sweep lasso objective values when recording was requested
         self.objective_history = objective_history
 
     def _predict_batch(self, X):
         return X @ self.coefficients + self.bias
+
+
+class LassoModel(LinearModel):
+    kind = "LASSO"
 
 
 def fit_lr(X, y) -> LinearModel:
@@ -45,7 +48,7 @@ def fit_lr(X, y) -> LinearModel:
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
-    return LinearModel(coef, y_mean - x_mean @ coef, kind="LR")
+    return LinearModel(coef, y_mean - x_mean @ coef, X.shape[1])
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -72,7 +75,7 @@ def fit_lasso(
     tol: float = 1e-8,
     max_sweeps: int = 10_000,
     record_objective: bool = False,
-) -> LinearModel:
+) -> LassoModel:
     """L1-penalized least squares by cyclic coordinate descent.
 
     Stops when the largest coefficient change in a full sweep falls
@@ -110,9 +113,7 @@ def fit_lasso(
         if max_delta < tol:
             break
 
-    return LinearModel(
-        theta, y_mean - x_mean @ theta, kind="LASSO", objective_history=history
-    )
+    return LassoModel(theta, y_mean - x_mean @ theta, d, objective_history=history)
 
 
 _SCHEMA = (("float", "bias"), ("array", "coefficients"))
@@ -123,7 +124,7 @@ LR = ModelKind(
     rules={},
     fit=lambda X, y, hp, seed: fit_lr(X, y),
     schema=_SCHEMA,
-    load=lambda fields, n_features: LinearModel(**fields, kind="LR"),
+    model=LinearModel,
 )
 
 LASSO = ModelKind(
@@ -132,5 +133,5 @@ LASSO = ModelKind(
     rules={"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_lasso(X, y, **hp),
     schema=_SCHEMA,
-    load=lambda fields, n_features: LinearModel(**fields, kind="LASSO"),
+    model=LassoModel,
 )

@@ -98,19 +98,18 @@ def loss_and_gradient(params, X, y):
 class MLPRModel(TrainedModel):
     kind = "MLPR"
 
-    def __init__(self, params, loss_history, stopped_early):
-        W1, b1, W2, b2 = params
-        super().__init__(W1.shape[0])
+    def __init__(self, W1, b1, W2, b2, loss_history, stopped_early, n_features):
         W1 = np.array(W1)
         b1 = np.array(b1)
         W2 = np.array(W2)
         if W1.ndim != 2 or b1.shape != W1.shape[1:] or W2.shape != W1.shape[1:]:
             raise ValueError("W1, b1 and W2 disagree on the hidden width")
+        super().__init__(n_features, W1.shape[0])
         require_finite(W1=W1, b1=b1, W2=W2, b2=b2)
         for a in (W1, b1, W2):
             a.flags.writeable = False
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, float(b2)
-        self.loss_history = tuple(loss_history)
+        self.loss_history = tuple(map(float, loss_history))
         self.stopped_early = bool(stopped_early)
 
     @property
@@ -174,7 +173,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
             new.append(p - step)
         params = (new[0], new[1], new[2], float(new[3]))
 
-    return MLPRModel(params, history, stopped_early)
+    return MLPRModel(*params, history, stopped_early, X.shape[1])
 
 
 MLPR = ModelKind(
@@ -186,7 +185,5 @@ MLPR = ModelKind(
     fit=lambda X, y, hp, seed: fit_mlpr(X, y, seed=seed, **hp),
     schema=(("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
             ("array", "b1"), ("array", "W2"), ("matrix", "W1")),
-    load=lambda fields, n_features: MLPRModel(
-        (fields["W1"], fields["b1"], fields["W2"], fields["b2"]),
-        fields["loss_history"].tolist(), fields["stopped_early"]),
+    model=MLPRModel,
 )

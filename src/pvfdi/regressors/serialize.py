@@ -14,10 +14,14 @@ The format is versioned, line-oriented, and binary-free:
 
 Floats are written with float.hex(), so reload is bit-exact. After the
 header come the fields of the kind's registry schema, in schema order.
-Every model kind in the suite round-trips through save_model/load_model
-to a model with identical predictions. Loading checks each field name,
-the closing ``end`` line, the declared feature count, and that every
-tree routes each row to a leaf; a malformed file raises IoError.
+Each schema name is an attribute of the kind's model class and a keyword
+of its constructor: dumping reads the attributes, and loading calls the
+class with the parsed fields and ``n_features``. Every model kind in the
+suite round-trips through save_model/load_model to a model with
+identical predictions. Loading checks each field name, the closing
+``end`` line, and that every tree routes each row to a leaf; the
+constructor checks the fields against each other and the declared
+feature count. A malformed file raises IoError.
 """
 
 import numpy as np
@@ -221,13 +225,9 @@ def dumps(model) -> str:
     entry = REGISTRY.get(model.kind)
     if entry is None:
         raise IoError(f"cannot serialize model kind {model.kind!r}")
-    if entry.dump is not None:
-        values = entry.dump(model)
-    else:
-        values = {name: getattr(model, name) for _, name in entry.schema}
     w = _Writer(model.kind, model.training_feature_count)
     for tag, name in entry.schema:
-        w.field(tag, name, values[name])
+        w.field(tag, name, getattr(model, name))
     return w.text()
 
 
@@ -241,13 +241,9 @@ def loads(text: str):
     fields = {name: r.field(tag, name) for tag, name in entry.schema}
     r.end()
     try:
-        model = entry.load(fields, r.n_features)
+        return entry.model(**fields, n_features=r.n_features)
     except ValueError as exc:
         raise IoError(f"inconsistent {kind} model file: {exc}") from None
-    if model.training_feature_count != r.n_features:
-        raise IoError(f"{kind} model file declares {r.n_features} features, "
-                      f"its fields hold {model.training_feature_count}")
-    return model
 
 
 def save_model(model, path) -> None:

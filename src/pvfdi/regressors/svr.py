@@ -64,12 +64,10 @@ class SVRModel(TrainedModel):
 
     def __init__(self, sv_X, sv_coef, bias, gamma, C, epsilon, converged,
                  iterations, kkt_violation, n_features,
-                 dual_objective, dual_objective_history):
-        super().__init__(n_features)
+                 dual_objective, dual_objective_history=()):
         sv_X = np.array(sv_X, dtype=np.float64)
         sv_coef = np.array(sv_coef, dtype=np.float64)
-        if sv_X.ndim != 2 or sv_X.shape[1] != n_features:
-            raise ValueError(f"support vectors must have {n_features} columns")
+        super().__init__(n_features, sv_X.shape[1])
         if sv_coef.shape != sv_X.shape[:1]:
             raise ValueError("sv_coef needs one weight per support vector")
         # kkt_violation and dual_objective may be infinite (no SMO step yet)
@@ -273,11 +271,10 @@ SVR = ModelKind(
            "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
            "tol": POSITIVE, "max_iterations": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_svr(X, y, **hp),
+    # the per-iteration objective trace is not stored
     schema=(("float", "bias"), ("float", "gamma"), ("float", "C"),
             ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
             ("float", "kkt_violation"), ("float", "dual_objective"),
             ("array", "sv_coef"), ("matrix", "sv_X")),
-    # the per-iteration objective trace is not stored
-    load=lambda fields, n_features: SVRModel(
-        **fields, n_features=n_features, dual_objective_history=()),
+    model=SVRModel,
 )

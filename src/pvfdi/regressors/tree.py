@@ -144,19 +144,22 @@ def route(arrays, X):
 
 
 class TreeModel(TrainedModel):
-    """CART regression tree stored as flat parallel arrays."""
+    """CART regression tree stored as flat parallel arrays.
+
+    ``max_depth`` is the fit's depth limit, -1 when unlimited.
+    """
 
     kind = "DT"
     rowwise = True  # each row walks the tree alone
 
-    def __init__(self, arrays, n_features, max_depth=None, min_samples_leaf=1):
+    def __init__(self, max_depth, min_samples_leaf, arrays, n_features):
         super().__init__(n_features)
         self.feature, self.threshold, self.left, self.right, self.value = (
             np.asarray(a) for a in arrays
         )
         require_finite(threshold=self.threshold, value=self.value)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.max_depth = int(max_depth)
+        self.min_samples_leaf = int(min_samples_leaf)
 
     @property
     def arrays(self):
@@ -187,7 +190,8 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
-    return TreeModel(arrays, X.shape[1], max_depth, min_samples_leaf)
+    return TreeModel(-1 if max_depth is None else max_depth, min_samples_leaf, arrays,
+                     X.shape[1])
 
 
 DT = ModelKind(
@@ -197,15 +201,6 @@ DT = ModelKind(
                          "must be None or an integer >= 0"),
            "min_samples_leaf": AT_LEAST_ONE},
     fit=lambda X, y, hp, seed: fit_dt(X, y, **hp),
-    # the file stores an unlimited max_depth as -1
     schema=(("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays")),
-    load=lambda fields, n_features: TreeModel(
-        fields["arrays"], n_features,
-        None if fields["max_depth"] < 0 else fields["max_depth"],
-        fields["min_samples_leaf"]),
-    dump=lambda model: {
-        "max_depth": -1 if model.max_depth is None else model.max_depth,
-        "min_samples_leaf": model.min_samples_leaf,
-        "arrays": model.arrays,
-    },
+    model=TreeModel,
 )

@@ -262,9 +262,17 @@ def test_missing_config_file_exits_one(tmp_path):
 
 # --- report ------------------------------------------------------------------------
 
-def test_report_regenerates_sensitivity(tmp_path, capsys):
+@pytest.mark.parametrize("models, config, code", [
+    ("LR,DT", "", 0),
+    # MLPR diverges, so its rows read ERROR
+    ("LR,MLPR", "[model.MLPR]\nlearning_rate = 1e300\n", 3),
+], ids=["fitted", "failed-MLPR"])
+def test_report_regenerates_sensitivity(tmp_path, capsys, models, config, code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
     out = tmp_path / "run"
-    assert run(["sweep", "--n", 120, "--seed", 2, "--models", "LR,DT", "--out", out]) == 0
+    assert run(["sweep", "--config", cfg, "--n", 120, "--seed", 2, "--models", models,
+                "--out", out]) == code
     redone = tmp_path / "redone"
     assert run(["report", "--data", out, "--out", redone]) == 0
     assert "0% vs. 100%" in capsys.readouterr().out

@@ -64,7 +64,9 @@ def csv_writer_reference(ds):
     """The dataset's CSV bytes as csv.writer renders them, row by row.
 
     A stamp whose first non-space character is ``#`` would read back as a
-    comment line, so its row is rendered with every string cell quoted.
+    comment line, and csv.writer leaves a bare carriage return unquoted,
+    which splits the record on reading; such a stamp's row is rendered
+    with every string cell quoted.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -75,7 +77,7 @@ def csv_writer_reference(ds):
         row = [float(v) for v in (*ds.features[i], ds.power[i])]
         if ds.timestamps is None:
             writer.writerow(map(repr, row))
-        elif ds.timestamps[i].lstrip().startswith("#"):
+        elif ds.timestamps[i].lstrip().startswith("#") or "\r" in ds.timestamps[i]:
             quoting.writerow([ds.timestamps[i], *row])
         else:
             writer.writerow([ds.timestamps[i], *map(repr, row)])
@@ -100,7 +102,7 @@ def test_csv_bytes_match_csv_writer(tmp_path, stamped):
     assert body == ds.to_csv_bytes()
 
 
-@pytest.mark.parametrize("stamp", ["#3", " #3", "a\n#b"])
+@pytest.mark.parametrize("stamp", ["#3", " #3", "a\n#b", "cr\r", "a\rb"])
 def test_hash_timestamps_round_trip(tmp_path, stamp):
     ds = small(10)
     stamps = [f"t{i}" for i in range(10)]

@@ -26,7 +26,7 @@ def test_kernel_basics(rng):
 def test_single_point_shrinks_by_noise():
     model = fit_gpr(np.array([[0.0]]), np.array([2.0]), noise_variance=0.5)
     # k(x,x)=1 so the posterior mean at the training input is y/(1+sigma^2)
-    assert model.predict(np.array([0.0])) == pytest.approx(2.0 / 1.5, rel=1e-12)
+    assert model.predict_batch(np.array([[0.0]]))[0] == pytest.approx(2.0 / 1.5, rel=1e-12)
 
 
 def test_far_query_reverts_to_zero(rng):
@@ -80,7 +80,7 @@ def test_duplicate_rows_with_zero_noise_use_jitter():
     y = np.array([1.0, 1.0, 2.0])
     model = fit_gpr(X, y, noise_variance=0.0)
     assert model.jitter > 0.0
-    assert np.isfinite(model.predict(np.array([1.0, 2.0])))
+    assert np.isfinite(model.predict_batch(np.array([[1.0, 2.0]]))[0])
 
 
 def test_factorization_failure_raises(monkeypatch, rng):

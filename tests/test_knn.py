@@ -73,7 +73,7 @@ def test_hand_case_two_neighbours():
     y = np.array([0.0, 1.0, 9.0])
     model = fit_knn(X, y, k=2)
     # query 0 is equidistant from -1 and 1, mean of their targets
-    assert model.predict(np.array([0.0])) == pytest.approx(0.5, rel=1e-12)
+    assert model.predict_batch(np.array([[0.0]]))[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_k_equals_n_returns_global_mean(rng):
@@ -96,14 +96,14 @@ def test_duplicate_training_point_ties_resolve_by_index():
     y = np.array([1.0, 5.0, 7.0])
     model = fit_knn(X, y, k=1)
     # rows 0 and 1 are identical; the lower index wins the tie
-    assert model.predict(np.array([0.0])) == 1.0
+    assert model.predict_batch(np.array([[0.0]]))[0] == 1.0
 
 
 def test_equidistant_ties_resolve_by_index():
     X = np.array([[-2.0], [2.0], [9.0]])
     y = np.array([10.0, 20.0, 30.0])
     model = fit_knn(X, y, k=1)
-    assert model.predict(np.array([0.0])) == 10.0
+    assert model.predict_batch(np.array([[0.0]]))[0] == 10.0
 
 
 def test_matches_exhaustive_scan(rng):

@@ -24,7 +24,7 @@ def test_exact_line():
     model = fit_lr(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert model.coefficients[0] == pytest.approx(1.0, rel=1e-12)
-    assert model.predict(np.array([3.0])) == pytest.approx(3.0, rel=1e-12)
+    assert model.predict_batch(np.array([[3.0]]))[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_single_sample_degenerates_to_mean():

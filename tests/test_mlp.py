@@ -60,7 +60,7 @@ def test_zero_weights_output_is_b2():
     W2 = np.zeros(5)
     params = (W1, b1, W2, 1.75)
     X = np.random.default_rng(0).normal(size=(6, 12))
-    model = MLPRModel(params, [], False)
+    model = MLPRModel(*params, [], False, n_features=12)
 
     np.testing.assert_array_equal(model.predict_batch(X), 1.75)
 

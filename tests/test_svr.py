@@ -87,7 +87,7 @@ def test_tight_tube_interpolates_line():
     y = X.copy()
     model = fit_svr(X, y, C=1000.0, epsilon=0.0)
     assert model.converged
-    assert model.predict(np.array([0.5])) == pytest.approx(0.5, abs=1e-2)
+    assert model.predict_batch(np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-2)
 
 
 def test_converged_iterate_satisfies_kkt(norm_split):
@@ -126,7 +126,7 @@ def test_iteration_budget_marks_non_convergence():
     model = fit_svr(X, y, epsilon=0.01, max_iterations=1)
     assert not model.converged
     assert model.iterations == 1
-    assert np.isfinite(model.predict(np.zeros(2)))
+    assert np.isfinite(model.predict_batch(np.zeros(2)[np.newaxis])[0])
 
 
 def test_refit_is_deterministic(norm_split):
