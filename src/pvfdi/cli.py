@@ -119,6 +119,9 @@ _INI_KEYS = {
     for section in ("experiment", "noise")
 }
 
+# the [noise] rows, whose INI keys are NoiseConfig's field names
+_NOISE_SETTINGS = tuple(row for row in _SETTINGS if row[1] == "noise")
+
 
 def _read_config(path) -> dict:
     """Parse the INI config into plain dicts, rejecting unknown fields."""
@@ -215,15 +218,12 @@ def cmd_synth(args) -> int:
 
 def cmd_inject(args) -> int:
     dataset = load_csv(args.data)
+    given = {"fraction": args.fraction, "seed": args.seed,
+             **{key: getattr(args, name) for name, _, key, *_ in _NOISE_SETTINGS}}
+    given["columns"] = given["columns"] or None  # '' means every column
     try:
-        cfg = NoiseConfig(
-            fraction=args.fraction,
-            mean=args.noise_mean,
-            std=args.noise_std,
-            target=args.noise_target,
-            columns=args.noise_columns or None,
-            seed=args.seed,
-        )
+        # only the flags given reach NoiseConfig, so its defaults are the only ones
+        cfg = NoiseConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc))
     noisy, affected = inject(dataset, cfg)
@@ -258,8 +258,9 @@ def _finish_run(report, out_dir) -> int:
     print((out_dir / "report.txt").read_text(encoding="utf-8"), end="")
     print(f"wrote {len(written)} files under {out_dir}")
     if report.errors:
-        for name, message in report.errors.items():
-            print(f"model {name} failed: {message}", file=sys.stderr)
+        for name in report.model_order:
+            if name in report.errors:
+                print(f"model {name} failed: {report.errors[name]}", file=sys.stderr)
         return EXIT_MODEL
     return EXIT_OK
 
@@ -317,7 +318,7 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
 
 def cmd_report(args) -> int:
     report = _load_noise_grid(Path(args.data))
-    sensitivity = compute_sensitivity(report.noise_table)
+    sensitivity = compute_sensitivity(report.noise_table, report.errors)
     fractions = sorted(next(iter(report.noise_table.values())))
     header = ["model"] + [sensitivity_label(f) for f in fractions if f != 0.0]
     values = {name: [row[c] for c in header[1:]] for name, row in sensitivity.items()}
@@ -338,12 +339,16 @@ def cmd_report(args) -> int:
 
 # --- parser wiring ----------------------------------------------------------------
 
-def _add_experiment_flags(sub):
-    sub.add_argument("--config", metavar="PATH", help="INI config file")
-    for name, _, _, parse, flag, options in _SETTINGS:
+def _add_setting_flags(sub, rows):
+    for name, _, _, parse, flag, options in rows:
         if flag:
             typed = {} if "action" in options else {"type": parse}
             sub.add_argument(flag, dest=name, **typed, **options)
+
+
+def _add_experiment_flags(sub):
+    sub.add_argument("--config", metavar="PATH", help="INI config file")
+    _add_setting_flags(sub, _SETTINGS)
 
 
 def build_parser() -> _Parser:
@@ -371,13 +376,8 @@ def build_parser() -> _Parser:
     injectp.add_argument("--data", required=True, metavar="PATH")
     injectp.add_argument("--out", required=True, metavar="FILE")
     injectp.add_argument("--fraction", type=float, required=True, metavar="REAL")
-    injectp.add_argument("--seed", type=int, default=0, metavar="U64")
-    injectp.add_argument("--noise-mean", type=float, default=0.0, dest="noise_mean")
-    injectp.add_argument("--noise-std", type=float, default=1.0, dest="noise_std")
-    injectp.add_argument("--noise-target", type=str.upper, default="features",
-                         dest="noise_target", **_NOISE_TARGET_CHOICES)
-    injectp.add_argument("--noise-columns", type=_csv_list, dest="noise_columns",
-                         metavar="LIST")
+    injectp.add_argument("--seed", type=int, metavar="U64")
+    _add_setting_flags(injectp, _NOISE_SETTINGS)
     injectp.set_defaults(func=cmd_inject)
 
     reportp = commands.add_parser("report",

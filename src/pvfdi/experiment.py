@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
-from .errors import IoError
+from .errors import IoError, ZeroBaseline
 from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
@@ -343,7 +343,7 @@ def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
             if f == top:
                 series["noisy"] = block[0]
     if sweep:
-        report.sensitivity_table = compute_sensitivity(report.noise_table)
+        report.sensitivity_table = compute_sensitivity(report.noise_table, report.errors)
     return report
 
 
@@ -364,21 +364,26 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     return _evaluate_models(cfg, sweep=True)
 
 
-def compute_sensitivity(noise_table: dict) -> dict:
+def compute_sensitivity(noise_table: dict, errors: dict) -> dict:
     """Relative percent RMSE change of each nonzero fraction vs clean.
 
     ``noise_table`` maps model name -> {fraction: rmse} and must carry a
-    0.0 column; raises ZeroBaseline when a clean RMSE is 0.
+    0.0 column. A row whose clean RMSE is 0 has no percent change: it is
+    left out, and ``errors[name]`` gets the ZeroBaseline text, so that
+    model's sensitivity row reads ERROR.
     """
     out = {}
     for name, row in noise_table.items():
         if 0.0 not in row:
             raise ValueError(f"noise table row {name!r} lacks the 0.0 column")
         baseline = row[0.0]
-        out[name] = {
-            sensitivity_label(f): percent_change(baseline, row[f])
-            for f in sorted(row) if f != 0.0
-        }
+        try:
+            out[name] = {
+                sensitivity_label(f): percent_change(baseline, row[f])
+                for f in sorted(row) if f != 0.0
+            }
+        except ZeroBaseline as exc:
+            errors[name] = f"{type(exc).__name__}: {exc}"
     return out
 
 

@@ -1,13 +1,15 @@
 """The eight-model regression suite behind one (spec, dataset) interface.
 
 Each kind has a from-scratch fitting routine in its own module, which
-also declares the kind's registry entry (defaults, range rules, fit
-adapter, model-file schema and model class). This package adds the
-ModelSpec record (kind + hyperparameters + seed), validated against that
-entry, and dispatches fit calls through it.
+also declares the kind's registry entry: the routine, whose keyword
+defaults are the kind's hyperparameters, their range rules, the
+model-file schema and the model class, whose ``kind`` names the entry.
+This package adds the ModelSpec record (kind + hyperparameters + seed),
+validated against that entry, and dispatches fit calls through it.
 """
 
 from dataclasses import dataclass, field
+from inspect import signature
 
 from ..errors import InvalidSpec
 from .base import TrainedModel
@@ -84,10 +86,15 @@ class ModelSpec:
 def fit(spec: ModelSpec, train) -> TrainedModel:
     """Fit ``spec`` on a training Dataset (or an (X, y) pair).
 
-    Returns the kind-specific TrainedModel.
+    Returns the kind-specific TrainedModel. The spec's seed reaches the
+    fitting routines that take one (GPR and MLPR).
     """
     if hasattr(train, "features"):
         X, y = train.features, train.power
     else:
         X, y = train
-    return REGISTRY[spec.kind].fit(X, y, spec.effective_hyperparameters(), spec.seed)
+    routine = REGISTRY[spec.kind].fit
+    hp = spec.effective_hyperparameters()
+    if "seed" in signature(routine).parameters:
+        hp["seed"] = spec.seed
+    return routine(X, y, **hp)

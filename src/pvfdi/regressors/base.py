@@ -1,6 +1,7 @@
 """Uniform predict contract and registry entry shared by every model kind."""
 
 from dataclasses import dataclass
+from inspect import signature
 from numbers import Integral
 from typing import Callable
 
@@ -97,20 +98,30 @@ class TrainedModel:
 class ModelKind:
     """Everything the suite knows about one model kind, declared once.
 
-    ``defaults`` maps every accepted hyperparameter to its default and
+    ``fit`` is the kind's fitting routine, called as ``fit(X, y, **hp)``
+    plus ``seed=`` when it takes one; its keyword parameters with
+    defaults, ``seed`` aside, are the kind's hyperparameters.
     ``rules`` maps a hyperparameter to a (predicate, requirement) pair.
-    ``fit`` adapts the kind's fitting routine to (X, y, hp, seed).
     ``schema`` lists the model file's (tag, name) fields in file order;
     each name is a keyword of ``model``'s constructor, which also takes
-    ``n_features``, and an attribute of its instances.
+    ``n_features``, and an attribute of its instances. The class's
+    ``kind`` is the entry's name.
     """
 
-    name: str
-    defaults: dict
-    rules: dict
     fit: Callable
+    rules: dict
     schema: tuple
     model: type
+
+    @property
+    def name(self) -> str:
+        return self.model.kind
+
+    @property
+    def defaults(self) -> dict:
+        """Every accepted hyperparameter mapped to its default, in signature order."""
+        return {name: p.default for name, p in signature(self.fit).parameters.items()
+                if p.default is not p.empty and name != "seed"}
 
     def check(self, **hp):
         """Raise InvalidSpec for the first given hyperparameter out of range."""

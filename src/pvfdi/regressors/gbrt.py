@@ -84,13 +84,10 @@ def fit_gbrt(
 
 
 GBRT = ModelKind(
-    "GBRT",
-    defaults={"rounds": 100, "learning_rate": 0.1, "max_depth": 3,
-              "reg_lambda": 1.0, "gamma": 0.0, "min_samples_leaf": 1},
+    fit=fit_gbrt,
     rules={"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
            "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
            "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_gbrt(X, y, **hp),
     schema=(("float", "base_score"), ("float", "learning_rate"),
             ("float", "reg_lambda"), ("float", "gamma"),
             ("array", "train_loss_history"), ("trees", "trees")),

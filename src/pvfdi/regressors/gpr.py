@@ -99,11 +99,9 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
 
 
 GPR = ModelKind(
-    "GPR",
-    defaults={"length_scale": 1.0, "noise_variance": 0.01, "max_points": 2000},
+    fit=fit_gpr,
     rules={"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
            "max_points": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_gpr(X, y, seed=seed, **hp),
     schema=(("float", "length_scale"), ("float", "noise_variance"),
             ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
             ("matrix", "X_train")),

@@ -107,10 +107,8 @@ def fit_knn(X, y, k: int = 2) -> KNNModel:
 
 
 KNN = ModelKind(
-    "KNN",
-    defaults={"k": 2},
+    fit=fit_knn,
     rules={"k": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_knn(X, y, **hp),
     schema=(("int", "k"), ("array", "y_train"), ("matrix", "X_train")),
     model=KNNModel,
 )

@@ -18,15 +18,13 @@ __all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso", "lasso_lambda_max
 class LinearModel(TrainedModel):
     kind = "LR"
 
-    def __init__(self, coefficients, bias, n_features, objective_history=None):
+    def __init__(self, coefficients, bias, n_features):
         coefficients = np.array(coefficients, dtype=np.float64)
         super().__init__(n_features, coefficients.size)
         require_finite(coefficients=coefficients, bias=bias)
         coefficients.flags.writeable = False
         self.coefficients = coefficients
         self.bias = float(bias)
-        # per-sweep lasso objective values when recording was requested
-        self.objective_history = objective_history
 
     def _predict_batch(self, X):
         return X @ self.coefficients + self.bias
@@ -68,14 +66,8 @@ def lasso_lambda_max(X, y) -> float:
     return float(np.max(np.abs(Xc.T @ yc)) / n)
 
 
-def fit_lasso(
-    X,
-    y,
-    lam: float = 0.01,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-    record_objective: bool = False,
-) -> LassoModel:
+def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
+              max_sweeps: int = 10_000) -> LassoModel:
     """L1-penalized least squares by cyclic coordinate descent.
 
     Stops when the largest coefficient change in a full sweep falls
@@ -94,7 +86,6 @@ def fit_lasso(
     col_sq = np.einsum("ij,ij->j", Xc, Xc) / n  # (1/n) ||x_j||^2
     theta = np.zeros(d)
     residual = yc.copy()
-    history = [] if record_objective else None
 
     for _ in range(max_sweeps):
         max_delta = 0.0
@@ -108,30 +99,19 @@ def fit_lasso(
                 residual += Xc[:, j] * (old - new)
                 theta[j] = new
             max_delta = max(max_delta, abs(new - old))
-        if history is not None:
-            history.append(float(residual @ residual / (2 * n) + lam * np.abs(theta).sum()))
         if max_delta < tol:
             break
 
-    return LassoModel(theta, y_mean - x_mean @ theta, d, objective_history=history)
+    return LassoModel(theta, y_mean - x_mean @ theta, d)
 
 
 _SCHEMA = (("float", "bias"), ("array", "coefficients"))
 
-LR = ModelKind(
-    "LR",
-    defaults={},
-    rules={},
-    fit=lambda X, y, hp, seed: fit_lr(X, y),
-    schema=_SCHEMA,
-    model=LinearModel,
-)
+LR = ModelKind(fit=fit_lr, rules={}, schema=_SCHEMA, model=LinearModel)
 
 LASSO = ModelKind(
-    "LASSO",
-    defaults={"lam": 0.01, "tol": 1e-8, "max_sweeps": 10_000},
+    fit=fit_lasso,
     rules={"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_lasso(X, y, **hp),
     schema=_SCHEMA,
     model=LassoModel,
 )

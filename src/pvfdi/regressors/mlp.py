@@ -13,7 +13,8 @@ and a ``z1 <= 0`` mask), so weights, loss history and predictions are
 unchanged:
 
 - ``a1 > 0`` equals ``z1 > 0`` for every non-NaN ``z1``. A NaN makes the
-  loss NaN, and the fit raises NonFiniteLoss before using the gradient.
+  loss NaN, and the fit raises NonFiniteLoss before computing the
+  gradient.
 - ``d`` is the 0/1 mask times ``W2`` times ``d_out``. An active entry is
   ``1.0 * W2[j] * d_out[i]``, exactly ``d_out[i] * W2[j]`` since
   multiplication by 1.0 is exact and IEEE multiplication commutes. A
@@ -70,13 +71,23 @@ def mlp_loss(params, X, y):
     return float(r @ r) / X.shape[0]
 
 
-def _loss_and_gradient(params, X, y, a1, d):
-    """``loss_and_gradient`` writing into two (n, hidden) buffers."""
+def _forward_loss(params, X, y, a1):
+    """(residuals, loss), leaving the hidden activations in ``a1``.
+
+    A diverged net overflows here, and its loss then reads inf or NaN,
+    which a fit raises on before any backward pass; the forward pass's
+    floating-point warnings would only repeat that.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _forward(params, X, a1)[1] - y
+        loss = float(r @ r) / X.shape[0]
+    return r, loss
+
+
+def _gradient(params, X, a1, r, d):
+    """Gradient from ``_forward_loss``'s ``a1`` and residuals; ``d`` is scratch."""
     W2 = params[2]
-    n = X.shape[0]
-    a1, yhat = _forward(params, X, a1)
-    r = yhat - y
-    d_out = (2.0 / n) * r
+    d_out = (2.0 / X.shape[0]) * r
     gW2 = a1.T @ d_out
     gb2 = float(d_out.sum())
     # d = mask * W2 * d_out; see the module docstring for why the bits match
@@ -86,7 +97,13 @@ def _loss_and_gradient(params, X, y, a1, d):
     d += 0.0
     gW1 = X.T @ d
     gb1 = d.sum(axis=0)
-    return float(r @ r) / n, (gW1, gb1, gW2, gb2)
+    return gW1, gb1, gW2, gb2
+
+
+def _loss_and_gradient(params, X, y, a1, d):
+    """``loss_and_gradient`` writing into two (n, hidden) buffers."""
+    r, loss = _forward_loss(params, X, y, a1)
+    return loss, _gradient(params, X, a1, r, d)
 
 
 def loss_and_gradient(params, X, y):
@@ -150,9 +167,10 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     streak = 0
     stopped_early = False
     for epoch in range(max_epochs):
-        loss, grads = _loss_and_gradient(params, X, y, a1, d)
+        r, loss = _forward_loss(params, X, y, a1)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
+        grads = _gradient(params, X, a1, r, d)
         history.append(loss)
         if abs(previous - loss) < tol:
             streak += 1
@@ -177,12 +195,9 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
 
 
 MLPR = ModelKind(
-    "MLPR",
-    defaults={"hidden": 100, "learning_rate": 1e-3, "max_epochs": 500,
-              "tol": 1e-8, "patience": 10},
+    fit=fit_mlpr,
     rules={"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
            "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_mlpr(X, y, seed=seed, **hp),
     schema=(("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
             ("array", "b1"), ("array", "W2"), ("matrix", "W1")),
     model=MLPRModel,

@@ -63,8 +63,7 @@ class SVRModel(TrainedModel):
     kind = "SVR"
 
     def __init__(self, sv_X, sv_coef, bias, gamma, C, epsilon, converged,
-                 iterations, kkt_violation, n_features,
-                 dual_objective, dual_objective_history=()):
+                 iterations, kkt_violation, n_features, dual_objective):
         sv_X = np.array(sv_X, dtype=np.float64)
         sv_coef = np.array(sv_coef, dtype=np.float64)
         super().__init__(n_features, sv_X.shape[1])
@@ -84,7 +83,6 @@ class SVRModel(TrainedModel):
         self.iterations = int(iterations)
         self.kkt_violation = float(kkt_violation)
         self.dual_objective = float(dual_objective)
-        self.dual_objective_history = tuple(dual_objective_history)
 
     @property
     def n_support(self):
@@ -221,8 +219,7 @@ def _bias(G, s, z, C):
 
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             gamma: float | None = None, tol: float = 1e-3,
-            max_iterations: int = 200_000, cache_mb: float = 128.0,
-            record_history: bool = False) -> SVRModel:
+            max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
     """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
     X, y = as_design(X, y)
     SVR.check(C=C, epsilon=epsilon)
@@ -236,9 +233,6 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     G = p.copy()
     cache = _RowCache(X, gamma, cache_mb)
 
-    history = []
-    if record_history:
-        history.append(-0.5 * float(z @ (G + p)))
     converged = False
     violation = np.inf
     it = 0
@@ -249,29 +243,22 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             break
         _take_step(z, G, s, i, j, C, cache, n)
         it += 1
-        if record_history:
-            history.append(-0.5 * float(z @ (G + p)))
 
     beta = z[:n] - z[n:]
     bias = _bias(G, s, z, C)
     keep = beta != 0.0
     model = SVRModel(X[keep], beta[keep], bias, gamma, C, epsilon, converged,
                      it, float(violation), X.shape[1],
-                     -0.5 * float(z @ (G + p)), history)
+                     -0.5 * float(z @ (G + p)))
     model._dual_z = z  # full (alpha; alpha*) iterate, for KKT auditing
     return model
 
 
 SVR = ModelKind(
-    "SVR",
-    # gamma None means 1/n_features at fit time
-    defaults={"C": 1.0, "epsilon": 0.1, "gamma": None, "tol": 1e-3,
-              "max_iterations": 200_000, "cache_mb": 128.0},
+    fit=fit_svr,
     rules={"C": POSITIVE, "epsilon": NON_NEGATIVE,
            "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
            "tol": POSITIVE, "max_iterations": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_svr(X, y, **hp),
-    # the per-iteration objective trace is not stored
     schema=(("float", "bias"), ("float", "gamma"), ("float", "C"),
             ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
             ("float", "kkt_violation"), ("float", "dual_objective"),

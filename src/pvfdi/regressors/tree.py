@@ -195,12 +195,10 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
 
 
 DT = ModelKind(
-    "DT",
-    defaults={"max_depth": None, "min_samples_leaf": 5},
+    fit=fit_dt,
     rules={"max_depth": (lambda v: v is None or is_count(v) and v >= 0,
                          "must be None or an integer >= 0"),
            "min_samples_leaf": AT_LEAST_ONE},
-    fit=lambda X, y, hp, seed: fit_dt(X, y, **hp),
     schema=(("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays")),
     model=TreeModel,
 )

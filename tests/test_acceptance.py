@@ -98,7 +98,7 @@ def test_criterion_2_sensitivity_formula_reproduces_reference():
         name: dict(zip(fractions, row))
         for name, row in REFERENCE_RMSE_GRID.items()
     }
-    sensitivity = compute_sensitivity(table)
+    sensitivity = compute_sensitivity(table, {})
     full = sensitivity_label(1.0)
 
     for name, reported in REPORTED_FULL_INJECTION_CHANGE.items():

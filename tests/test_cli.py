@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -84,6 +85,20 @@ def test_inject_power_target_spares_features(dataset_csv, tmp_path):
     after = pvfdi.load_csv(out)
     np.testing.assert_array_equal(after.features, before.features)
     assert not np.array_equal(after.power, before.power)
+
+
+def test_inject_defaults_are_noise_configs(dataset_csv, tmp_path):
+    out = tmp_path / "noisy.csv"
+    assert run(["inject", "--data", dataset_csv, "--out", out, "--fraction", 0.5]) == 0
+    cfg = pvfdi.NoiseConfig(fraction=0.5)
+    noisy, affected = pvfdi.inject(pvfdi.load_csv(dataset_csv), cfg)
+    expected = tmp_path / "expected.csv"
+    pvfdi.save_csv(noisy, expected)
+    # the CLI's file adds one provenance comment line
+    assert out.read_bytes().split(b"\n", 1)[1] == expected.read_bytes()
+    assert (tmp_path / "noisy.csv.affected.txt").read_text().split() == list(map(str, affected))
+    prov = json.loads((tmp_path / "noisy.csv.provenance.json").read_text())
+    assert prov["noise"] == dataclasses.asdict(cfg)
 
 
 @pytest.mark.parametrize("flags", [
@@ -279,6 +294,30 @@ def test_report_regenerates_sensitivity(tmp_path, capsys, models, config, code):
     original = (out / "sensitivity.csv").read_text()
     regenerated = (redone / "sensitivity.csv").read_text()
     assert regenerated == original
+
+
+def test_zero_clean_rmse_fails_only_its_sensitivity_row(tmp_path, capsys):
+    data = pvfdi.synth_generate(60, 1)
+    path = tmp_path / "constant.csv"
+    pvfdi.save_csv(data.replace(power=np.full(len(data), 0.5)), path)
+    out = tmp_path / "run"
+    # LR fits a constant POWER exactly; MLPR does not
+    assert run(["sweep", "--data", path, "--models", "LR,MLPR", "--out", out]) == 3
+    assert "model LR failed: ZeroBaseline" in capsys.readouterr().err
+
+    def rows(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return {line.split(",")[0]: line.split(",")[1:] for line in lines}
+
+    assert rows("sensitivity.csv")["LR"] == ["ERROR"] * 3
+    assert "ERROR" not in rows("sensitivity.csv")["MLPR"]
+    assert rows("clean_metrics.csv")["LR"] == ["0.0"] * 3
+    assert rows("noise_rmse.csv")["LR"] == ["0.0"] * 4
+    assert float(rows("noise_rmse.csv")["MLPR"][0]) > 0.0
+    assert "ZeroBaseline" in (out / "report.txt").read_text()
+    redone = tmp_path / "redone"
+    assert run(["report", "--data", out, "--out", redone]) == 0
+    assert (redone / "sensitivity.csv").read_bytes() == (out / "sensitivity.csv").read_bytes()
 
 
 def test_report_missing_grid_exits_two(tmp_path, capsys):

@@ -361,7 +361,7 @@ def test_sensitivity_regenerates_from_emitted_grid(sweep_report, tmp_path):
     for line in lines[1:]:
         cells = line.split(",")
         grid[cells[0]] = dict(zip(fractions, (float(c) for c in cells[1:])))
-    regenerated = compute_sensitivity(grid)
+    regenerated = compute_sensitivity(grid, {})
     assert regenerated == sweep_report.sensitivity_table
 
 
@@ -406,9 +406,12 @@ def test_provenance_contents(sweep_report, tmp_path):
 
 def test_compute_sensitivity_requires_baseline_column():
     with pytest.raises(ValueError):
-        compute_sensitivity({"M": {0.5: 0.2}})
-    with pytest.raises(ZeroBaseline):
-        compute_sensitivity({"M": {0.0: 0.0, 0.5: 0.2}})
+        compute_sensitivity({"M": {0.5: 0.2}}, {})
+    # a zero clean RMSE fails its own row only
+    errors = {}
+    table = compute_sensitivity({"M": {0.0: 0.0, 0.5: 0.2}, "N": {0.0: 0.1, 0.5: 0.2}}, errors)
+    assert table == {"N": {"0% vs. 50%": 100.0}}
+    assert errors == {"M": f"ZeroBaseline: {ZeroBaseline(0.0)}"}
 
 
 def test_config_validation():

@@ -102,9 +102,23 @@ def test_orthonormal_design_matches_soft_threshold_oracle(rng):
 def test_objective_never_increases(rng):
     X = rng.normal(size=(40, 8))
     y = rng.normal(size=40)
-    model = fit_lasso(X, y, lam=0.02, record_objective=True)
-    history = np.array(model.objective_history)
-    assert history.size >= 1
+    lam = 0.02
+
+    def objective(model):
+        r = y - X @ model.coefficients - model.bias
+        return r @ r / (2 * len(y)) + lam * np.abs(model.coefficients).sum()
+
+    # the objective after t sweeps is that of a fit capped at t sweeps
+    final = fit_lasso(X, y, lam=lam).coefficients
+    history = []
+    for sweeps in range(1, 100):
+        model = fit_lasso(X, y, lam=lam, max_sweeps=sweeps)
+        history.append(objective(model))
+        if np.array_equal(model.coefficients, final):
+            break
+    else:
+        pytest.fail("99 sweeps did not reach the converged fit")
+    assert len(history) > 1
     assert np.all(np.diff(history) <= 1e-12)
 
 

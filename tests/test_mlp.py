@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ def test_non_finite_loss_raises(rng):
     y = rng.normal(size=20)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
         fit_mlpr(X, y, hidden=6, learning_rate=1e-3, max_epochs=200, seed=0)
+
+
+def test_divergence_prints_no_numpy_warnings(rng):
+    # the loss is checked before the backward pass, and the forward
+    # pass's overflow is expected there
+    X = rng.normal(size=(40, 12))
+    y = rng.normal(size=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLoss):
+            fit_mlpr(X, y, hidden=6, learning_rate=1e300, max_epochs=50, seed=0)
 
 
 def test_seed_controls_initialization_and_fit(rng):

@@ -21,6 +21,7 @@ from pvfdi.regressors import (
     fit_mlpr,
     fit_svr,
 )
+from pvfdi.regressors.registry import REGISTRY
 
 ROWWISE_KINDS = tuple(cls.kind for cls in TrainedModel.__subclasses__() if cls.rowwise)
 
@@ -29,6 +30,13 @@ def test_suite_covers_eight_kinds():
     assert len(DEFAULT_KINDS) == 8
     assert set(DEFAULT_KINDS) == set(KINDS)
     assert DEFAULT_KINDS[0] == "LR" and DEFAULT_KINDS[-1] == "LASSO"
+
+
+def test_every_range_rule_names_a_hyperparameter():
+    # a renamed fit parameter would otherwise silently lose its rule
+    for kind, entry in REGISTRY.items():
+        assert entry.name == kind
+        assert set(entry.rules) <= set(entry.defaults), kind
 
 
 def test_defaults_are_copies():
