@@ -54,10 +54,10 @@ class ExperimentConfig:
     train_ratio: float = 0.8
     models: tuple = None  # None -> the eight default kinds
     fractions: tuple = (0.0, 0.1, 0.5, 1.0)
-    noise_mean: float = 0.0
-    noise_std: float = 1.0
-    noise_target: str = "FEATURES"
-    noise_columns: tuple | None = None
+    noise_mean: float = NoiseConfig.mean
+    noise_std: float = NoiseConfig.std
+    noise_target: str = NoiseConfig.target
+    noise_columns: tuple | None = NoiseConfig.columns
     repeats: int = 1
     clamp_predictions: bool = False
 
@@ -143,9 +143,11 @@ def _model_job(shared, index):
     the error text of the first failure: a failing model becomes its own
     error row and never aborts the others.
 
-    A step that changed no feature reuses the clean predictions. A
-    row-wise model re-predicts only the changed rows and keeps its clean
-    predictions elsewhere, bit for bit.
+    A step that changed no feature reuses the clean predictions. Any
+    other step re-predicts the changed rows through ``predict_rows`` and
+    keeps the clean predictions elsewhere: injection leaves the other
+    rows bit-identical, so that is ``predict_batch`` of the noisy
+    features, bit for bit.
     """
     cfg, specs, train, test, steps = shared
     try:
@@ -153,13 +155,10 @@ def _model_job(shared, index):
         clean = model.predict_batch(test.features)
         out = [_series(cfg, test.power, clean)]
         for noisy, rows in steps:
-            if not rows or cfg.noise_target == "POWER":
-                predicted = clean
-            elif model.rowwise:
+            predicted = clean
+            if rows and cfg.noise_target != "POWER":
                 predicted = clean.copy()
-                predicted[rows] = model.predict_batch(noisy.features[rows])
-            else:
-                predicted = model.predict_batch(noisy.features)
+                predicted[rows] = model.predict_rows(noisy.features, rows)
             out.append(_series(cfg, noisy.power, predicted))
         return out
     except Exception as exc:  # error row per failed model
@@ -181,10 +180,12 @@ def _worker_job(index):
 
 
 # Model kinds by the cost of one job at the default hyperparameters, most
-# expensive first. Measured as fit plus predict time, summed over traced
-# serial runs of c6-sweep and attack-grid (seed 42, one CPU, one BLAS
-# thread): MLPR 3.3 s, GBRT 1.4 s, GPR 0.80 s, KNN 0.55 s, DT 0.37 s,
-# SVR 0.23 s, LR and LASSO under 0.01 s. Submitting longest first
+# expensive first. Measured as the median seconds of three _model_job
+# calls, summed over the perfbench c6-sweep and attack-grid workloads
+# (seed 42, one CPU, one BLAS thread, two runs): MLPR 3.3-3.6 s, GBRT
+# 1.3-1.5 s, GPR 0.55-0.58 s, KNN 0.54-0.55 s, DT 0.33-0.35 s, SVR
+# 0.21-0.24 s, LR and LASSO under 0.01 s; GPR and KNN tie within noise,
+# so their order stands. Submitting longest first
 # (Graham's LPT list scheduling) starts MLPR at once, so it never lands
 # last on a worker that the short jobs have kept busy.
 COST_RANK = ("MLPR", "GBRT", "GPR", "KNN", "DT", "SVR", "LR", "LASSO")
@@ -359,7 +360,7 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     fraction perturbs the test set only. With repeats > 1 the RMSE per
     fraction is the mean over independently seeded realizations, and the
     noisy series is the first realization of the largest fraction.
-    Row-wise models re-predict only the rows each injection changed.
+    Each step re-predicts only the rows its injection changed.
     """
     return _evaluate_models(cfg, sweep=True)
 
@@ -466,13 +467,19 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         rows = [[name, report.errors[name]] for name in report.model_order if name in report.errors]
         text_blocks.append("Model errors\n" + _aligned(["model", "error"], rows))
 
-    # one (index, actual, predicted) CSV per model per condition
+    # one (index, actual, predicted) CSV per model per condition; the
+    # models share their actual columns, so each distinct one is rendered
+    # once, as "\n<index>,<actual>," line starts
+    starts = {}
     for name in report.model_order:
         for condition, series in report.prediction_series.get(name, {}).items():
-            rows = [[str(i), repr(float(a)), repr(float(p))]
-                    for i, (a, p) in enumerate(zip(series.actual, series.predicted))]
+            key = series.actual.tobytes()
+            if key not in starts:
+                starts[key] = [f"\n{i},{a!r}," for i, a in enumerate(series.actual.tolist())]
+            cells = map(repr, series.predicted.tolist())
             written.append(out_dir / "series" / f"{name}_{condition}.csv")
-            _write_text(written[-1], _csv_table(["index", "actual", "predicted"], rows))
+            _write_text(written[-1], "index,actual,predicted"
+                        + "".join(map(str.__add__, starts[key], cells)) + "\n")
 
     written.append(out_dir / "provenance.json")
     _write_json(written[-1], report.provenance)

@@ -58,7 +58,7 @@ def inject(test: Dataset, cfg: NoiseConfig) -> tuple:
     independent draw from the "noise-cells" stream. ``affected`` is the
     sorted list of perturbed row indices. Rows outside it are
     value-identical to the input, and the input is never modified. The
-    noise sweep relies on this: row-wise models re-predict only ``affected``.
+    noise sweep relies on this: it re-predicts only ``affected``.
     """
     n = len(test)
     count = math.floor(cfg.fraction * n + 0.5)  # round half up

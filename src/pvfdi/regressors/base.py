@@ -51,6 +51,21 @@ def as_design(X, y):
     return X, y
 
 
+def row_products(A, B, out) -> np.ndarray:
+    """``A @ B.T`` written into ``out[:len(A)]``, which is returned.
+
+    numpy sends a one-row product to BLAS gemv, which rounds differently
+    from the gemm that every longer A goes through. So a one-row A runs
+    as two copies of its row, and a row's result does not depend on how
+    many rows share its A. ``out`` needs at least two rows.
+    """
+    n = A.shape[0]
+    if n == 1:
+        A = np.concatenate((A, A))
+    np.matmul(A, B.T, out=out[: A.shape[0]])
+    return out[:n]
+
+
 class TrainedModel:
     """A fitted model exposing deterministic batch prediction.
 
@@ -60,13 +75,17 @@ class TrainedModel:
     its fields hold; a ValueError is raised unless it equals
     ``n_features``.
 
-    ``rowwise`` is True when a row's prediction does not depend on the
-    other rows of its batch, bit for bit: ``predict_batch(X[rows])``
-    equals ``predict_batch(X)[rows]`` for every row subset. The noise
-    sweep then re-predicts only the injected rows. Kinds whose batch
-    goes through a BLAS matrix-vector product leave it False, because
-    such kernels round the trailing rows of a batch differently
-    depending on the batch length.
+    ``predict_rows(X, rows)`` equals ``predict_batch(X)[rows]``, bit for
+    bit, for ascending row indices ``rows``; the noise sweep calls it
+    with the rows an injection changed. ``rowwise`` is True when a row's
+    prediction does not depend on the other rows of its batch, bit for
+    bit: ``predict_batch(X[rows])`` equals ``predict_batch(X)[rows]`` for
+    every row subset, so ``predict_rows`` predicts ``X[rows]`` alone.
+    Kinds whose batch goes through a BLAS matrix-vector product leave it
+    False, because such kernels round the trailing rows of a batch
+    differently depending on the batch length; ``predict_rows`` then
+    predicts all of X, unless the kind overrides it with a cheaper path
+    that keeps the contract.
     """
 
     kind = "?"
@@ -83,12 +102,22 @@ class TrainedModel:
 
     def predict_batch(self, X) -> np.ndarray:
         """Model outputs for an (n, d) array of feature vectors; never clamped to [0, 1]."""
+        return np.asarray(self._predict_batch(self._checked(X)), dtype=np.float64)
+
+    def predict_rows(self, X, rows) -> np.ndarray:
+        """``predict_batch(X)[rows]``, bit for bit, for ascending row indices ``rows``."""
+        if self.rowwise:
+            return self.predict_batch(np.asarray(X)[rows])
+        return self.predict_batch(X)[rows]
+
+    def _checked(self, X) -> np.ndarray:
+        """X as a float (n, d) array; DimensionMismatch or ValueError if unusable."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise DimensionMismatch(self._n_features, X.shape[-1] if X.ndim else 0)
         if not np.isfinite(X).all():
             raise ValueError("feature vector contains non-finite values")
-        return np.asarray(self._predict_batch(X), dtype=np.float64)
+        return X
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from ..errors import NotPositiveDefinite
 from ..rng import stream
 from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
-                   require_finite)
+                   require_finite, row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -22,15 +22,27 @@ _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CHUNK_ROWS = 512
 
 
-def _sq_dists(A, B):
-    d2 = np.einsum("ij,ij->i", A, A)[:, np.newaxis] - 2.0 * (A @ B.T)
-    d2 += np.einsum("ij,ij->i", B, B)[np.newaxis, :]
-    return np.maximum(d2, 0.0)
+def _rbf_into(A, B, length_scale, out):
+    """rbf_kernel(A, B, length_scale), built in place in ``out[:len(A)]``.
+
+    ``out`` needs at least two rows (see ``row_products``). Of A, a row's
+    bits depend on that row alone, so a chunk's rows can be built apart
+    from the others.
+    """
+    # the bits of exp((|a|^2 - 2 a.b + |b|^2) / (-2 l^2)), the max taken
+    # before the division: scaling by -2 is exact, and x + (-y) == x - y
+    K = row_products(A, B, out)
+    K *= -2.0
+    K += np.einsum("ij,ij->i", A, A)[:, np.newaxis]
+    K += np.einsum("ij,ij->i", B, B)
+    np.maximum(K, 0.0, out=K)
+    K /= -2.0 * length_scale**2
+    return np.exp(K, out=K)
 
 
 def rbf_kernel(A, B, length_scale):
     """Unit-variance RBF kernel matrix exp(-||a - b||^2 / (2 l^2))."""
-    return np.exp(_sq_dists(A, B) / (-2.0 * length_scale**2))
+    return _rbf_into(A, B, length_scale, np.empty((max(A.shape[0], 2), B.shape[0])))
 
 
 class GPRModel(TrainedModel):
@@ -53,12 +65,41 @@ class GPRModel(TrainedModel):
         self.jitter = float(jitter)
         self.subsampled = bool(subsampled)
 
+    def _block(self, n):
+        """A kernel block for the chunks of an n-row batch."""
+        return np.empty((max(min(_CHUNK_ROWS, n), 2), self.X_train.shape[0]))
+
     def _predict_batch(self, X):
         out = np.empty(X.shape[0])
+        block = self._block(X.shape[0])
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
-            k_star = rbf_kernel(chunk, self.X_train, self.length_scale)
+            k_star = _rbf_into(chunk, self.X_train, self.length_scale, block)
             out[start : start + _CHUNK_ROWS] = k_star @ self.alpha
+        return out
+
+    def predict_rows(self, X, rows):
+        """predict_batch(X)[rows], building kernel rows for ``rows`` only.
+
+        A row keeps its position in its chunk, and the product with alpha
+        runs over the whole chunk: a gemv output depends on its own row
+        and its position, not on the values in the other rows, so those
+        may hold whatever an earlier chunk left there.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        X = np.asarray(X)
+        Q = self._checked(X[rows])
+        n = X.shape[0]
+        out = np.empty(rows.size)
+        scratch = self._block(n)
+        block = np.zeros(scratch.shape)
+        edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
+        for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):
+            if lo == hi:
+                continue
+            at = rows[lo:hi] - start
+            block[at] = _rbf_into(Q[lo:hi], self.X_train, self.length_scale, scratch)
+            out[lo:hi] = (block[: min(_CHUNK_ROWS, n - start)] @ self.alpha)[at]
         return out
 
 

@@ -34,7 +34,8 @@ fewer than k groups, and every column is a tail column.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel, as_design, require_finite
+from .base import (AT_LEAST_ONE, ModelKind, TrainedModel, as_design, require_finite,
+                   row_products)
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -70,13 +71,12 @@ class KNNModel(TrainedModel):
         train_sq = np.einsum("ij,ij->i", X_train, X_train)
         # one distance block per call, shared by its chunks; a local, so
         # predict stays reentrant
-        block = np.empty((min(_CHUNK_ROWS, X.shape[0]), X_train.shape[0]))
+        block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), X_train.shape[0]))
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
-            d2 = block[: chunk.shape[0]]
             # the bits of train_sq - 2.0 * (chunk @ X_train.T): scaling by
             # -2 is exact, and a + (-b) == a - b
-            np.matmul(chunk, X_train.T, out=d2)
+            d2 = row_products(chunk, X_train, block)
             d2 *= -2.0
             d2 += train_sq
             d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]

@@ -21,7 +21,7 @@ from pvfdi.experiment import (
 )
 from pvfdi.metrics import rmse
 from pvfdi.noise import NoiseConfig, inject
-from pvfdi.regressors import DEFAULT_KINDS, GBRTModel, KNNModel, ModelSpec, TreeModel
+from pvfdi.regressors import DEFAULT_KINDS, KNNModel, ModelSpec
 from pvfdi.rng import derive_seed
 
 BASE = dict(synth_n=240, seed=13)
@@ -236,7 +236,8 @@ def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noi
     fake_host(monkeypatch, 1)
     # 0.01 of 48 test rows rounds to none, so no row is re-predicted there
     fractions = (0.0, 0.01, 0.1, 0.5, 1.0)
-    models = tuple(ModelSpec(kind, seed=13) for kind in ("LR", "KNN", "DT", "GBRT"))
+    small = {"GBRT": {"rounds": 5}, "MLPR": {"hidden": 8, "max_epochs": 20}}
+    models = tuple(ModelSpec(kind, small.get(kind, {}), seed=13) for kind in DEFAULT_KINDS)
     cfg = ExperimentConfig(**BASE, models=models, fractions=fractions, repeats=2,
                            clamp_predictions=True, **noise)
     knn_rows = []
@@ -257,8 +258,14 @@ def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noi
         assert sum(knn_rows) == n_test + sum(
             cfg.repeats * math.floor(f * n_test + 0.5) for f in fractions)
 
-    for cls in (KNNModel, TreeModel, GBRTModel):
-        monkeypatch.setattr(cls, "rowwise", False)
+    def full_batch_job(shared, index):
+        # the reference predicts every row of every test set
+        cfg, specs, train, test, steps = shared
+        model = experiment.fit(specs[index], train)
+        return [experiment._series(cfg, data.power, model.predict_batch(data.features))
+                for data in [test] + [noisy for noisy, _ in steps]]
+
+    monkeypatch.setattr(experiment, "_model_job", full_batch_job)
     emit_report(run_noise_sweep(cfg), tmp_path / "full")
     assert read_bytes_tree(tmp_path / "spliced") == read_bytes_tree(tmp_path / "full")
 

@@ -182,6 +182,36 @@ def test_rowwise_prediction_ignores_the_rest_of_the_batch(norm_split, rng, kind)
     subsets += [np.arange(257), np.arange(len(X) - 3, len(X))]
     for rows in subsets:
         assert model.predict_batch(X[rows]).tobytes() == full[rows].tobytes(), len(rows)
+    if kind == "KNN":
+        # two training rows mirrored about a query tie for its nearest, so
+        # a one-row block that rounds its distances unlike a batch of two
+        # or more picks the other one about a third of the time
+        for _ in range(200):
+            q = rng.uniform(0.0, 1.0, size=12)
+            v = rng.normal(0.0, 0.01, size=12)
+            X_train = np.vstack([q - v, q + v, rng.uniform(5.0, 6.0, size=(60, 12))])
+            mirrored = fit_knn(X_train, np.arange(62.0), k=1)
+            X = np.vstack([q, rng.uniform(0.0, 1.0, size=(3, 12))])
+            assert mirrored.predict_batch(X[:1])[0] == mirrored.predict_batch(X)[0]
+
+
+# 1025 rows end GPR's and SVR's 512-row chunks and KNN's 256-row chunks
+# with a one-row chunk
+@pytest.mark.parametrize("n", [700, 1025])
+@pytest.mark.parametrize("kind", DEFAULT_KINDS)
+def test_predict_rows_is_predict_batch_of_those_rows(norm_split, rng, kind, n):
+    train, _ = norm_split
+    small = {"GBRT": {"rounds": 5}, "MLPR": {"hidden": 8, "max_epochs": 20}}
+    model = fit(ModelSpec(kind, small.get(kind, {}), seed=9), train)
+    X = np.vstack([rng.uniform(-0.2, 1.2, size=(n - 100, 12)), train.features[:100]])
+    full = model.predict_batch(X)
+    subsets = [np.sort(rng.choice(n, size, replace=False))
+               for size in (1, 2, 3, 5, 511, 512, 513)]
+    subsets += [np.arange(n), np.arange(511, 514), np.arange(512), np.array([n - 1]),
+                np.array([0, n - 1]), np.array([], dtype=np.intp)]
+    for rows in subsets:
+        assert model.predict_rows(X, rows).tobytes() == full[rows].tobytes(), rows[:5]
+        assert model.predict_rows(X, list(rows)).tobytes() == full[rows].tobytes()
 
 
 def test_lr_identity_passthrough():
