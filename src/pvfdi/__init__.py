@@ -14,6 +14,15 @@ Typical use:
     emit_report(report, "out/")
 """
 
+import os
+import sys
+
+# one BLAS thread unless the caller set a count or loaded numpy first: GPR
+# and MLPR bytes depend on it, and the sweep's pool needs no other thread
+if "numpy" not in sys.modules:
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
 from .data import (

@@ -359,8 +359,8 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset CSV")
-    synth.add_argument("--n", type=int, default=10_000, metavar="N")
-    synth.add_argument("--seed", type=int, default=0, metavar="U64")
+    synth.add_argument("--n", type=int, default=ExperimentConfig.synth_n, metavar="N")
+    synth.add_argument("--seed", type=int, default=ExperimentConfig.seed, metavar="U64")
     synth.add_argument("--out", required=True, metavar="FILE")
     synth.set_defaults(func=cmd_synth)
 

@@ -212,10 +212,11 @@ def _worker_count(n_jobs: int) -> int:
     Workers are forked, so they need the ``fork`` start method, a parent
     that may have children (a daemonic process may not) and a parent
     with no other thread. Another thread could hold a lock across the
-    fork; and a BLAS that runs threads of its own (OpenBLAS's default on
-    a multi-CPU host) would run as many in every worker, oversubscribing
-    the CPUs, and cannot be cut to one thread there without changing the
-    bytes.
+    fork; and a BLAS that runs threads of its own would run as many in
+    every worker, oversubscribing the CPUs, and cannot be cut to one
+    thread there without changing the bytes. ``import pvfdi`` pins one
+    BLAS thread unless numpy was loaded first or the environment sets a
+    count.
     """
     # multiprocessing and the pool are imported on first use, as every
     # CLI command imports this module and only bench and sweep start workers

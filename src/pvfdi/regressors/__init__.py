@@ -2,10 +2,12 @@
 
 Each kind has a from-scratch fitting routine in its own module, which
 also declares the kind's registry entry: the routine, whose keyword
-defaults are the kind's hyperparameters, their range rules, the
-model-file schema and the model class, whose ``kind`` names the entry.
-This package adds the ModelSpec record (kind + hyperparameters + seed),
-validated against that entry, and dispatches fit calls through it.
+defaults are the kind's hyperparameters, their range rules, which the
+routine checks, and the model class, whose ``kind`` names the entry and
+whose ``schema`` lists the model file's fields, which are also its
+constructor's keywords. This package adds the ModelSpec record (kind +
+hyperparameters + seed), validated against that entry, and dispatches
+fit calls through it.
 """
 
 from dataclasses import dataclass, field

@@ -24,13 +24,15 @@ def is_count(v) -> bool:
 
 
 AT_LEAST_ONE = (lambda v: is_count(v) and v >= 1, "must be an integer >= 1")
-DEPTH = (lambda v: is_count(v) and v >= 0, "must be an integer >= 0")
+AT_LEAST_ZERO = (lambda v: is_count(v) and v >= 0, "must be an integer >= 0")
+# a tree depth limit; None grows without one
+DEPTH = (lambda v: v is None or is_count(v) and v >= 0, "must be None or an integer >= 0")
 
 
 def require_finite(**values):
     """Raise ValueError for the first named value holding a NaN or infinity.
 
-    Model constructors pass what prediction reads, so a model file with
+    Model field checks pass what prediction reads, so a model file with
     such a value fails to load instead of predicting NaN.
     """
     for name, value in values.items():
@@ -66,14 +68,39 @@ def row_products(A, B, out) -> np.ndarray:
     return out[:n]
 
 
+# A flat tree's five parallel arrays, in file order; feature -1 marks a leaf
+TREE_PARTS = (("iarray", "feature"), ("array", "threshold"),
+              ("iarray", "left"), ("iarray", "right"), ("array", "value"))
+
+
+def _frozen(values, dtype=np.float64):
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
+
+
+def _tree(arrays):
+    return tuple(_STORE[tag](part) for (tag, _), part in zip(TREE_PARTS, arrays))
+
+
+# a schema tag's stored form: the type its file field has, arrays read-only
+_STORE = {"int": int, "float": float, "array": _frozen, "matrix": _frozen,
+          "iarray": lambda values: _frozen(values, np.intp), "tree": _tree,
+          "trees": lambda trees: tuple(map(_tree, trees))}
+
+
 class TrainedModel:
     """A fitted model exposing deterministic batch prediction.
 
-    Subclasses set ``kind`` and implement ``_predict_batch`` over a
-    validated (n, d) array. Instances are immutable after fit; predict is
-    reentrant. ``width``, when a subclass passes it, is the feature count
-    its fields hold; a ValueError is raised unless it equals
-    ``n_features``.
+    Subclasses set ``kind``, list the model file's (tag, name) fields in
+    file order as ``schema``, and implement ``_predict_batch`` over a
+    validated (n, d) array. The constructor takes exactly the schema's
+    names plus ``n_features`` (TypeError otherwise) and stores each field
+    in its tag's ``_STORE`` form, so instances are immutable and a
+    reloaded copy holds the same types. ``_check_fields`` then raises
+    ValueError for fields prediction cannot use and returns the feature
+    count they hold, or None; that count must equal ``n_features``.
+    Predict is reentrant.
 
     ``predict_rows(X, rows)`` equals ``predict_batch(X)[rows]``, bit for
     bit, for ascending row indices ``rows``; the noise sweep calls it
@@ -89,12 +116,23 @@ class TrainedModel:
     """
 
     kind = "?"
+    schema = ()
     rowwise = False
 
-    def __init__(self, n_features: int, width: int | None = None):
+    def __init__(self, n_features: int, **fields):
+        names = [name for _, name in self.schema]
+        if fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                            f"not {sorted(fields)}")
         self._n_features = int(n_features)
+        for tag, name in self.schema:
+            setattr(self, name, _STORE[tag](fields[name]))
+        width = self._check_fields()
         if width is not None and width != self._n_features:
             raise ValueError(f"declares {self._n_features} features, its fields hold {width}")
+
+    def _check_fields(self) -> int | None:
+        return None
 
     @property
     def training_feature_count(self) -> int:
@@ -130,16 +168,14 @@ class ModelKind:
     ``fit`` is the kind's fitting routine, called as ``fit(X, y, **hp)``
     plus ``seed=`` when it takes one; its keyword parameters with
     defaults, ``seed`` aside, are the kind's hyperparameters.
-    ``rules`` maps a hyperparameter to a (predicate, requirement) pair.
-    ``schema`` lists the model file's (tag, name) fields in file order;
-    each name is a keyword of ``model``'s constructor, which also takes
-    ``n_features``, and an attribute of its instances. The class's
-    ``kind`` is the entry's name.
+    ``rules`` maps a hyperparameter to a (predicate, requirement) pair;
+    the routine checks them all, as does ModelSpec. ``model`` is the
+    TrainedModel class the routine returns: its ``kind`` is the entry's
+    name and its ``schema`` the model file's fields.
     """
 
     fit: Callable
     rules: dict
-    schema: tuple
     model: type
 
     @property

@@ -20,21 +20,17 @@ __all__ = ["GBRTModel", "fit_gbrt"]
 
 class GBRTModel(TrainedModel):
     kind = "GBRT"
+    # trees hold unscaled leaf weights; train_loss_history[r] is the
+    # training MSE after round r, entry 0 the base-score loss
+    schema = (("float", "base_score"), ("float", "learning_rate"),
+              ("float", "reg_lambda"), ("float", "gamma"),
+              ("array", "train_loss_history"), ("trees", "trees"))
     rowwise = True  # per-row tree walks summed elementwise
 
-    def __init__(self, base_score, learning_rate, reg_lambda, gamma,
-                 train_loss_history, trees, n_features):
-        super().__init__(n_features)
-        require_finite(base_score=base_score, learning_rate=learning_rate)
-        for t, (_, threshold, _, _, value) in enumerate(trees):
+    def _check_fields(self):
+        require_finite(base_score=self.base_score, learning_rate=self.learning_rate)
+        for t, (_, threshold, _, _, value) in enumerate(self.trees):
             require_finite(**{f"tree{t}.threshold": threshold, f"tree{t}.value": value})
-        self.base_score = float(base_score)
-        self.trees = tuple(trees)  # flat-array tuples, unscaled leaf weights
-        self.learning_rate = float(learning_rate)
-        self.reg_lambda = float(reg_lambda)
-        self.gamma = float(gamma)
-        # training MSE after round r; entry 0 is the base-score loss
-        self.train_loss_history = tuple(map(float, train_loss_history))
 
     @property
     def rounds(self) -> int:
@@ -57,7 +53,8 @@ def fit_gbrt(
     gamma: float = 0.0,
     min_samples_leaf: int = 1,
 ) -> GBRTModel:
-    GBRT.check(rounds=rounds)
+    GBRT.check(rounds=rounds, learning_rate=learning_rate, max_depth=max_depth,
+               reg_lambda=reg_lambda, gamma=gamma, min_samples_leaf=min_samples_leaf)
     X, y = as_design(X, y)
 
     columns = presort(X)  # X is fixed, so every round shares one sort
@@ -80,7 +77,8 @@ def fit_gbrt(
         yhat += learning_rate * route(arrays, X)
         history.append(float(np.mean((yhat - y) ** 2)))
 
-    return GBRTModel(base, learning_rate, reg_lambda, gamma, history, trees, X.shape[1])
+    return GBRTModel(X.shape[1], base_score=base, learning_rate=learning_rate,
+                     reg_lambda=reg_lambda, gamma=gamma, train_loss_history=history, trees=trees)
 
 
 GBRT = ModelKind(
@@ -88,8 +86,5 @@ GBRT = ModelKind(
     rules={"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
            "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
            "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE},
-    schema=(("float", "base_score"), ("float", "learning_rate"),
-            ("float", "reg_lambda"), ("float", "gamma"),
-            ("array", "train_loss_history"), ("trees", "trees")),
     model=GBRTModel,
 )

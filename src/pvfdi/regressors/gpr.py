@@ -47,23 +47,15 @@ def rbf_kernel(A, B, length_scale):
 
 class GPRModel(TrainedModel):
     kind = "GPR"
+    schema = (("float", "length_scale"), ("float", "noise_variance"),
+              ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
+              ("matrix", "X_train"))
 
-    def __init__(self, X_train, alpha, length_scale, noise_variance, jitter,
-                 subsampled, n_features):
-        X_train = np.array(X_train, dtype=np.float64)
-        alpha = np.array(alpha, dtype=np.float64)
-        if alpha.shape != X_train.shape[:1]:
+    def _check_fields(self):
+        if self.alpha.shape != self.X_train.shape[:1]:
             raise ValueError("alpha needs one weight per training row")
-        require_finite(X_train=X_train, alpha=alpha, length_scale=length_scale)
-        super().__init__(n_features, X_train.shape[1])
-        X_train.flags.writeable = False
-        alpha.flags.writeable = False
-        self.X_train = X_train
-        self.alpha = alpha
-        self.length_scale = float(length_scale)
-        self.noise_variance = float(noise_variance)
-        self.jitter = float(jitter)
-        self.subsampled = bool(subsampled)
+        require_finite(X_train=self.X_train, alpha=self.alpha, length_scale=self.length_scale)
+        return self.X_train.shape[1]
 
     def _block(self, n):
         """A kernel block for the chunks of an n-row batch."""
@@ -112,7 +104,7 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     if the kernel matrix cannot be factored even at the largest jitter.
     """
     X, y = as_design(X, y)
-    GPR.check(length_scale=length_scale, noise_variance=noise_variance)
+    GPR.check(length_scale=length_scale, noise_variance=noise_variance, max_points=max_points)
 
     subsampled = X.shape[0] > max_points
     if subsampled:
@@ -134,8 +126,8 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         except LinAlgError:
             continue
         alpha = cho_solve(factor, y)
-        return GPRModel(X, alpha, length_scale, noise_variance, jitter, subsampled,
-                        X.shape[1])
+        return GPRModel(X.shape[1], X_train=X, alpha=alpha, length_scale=length_scale,
+                        noise_variance=noise_variance, jitter=jitter, subsampled=subsampled)
     raise NotPositiveDefinite(_JITTERS[-1])
 
 
@@ -143,8 +135,5 @@ GPR = ModelKind(
     fit=fit_gpr,
     rules={"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
            "max_points": AT_LEAST_ONE},
-    schema=(("float", "length_scale"), ("float", "noise_variance"),
-            ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
-            ("matrix", "X_train")),
     model=GPRModel,
 )

@@ -45,20 +45,14 @@ _GROUP = 20  # columns per group of the selection filter
 
 class KNNModel(TrainedModel):
     kind = "KNN"
+    schema = (("int", "k"), ("array", "y_train"), ("matrix", "X_train"))
     rowwise = True  # a row's distances and selection involve no other row
 
-    def __init__(self, X_train, y_train, k, n_features):
-        X_train = np.array(X_train, dtype=np.float64)
-        y_train = np.array(y_train, dtype=np.float64)
-        if y_train.shape != X_train.shape[:1]:
+    def _check_fields(self):
+        if self.y_train.shape != self.X_train.shape[:1]:
             raise ValueError("y_train needs one target per training row")
-        require_finite(X_train=X_train, y_train=y_train)
-        super().__init__(n_features, X_train.shape[1])
-        X_train.flags.writeable = False
-        y_train.flags.writeable = False
-        self.X_train = X_train
-        self.y_train = y_train
-        self.k = int(k)
+        require_finite(X_train=self.X_train, y_train=self.y_train)
+        return self.X_train.shape[1]
 
     def _predict_batch(self, X):
         out = np.empty(X.shape[0])
@@ -103,12 +97,7 @@ def fit_knn(X, y, k: int = 2) -> KNNModel:
     KNN.check(k=k)
     if k > X.shape[0]:
         raise KTooLarge(k, X.shape[0])
-    return KNNModel(X, y, k, X.shape[1])
+    return KNNModel(X.shape[1], X_train=X, y_train=y, k=k)
 
 
-KNN = ModelKind(
-    fit=fit_knn,
-    rules={"k": AT_LEAST_ONE},
-    schema=(("int", "k"), ("array", "y_train"), ("matrix", "X_train")),
-    model=KNNModel,
-)
+KNN = ModelKind(fit=fit_knn, rules={"k": AT_LEAST_ONE}, model=KNNModel)

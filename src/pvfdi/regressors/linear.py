@@ -17,14 +17,11 @@ __all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso", "lasso_lambda_max
 
 class LinearModel(TrainedModel):
     kind = "LR"
+    schema = (("float", "bias"), ("array", "coefficients"))
 
-    def __init__(self, coefficients, bias, n_features):
-        coefficients = np.array(coefficients, dtype=np.float64)
-        super().__init__(n_features, coefficients.size)
-        require_finite(coefficients=coefficients, bias=bias)
-        coefficients.flags.writeable = False
-        self.coefficients = coefficients
-        self.bias = float(bias)
+    def _check_fields(self):
+        require_finite(coefficients=self.coefficients, bias=self.bias)
+        return self.coefficients.size
 
     def _predict_batch(self, X):
         return X @ self.coefficients + self.bias
@@ -46,7 +43,7 @@ def fit_lr(X, y) -> LinearModel:
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
-    return LinearModel(coef, y_mean - x_mean @ coef, X.shape[1])
+    return LinearModel(X.shape[1], coefficients=coef, bias=y_mean - x_mean @ coef)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -75,7 +72,7 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
     unpenalized (handled by centering). With lam=0 this reduces to
     coordinate-descent least squares.
     """
-    LASSO.check(lam=lam)
+    LASSO.check(lam=lam, tol=tol, max_sweeps=max_sweeps)
     X, y = as_design(X, y)
     n, d = X.shape
     x_mean = X.mean(axis=0)
@@ -102,16 +99,13 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
         if max_delta < tol:
             break
 
-    return LassoModel(theta, y_mean - x_mean @ theta, d)
+    return LassoModel(d, coefficients=theta, bias=y_mean - x_mean @ theta)
 
 
-_SCHEMA = (("float", "bias"), ("array", "coefficients"))
-
-LR = ModelKind(fit=fit_lr, rules={}, schema=_SCHEMA, model=LinearModel)
+LR = ModelKind(fit=fit_lr, rules={}, model=LinearModel)
 
 LASSO = ModelKind(
     fit=fit_lasso,
     rules={"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE},
-    schema=_SCHEMA,
     model=LassoModel,
 )

@@ -114,20 +114,15 @@ def loss_and_gradient(params, X, y):
 
 class MLPRModel(TrainedModel):
     kind = "MLPR"
+    schema = (("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
+              ("array", "b1"), ("array", "W2"), ("matrix", "W1"))
 
-    def __init__(self, W1, b1, W2, b2, loss_history, stopped_early, n_features):
-        W1 = np.array(W1)
-        b1 = np.array(b1)
-        W2 = np.array(W2)
-        if W1.ndim != 2 or b1.shape != W1.shape[1:] or W2.shape != W1.shape[1:]:
+    def _check_fields(self):
+        W1 = self.W1
+        if W1.ndim != 2 or self.b1.shape != W1.shape[1:] or self.W2.shape != W1.shape[1:]:
             raise ValueError("W1, b1 and W2 disagree on the hidden width")
-        super().__init__(n_features, W1.shape[0])
-        require_finite(W1=W1, b1=b1, W2=W2, b2=b2)
-        for a in (W1, b1, W2):
-            a.flags.writeable = False
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, float(b2)
-        self.loss_history = tuple(map(float, loss_history))
-        self.stopped_early = bool(stopped_early)
+        require_finite(W1=W1, b1=self.b1, W2=self.W2, b2=self.b2)
+        return W1.shape[0]
 
     @property
     def params(self):
@@ -153,6 +148,8 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     NonFiniteLoss if the loss leaves the reals (divergence).
     """
     X, y = as_design(X, y)
+    MLPR.check(hidden=hidden, learning_rate=learning_rate, max_epochs=max_epochs, tol=tol,
+               patience=patience)
     params = init_params(X.shape[1], hidden, seed)
 
     a1 = np.empty((X.shape[0], hidden))
@@ -191,14 +188,14 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
             new.append(p - step)
         params = (new[0], new[1], new[2], float(new[3]))
 
-    return MLPRModel(*params, history, stopped_early, X.shape[1])
+    W1, b1, W2, b2 = params
+    return MLPRModel(X.shape[1], W1=W1, b1=b1, W2=W2, b2=b2, loss_history=history,
+                     stopped_early=stopped_early)
 
 
 MLPR = ModelKind(
     fit=fit_mlpr,
     rules={"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
            "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE},
-    schema=(("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
-            ("array", "b1"), ("array", "W2"), ("matrix", "W1")),
     model=MLPRModel,
 )

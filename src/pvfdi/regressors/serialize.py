@@ -13,20 +13,23 @@ The format is versioned, line-oriented, and binary-free:
     end
 
 Floats are written with float.hex(), so reload is bit-exact. After the
-header come the fields of the kind's registry schema, in schema order.
-Each schema name is an attribute of the kind's model class and a keyword
-of its constructor: dumping reads the attributes, and loading calls the
-class with the parsed fields and ``n_features``. Every model kind in the
-suite round-trips through save_model/load_model to a model with
-identical predictions. Loading checks each field name, the closing
-``end`` line, and that every tree routes each row to a leaf; the
-constructor checks the fields against each other and the declared
-feature count. A malformed file raises IoError.
+header come the fields of the model class's ``schema``, in schema order.
+Each schema name is an attribute of the class and a keyword of its
+constructor: dumping reads the attributes, and loading calls the class
+with the parsed fields and ``n_features``. A "tree" field is written as
+its ``TREE_PARTS``, unprefixed; a "trees" field as "int rounds" followed
+by one "tree{t}."-prefixed block per tree. Every model kind in the suite
+round-trips through save_model/load_model to a model with identical
+predictions and fields of the same types. Loading checks each field
+name, the closing ``end`` line, and that every tree routes each row to a
+leaf; the constructor checks the fields against each other and the
+declared feature count. A malformed file raises IoError.
 """
 
 import numpy as np
 
 from ..errors import IoError
+from .base import TREE_PARTS
 from .registry import REGISTRY
 
 __all__ = ["save_model", "load_model", "dumps", "loads", "FORMAT_VERSION"]
@@ -34,12 +37,6 @@ __all__ = ["save_model", "load_model", "dumps", "loads", "FORMAT_VERSION"]
 FORMAT_VERSION = 1
 _MAGIC = "pvfdi-model"
 
-# A flat tree's five parallel arrays, in file order. A "tree" field is
-# written unprefixed; a "trees" field as "int rounds" followed by one
-# "tree{t}."-prefixed block per tree. Their schema names only key the
-# model-side value.
-_TREE_PARTS = (("iarray", "feature"), ("array", "threshold"),
-               ("iarray", "left"), ("iarray", "right"), ("array", "value"))
 _INT64 = np.iinfo(np.int64)
 
 
@@ -88,7 +85,7 @@ class _Writer:
             self._tree_arrays(f"tree{t}.", arrays)
 
     def _tree_arrays(self, prefix, arrays):
-        for (tag, part), values in zip(_TREE_PARTS, arrays):
+        for (tag, part), values in zip(TREE_PARTS, arrays):
             self.field(tag, prefix + part, values)
 
     def text(self):
@@ -201,7 +198,7 @@ class _Reader:
         return [self._tree_arrays(f"tree{t}.") for t in range(rounds)]
 
     def _tree_arrays(self, prefix):
-        arrays = tuple(self.field(tag, prefix + part) for tag, part in _TREE_PARTS)
+        arrays = tuple(self.field(tag, prefix + part) for tag, part in TREE_PARTS)
         feature, _, left, right, _ = arrays
         n = feature.size
         if n == 0 or any(a.size != n for a in arrays):
@@ -226,7 +223,7 @@ def dumps(model) -> str:
     if entry is None:
         raise IoError(f"cannot serialize model kind {model.kind!r}")
     w = _Writer(model.kind, model.training_feature_count)
-    for tag, name in entry.schema:
+    for tag, name in entry.model.schema:
         w.field(tag, name, getattr(model, name))
     return w.text()
 
@@ -238,7 +235,7 @@ def loads(text: str):
     entry = REGISTRY.get(kind)
     if entry is None:
         raise IoError(f"unknown model kind {kind!r} in model file")
-    fields = {name: r.field(tag, name) for tag, name in entry.schema}
+    fields = {name: r.field(tag, name) for tag, name in entry.model.schema}
     r.end()
     try:
         return entry.model(**fields, n_features=r.n_features)

@@ -8,14 +8,15 @@ and a second-order gain rule for j; the stop test is the maximal KKT
 violation Gmax + Gmax2 dropping below tol.
 
 Hitting max_iterations is not an error: the best iterate is returned
-with ``converged`` False so callers can decide what to do with it.
+with ``converged`` False so callers can decide what to do with it. A cap
+of 0 returns the starting iterate.
 """
 
 from collections import OrderedDict
 
 import numpy as np
 
-from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+from .base import (AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
                    require_finite)
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
@@ -61,28 +62,17 @@ class _RowCache:
 
 class SVRModel(TrainedModel):
     kind = "SVR"
+    schema = (("float", "bias"), ("float", "gamma"), ("float", "C"),
+              ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
+              ("float", "kkt_violation"), ("float", "dual_objective"),
+              ("array", "sv_coef"), ("matrix", "sv_X"))
 
-    def __init__(self, sv_X, sv_coef, bias, gamma, C, epsilon, converged,
-                 iterations, kkt_violation, n_features, dual_objective):
-        sv_X = np.array(sv_X, dtype=np.float64)
-        sv_coef = np.array(sv_coef, dtype=np.float64)
-        super().__init__(n_features, sv_X.shape[1])
-        if sv_coef.shape != sv_X.shape[:1]:
+    def _check_fields(self):
+        if self.sv_coef.shape != self.sv_X.shape[:1]:
             raise ValueError("sv_coef needs one weight per support vector")
         # kkt_violation and dual_objective may be infinite (no SMO step yet)
-        require_finite(sv_X=sv_X, sv_coef=sv_coef, bias=bias, gamma=gamma)
-        sv_X.flags.writeable = False
-        sv_coef.flags.writeable = False
-        self.sv_X = sv_X
-        self.sv_coef = sv_coef
-        self.bias = float(bias)
-        self.gamma = float(gamma)
-        self.C = float(C)
-        self.epsilon = float(epsilon)
-        self.converged = bool(converged)
-        self.iterations = int(iterations)
-        self.kkt_violation = float(kkt_violation)
-        self.dual_objective = float(dual_objective)
+        require_finite(sv_X=self.sv_X, sv_coef=self.sv_coef, bias=self.bias, gamma=self.gamma)
+        return self.sv_X.shape[1]
 
     @property
     def n_support(self):
@@ -222,7 +212,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
     """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
     X, y = as_design(X, y)
-    SVR.check(C=C, epsilon=epsilon)
+    SVR.check(C=C, epsilon=epsilon, gamma=gamma, tol=tol, max_iterations=max_iterations)
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -247,9 +237,9 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     beta = z[:n] - z[n:]
     bias = _bias(G, s, z, C)
     keep = beta != 0.0
-    model = SVRModel(X[keep], beta[keep], bias, gamma, C, epsilon, converged,
-                     it, float(violation), X.shape[1],
-                     -0.5 * float(z @ (G + p)))
+    model = SVRModel(X.shape[1], sv_X=X[keep], sv_coef=beta[keep], bias=bias, gamma=gamma,
+                     C=C, epsilon=epsilon, converged=converged, iterations=it,
+                     kkt_violation=violation, dual_objective=-0.5 * float(z @ (G + p)))
     model._dual_z = z  # full (alpha; alpha*) iterate, for KKT auditing
     return model
 
@@ -258,10 +248,6 @@ SVR = ModelKind(
     fit=fit_svr,
     rules={"C": POSITIVE, "epsilon": NON_NEGATIVE,
            "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
-           "tol": POSITIVE, "max_iterations": AT_LEAST_ONE},
-    schema=(("float", "bias"), ("float", "gamma"), ("float", "C"),
-            ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
-            ("float", "kkt_violation"), ("float", "dual_objective"),
-            ("array", "sv_coef"), ("matrix", "sv_X")),
+           "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO},
     model=SVRModel,
 )

@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, ModelKind, TrainedModel, as_design, is_count, require_finite
+from .base import AT_LEAST_ONE, DEPTH, ModelKind, TrainedModel, as_design, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -146,28 +146,21 @@ def route(arrays, X):
 class TreeModel(TrainedModel):
     """CART regression tree stored as flat parallel arrays.
 
-    ``max_depth`` is the fit's depth limit, -1 when unlimited.
+    ``arrays`` holds the tree's ``TREE_PARTS``. ``max_depth`` is the
+    fit's depth limit, -1 when unlimited.
     """
 
     kind = "DT"
+    schema = (("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays"))
     rowwise = True  # each row walks the tree alone
 
-    def __init__(self, max_depth, min_samples_leaf, arrays, n_features):
-        super().__init__(n_features)
-        self.feature, self.threshold, self.left, self.right, self.value = (
-            np.asarray(a) for a in arrays
-        )
-        require_finite(threshold=self.threshold, value=self.value)
-        self.max_depth = int(max_depth)
-        self.min_samples_leaf = int(min_samples_leaf)
-
-    @property
-    def arrays(self):
-        return (self.feature, self.threshold, self.left, self.right, self.value)
+    def _check_fields(self):
+        _, threshold, _, _, value = self.arrays
+        require_finite(threshold=threshold, value=value)
 
     @property
     def n_nodes(self) -> int:
-        return self.feature.size
+        return self.arrays[0].size
 
     def _predict_batch(self, X):
         return route(self.arrays, X)
@@ -190,15 +183,12 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
-    return TreeModel(-1 if max_depth is None else max_depth, min_samples_leaf, arrays,
-                     X.shape[1])
+    return TreeModel(X.shape[1], max_depth=-1 if max_depth is None else max_depth,
+                     min_samples_leaf=min_samples_leaf, arrays=arrays)
 
 
 DT = ModelKind(
     fit=fit_dt,
-    rules={"max_depth": (lambda v: v is None or is_count(v) and v >= 0,
-                         "must be None or an integer >= 0"),
-           "min_samples_leaf": AT_LEAST_ONE},
-    schema=(("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays")),
+    rules={"max_depth": DEPTH, "min_samples_leaf": AT_LEAST_ONE},
     model=TreeModel,
 )

@@ -228,6 +228,12 @@ def test_fresh_run_reproduces_identical_bytes(sweep_report, tmp_path):
 
 @pytest.mark.parametrize("noise", [
     dict(noise_target="FEATURES"),
+    # Only the 100% step's rows reach a series file, and there every row is
+    # re-predicted. So a splice that rounds an attacked row differently
+    # shows only in the RMSE grid, where unit noise hides it: such rows lie
+    # far from the training rows, GPR predicts about 0 there, and a changed
+    # last bit vanishes in the RMSE. Small noise keeps them in reach.
+    dict(noise_target="FEATURES", noise_std=0.1),
     dict(noise_target="POWER"),
     dict(noise_target="BOTH", noise_columns=("ssrd", "t2m", "tcc")),
 ])

@@ -79,7 +79,7 @@ def test_refit_is_deterministic(rng):
     b = fit_gbrt(X, y, rounds=10)
     queries = rng.normal(size=(20, 5))
     np.testing.assert_array_equal(a.predict_batch(queries), b.predict_batch(queries))
-    assert a.train_loss_history == b.train_loss_history
+    np.testing.assert_array_equal(a.train_loss_history, b.train_loss_history)
 
 
 def test_zero_rounds_rejected():

@@ -3,8 +3,9 @@
 ``tests/data/golden/sweep/`` is the emitted tree of a small all-kinds
 noise sweep (``synth_n=600``, seed 42) and ``versions.json`` records the
 numpy and scipy versions that wrote it. The test regenerates the tree in
-a fresh process pinned to one BLAS thread, because GPR and MLPR bytes
-depend on the thread count.
+a fresh process with no BLAS thread variable set. GPR and MLPR bytes
+depend on the thread count, so this checks that ``import pvfdi`` pins
+one BLAS thread by itself.
 
 Under the recorded versions the trees must match byte for byte. Under
 other versions the file set, every non-numeric token and every CSV shape
@@ -45,14 +46,24 @@ def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def generate(out_dir: Path):
-    """Emit the golden sweep into ``out_dir`` from a fresh one-thread process."""
-    env = dict(os.environ)
-    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**values) -> dict:
+    """This environment without the BLAS thread variables, plus ``values``,
+    with the source tree first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(values)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def generate(out_dir: Path):
+    """Emit the golden sweep into ``out_dir`` from a fresh process that sets
+    no BLAS thread count, so pvfdi's own default applies."""
     subprocess.run([sys.executable, "-c", GENERATE, str(out_dir)],
-                   env=env, check=True, timeout=300)
+                   env=child_env(), check=True, timeout=300)
 
 
 def tree_files(root: Path) -> dict:
@@ -107,6 +118,14 @@ def test_golden_sweep_reproduces(tmp_path):
             f"golden run recorded under {recorded}, running {versions()}: compared "
             f"structure exactly and numbers to rtol={RTOL}, not bytes")
         assert tolerance_mismatches(expected, actual) == []
+
+
+def test_import_keeps_a_thread_count_the_environment_sets():
+    probe = ("import os, pvfdi; print(os.environ['OPENBLAS_NUM_THREADS'], "
+             "os.environ['OMP_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(OPENBLAS_NUM_THREADS="2"),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["2", "1"]
 
 
 def test_tolerance_comparison_tells_drift_from_rounding():

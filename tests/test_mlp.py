@@ -60,9 +60,8 @@ def test_zero_weights_output_is_b2():
     W1 = np.zeros((12, 5))
     b1 = np.zeros(5)
     W2 = np.zeros(5)
-    params = (W1, b1, W2, 1.75)
     X = np.random.default_rng(0).normal(size=(6, 12))
-    model = MLPRModel(*params, [], False, n_features=12)
+    model = MLPRModel(12, W1=W1, b1=b1, W2=W2, b2=1.75, loss_history=[], stopped_early=False)
 
     np.testing.assert_array_equal(model.predict_batch(X), 1.75)
 

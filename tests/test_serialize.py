@@ -103,6 +103,45 @@ def test_round_trip_preserves_predictions(kind, fitted_models, tmp_path):
     )
 
 
+def stored_arrays(value, path):
+    """(path, array) for every array in a field, tree parts included."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from stored_arrays(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("reloaded", [False, True], ids=["fitted", "reloaded"])
+@pytest.mark.parametrize("kind", DEFAULT_KINDS)
+def test_model_holds_exactly_its_schema_read_only(kind, reloaded, fitted_models):
+    models, test = fitted_models
+    model = models[kind]
+    copy = loads(dumps(model))
+    if reloaded:
+        model, copy = copy, model
+    fields = {name: getattr(model, name) for _, name in model.schema}
+    for name, value in fields.items():
+        assert type(value) is type(getattr(copy, name)), name
+    expected = model.predict_batch(test.features)
+    arrays = [pair for name, value in fields.items() for pair in stored_arrays(value, name)]
+    assert arrays
+    for path, values in arrays:
+        assert values.dtype == (np.intp if values.dtype.kind == "i" else np.float64), path
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 7
+    np.testing.assert_array_equal(model.predict_batch(test.features), expected)
+
+    cls, width = type(model), model.training_feature_count
+    rebuilt = cls(width, **fields)
+    np.testing.assert_array_equal(rebuilt.predict_batch(test.features), expected)
+    for name in fields:
+        with pytest.raises(TypeError):
+            cls(width, **{k: v for k, v in fields.items() if k != name})
+    with pytest.raises(TypeError):
+        cls(width, **fields, extra=0)
+
+
 @pytest.mark.parametrize("kind", DEFAULT_KINDS)
 def test_text_round_trip_is_stable(kind, fitted_models):
     models, _ = fitted_models

@@ -70,6 +70,19 @@ def test_out_of_range_values_rejected():
         ModelSpec("MLPR", {"hidden": 0})
 
 
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, entry in REGISTRY.items()
+                                       for name in entry.rules])
+def test_fit_routine_checks_every_rule(kind, name):
+    # a direct call refuses what ModelSpec refuses, before any fitting
+    ok, _ = REGISTRY[kind].rules[name]
+    refused = [v for v in (-1, 0, 2.5) if not ok(v)]
+    assert refused
+    X = np.random.default_rng(0).normal(size=(30, 3))
+    for value in refused:
+        with pytest.raises(ValueError, match=name):
+            REGISTRY[kind].fit(X, X[:, 0], **{name: value})
+
+
 COUNT_HYPERPARAMETERS = [
     ("KNN", "k"), ("LASSO", "max_sweeps"), ("GPR", "max_points"),
     ("DT", "min_samples_leaf"), ("DT", "max_depth"),

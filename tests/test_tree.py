@@ -116,7 +116,7 @@ def test_gbrt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf, 
         assert_same_tree(arrays, expected)
         yhat += hp["learning_rate"] * route(expected, X)
         history.append(float(np.mean((yhat - y) ** 2)))
-    assert model.train_loss_history == tuple(history)
+    assert tuple(model.train_loss_history) == tuple(history)
 
 
 def training_sse(model, X, y) -> float:
@@ -161,7 +161,7 @@ def test_four_point_root_threshold():
     y = np.array([0.0, 0.0, 1.0, 1.0])
     model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
     # the only zero-SSE root split is between 1 and 2
-    assert model.threshold[0] == pytest.approx(1.5)
+    assert model.arrays[1][0] == pytest.approx(1.5)
     assert training_sse(model, X, y) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -170,7 +170,7 @@ def test_equal_gains_pick_lowest_feature_then_threshold():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 1.0, 1.0, 0.0])
     model = fit_dt(X, y, max_depth=1, min_samples_leaf=1)
-    assert (model.feature[0], model.threshold[0]) == (0, 0.5)
+    assert (model.arrays[0][0], model.arrays[1][0]) == (0, 0.5)
     assert_same_tree(model.arrays, reference_grow_tree(X, y, max_depth=1))
 
 
