@@ -220,7 +220,6 @@ def cmd_inject(args) -> int:
     dataset = load_csv(args.data)
     given = {"fraction": args.fraction, "seed": args.seed,
              **{key: getattr(args, name) for name, _, key, *_ in _NOISE_SETTINGS}}
-    given["columns"] = given["columns"] or None  # '' means every column
     try:
         # only the flags given reach NoiseConfig, so its defaults are the only ones
         cfg = NoiseConfig(**{k: v for k, v in given.items() if v is not None})

@@ -24,6 +24,7 @@ from .errors import IoError, ZeroBaseline
 from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
+from .regressors.base import is_count
 from .rng import derive_seed
 
 __all__ = [
@@ -45,7 +46,9 @@ class ExperimentConfig:
     ``data_path`` None means synthetic data of ``synth_n`` samples. All
     randomness (synth draw, split, noise, model seeds) flows from
     ``seed`` through purpose-labeled streams unless individual
-    ModelSpecs carry their own seeds.
+    ModelSpecs carry their own seeds. Construction raises ValueError for
+    fractions that do not start at 0.0 or that repeat, and for a
+    non-integer ``repeats`` or ``synth_n``; empty ``noise_columns`` become None.
     """
 
     data_path: str | None = None
@@ -67,17 +70,22 @@ class ExperimentConfig:
             raise ValueError("fractions must start with 0.0")
         if any(not 0.0 <= f <= 1.0 for f in fractions):
             raise ValueError("fractions must lie in [0, 1]")
+        if len(set(fractions)) != len(fractions):
+            raise ValueError("fractions must not repeat")
         object.__setattr__(self, "fractions", fractions)
         if self.models is not None:
             models = tuple(self.models)
             if not models:
                 raise ValueError("at least one model is required")
             object.__setattr__(self, "models", models)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        if not (is_count(self.repeats) and self.repeats >= 1):
+            raise ValueError("repeats must be an integer >= 1")
+        if not is_count(self.synth_n):
+            raise ValueError("synth_n must be an integer")
         # fail fast on bad noise parameters; fraction filled per sweep step
-        NoiseConfig(fraction=0.0, mean=self.noise_mean, std=self.noise_std,
-                    target=self.noise_target, columns=self.noise_columns)
+        noise = NoiseConfig(fraction=0.0, mean=self.noise_mean, std=self.noise_std,
+                            target=self.noise_target, columns=self.noise_columns)
+        object.__setattr__(self, "noise_columns", noise.columns)
 
     def model_specs(self) -> tuple:
         if self.models is not None:

@@ -26,6 +26,7 @@ class NoiseConfig:
     ``fraction`` of the rows (round-half-up) receive noise; ``target``
     picks which cells inside those rows are hit, and ``columns`` can
     narrow FEATURES/BOTH injection to a subset of the twelve features.
+    None or an empty ``columns`` means all twelve.
     """
 
     fraction: float
@@ -42,7 +43,9 @@ class NoiseConfig:
             raise ValueError(f"std must be >= 0, got {self.std!r}")
         if self.target not in NOISE_TARGETS:
             raise ValueError(f"target must be one of {NOISE_TARGETS}, got {self.target!r}")
-        if self.columns is not None:
+        if not self.columns:
+            object.__setattr__(self, "columns", None)
+        else:
             columns = tuple(self.columns)
             unknown = set(columns) - set(FEATURE_NAMES)
             if unknown:

@@ -1,13 +1,10 @@
 """The eight-model regression suite behind one (spec, dataset) interface.
 
-Each kind has a from-scratch fitting routine in its own module, which
-also declares the kind's registry entry: the routine, whose keyword
-defaults are the kind's hyperparameters, their range rules, which the
-routine checks, and the model class, whose ``kind`` names the entry and
-whose ``schema`` lists the model file's fields, which are also its
-constructor's keywords. This package adds the ModelSpec record (kind +
-hyperparameters + seed), validated against that entry, and dispatches
-fit calls through it.
+Each kind is one TrainedModel subclass, declared in its own module next
+to its from-scratch fitting routine, which the class carries as ``fit``
+along with the kind's rules and model-file schema. This package adds the
+ModelSpec record (kind + hyperparameters + seed), validated against that
+class, and dispatches fit calls through it.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +43,7 @@ DEFAULT_KINDS = tuple(REGISTRY)
 KINDS = frozenset(DEFAULT_KINDS)
 
 
-def _entry(kind: str):
+def _model_class(kind: str):
     try:
         return REGISTRY[kind]
     except KeyError:
@@ -55,7 +52,7 @@ def _entry(kind: str):
 
 def default_hyperparameters(kind: str) -> dict:
     """Copy of the documented defaults for one model kind."""
-    return dict(_entry(kind).defaults)
+    return _model_class(kind).defaults()
 
 
 @dataclass(frozen=True)
@@ -73,16 +70,17 @@ class ModelSpec:
 
     def __post_init__(self):
         hp = dict(self.hyperparameters) if self.hyperparameters else {}
-        entry = _entry(self.kind)
-        unknown = set(hp) - set(entry.defaults)
+        cls = _model_class(self.kind)
+        defaults = cls.defaults()
+        unknown = set(hp) - set(defaults)
         if unknown:
             raise InvalidSpec(f"{self.kind} does not accept hyperparameters {sorted(unknown)}")
-        entry.check(**{**entry.defaults, **hp})
+        cls.check(**{**defaults, **hp})
         object.__setattr__(self, "hyperparameters", hp)
 
     def effective_hyperparameters(self) -> dict:
         """Defaults overlaid with this spec's overrides."""
-        return {**REGISTRY[self.kind].defaults, **self.hyperparameters}
+        return {**REGISTRY[self.kind].defaults(), **self.hyperparameters}
 
 
 def fit(spec: ModelSpec, train) -> TrainedModel:

@@ -1,9 +1,7 @@
-"""Uniform predict contract and registry entry shared by every model kind."""
+"""The model class every kind subclasses: its file fields, rules, fit and predict contract."""
 
-from dataclasses import dataclass
 from inspect import signature
 from numbers import Integral
-from typing import Callable
 
 import numpy as np
 
@@ -83,24 +81,31 @@ def _tree(arrays):
     return tuple(_STORE[tag](part) for (tag, _), part in zip(TREE_PARTS, arrays))
 
 
-# a schema tag's stored form: the type its file field has, arrays read-only
-_STORE = {"int": int, "float": float, "array": _frozen, "matrix": _frozen,
+# a schema tag's stored form: the type its file field has, arrays read-only;
+# a "depth" is a tree depth limit, None for none (the file writes -1)
+_STORE = {"int": int, "float": float, "depth": lambda v: None if v is None else int(v),
+          "array": _frozen, "matrix": _frozen,
           "iarray": lambda values: _frozen(values, np.intp), "tree": _tree,
           "trees": lambda trees: tuple(map(_tree, trees))}
 
 
 class TrainedModel:
-    """A fitted model exposing deterministic batch prediction.
+    """A model kind: its fitting routine and rules, and a fitted model of it.
 
     Subclasses set ``kind``, list the model file's (tag, name) fields in
-    file order as ``schema``, and implement ``_predict_batch`` over a
-    validated (n, d) array. The constructor takes exactly the schema's
-    names plus ``n_features`` (TypeError otherwise) and stores each field
-    in its tag's ``_STORE`` form, so instances are immutable and a
-    reloaded copy holds the same types. ``_check_fields`` then raises
-    ValueError for fields prediction cannot use and returns the feature
-    count they hold, or None; that count must equal ``n_features``.
-    Predict is reentrant.
+    file order as ``schema``, map hyperparameters to (predicate,
+    requirement) pairs as ``rules``, set ``fit`` to their fitting routine
+    and implement ``_predict_batch`` over a validated (n, d) array.
+    ``fit(X, y, **hp)``, plus ``seed=`` when it takes one, checks the
+    rules; its keyword defaults, ``seed`` aside, are ``defaults()``.
+
+    The constructor takes exactly the schema's names plus ``n_features``
+    (TypeError otherwise) and stores each field in its tag's ``_STORE``
+    form, so instances are immutable and a reloaded copy holds the same
+    types. Each field a rule names must pass it (InvalidSpec), and
+    ``_check_fields`` raises ValueError or a ModelError for fields
+    prediction cannot use and returns the feature count they hold, or
+    None; that count must equal ``n_features``. Predict is reentrant.
 
     ``predict_rows(X, rows)`` equals ``predict_batch(X)[rows]``, bit for
     bit, for ascending row indices ``rows``; the noise sweep calls it
@@ -117,6 +122,7 @@ class TrainedModel:
 
     kind = "?"
     schema = ()
+    rules = {}
     rowwise = False
 
     def __init__(self, n_features: int, **fields):
@@ -125,11 +131,25 @@ class TrainedModel:
             raise TypeError(f"{type(self).__name__} takes the fields {names}, "
                             f"not {sorted(fields)}")
         self._n_features = int(n_features)
+        self.check(**fields)  # before storing, so a count of 2.5 is refused, not truncated
         for tag, name in self.schema:
             setattr(self, name, _STORE[tag](fields[name]))
         width = self._check_fields()
         if width is not None and width != self._n_features:
             raise ValueError(f"declares {self._n_features} features, its fields hold {width}")
+
+    @classmethod
+    def defaults(cls) -> dict:
+        """Every accepted hyperparameter mapped to its default, in signature order."""
+        return {name: p.default for name, p in signature(cls.fit).parameters.items()
+                if p.default is not p.empty and name != "seed"}
+
+    @classmethod
+    def check(cls, **hp):
+        """Raise InvalidSpec for the first given hyperparameter out of range."""
+        for key, (ok, requirement) in cls.rules.items():
+            if key in hp and not ok(hp[key]):
+                raise InvalidSpec(f"{cls.kind} {key} {requirement}")
 
     def _check_fields(self) -> int | None:
         return None
@@ -160,36 +180,3 @@ class TrainedModel:
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-
-@dataclass(frozen=True)
-class ModelKind:
-    """Everything the suite knows about one model kind, declared once.
-
-    ``fit`` is the kind's fitting routine, called as ``fit(X, y, **hp)``
-    plus ``seed=`` when it takes one; its keyword parameters with
-    defaults, ``seed`` aside, are the kind's hyperparameters.
-    ``rules`` maps a hyperparameter to a (predicate, requirement) pair;
-    the routine checks them all, as does ModelSpec. ``model`` is the
-    TrainedModel class the routine returns: its ``kind`` is the entry's
-    name and its ``schema`` the model file's fields.
-    """
-
-    fit: Callable
-    rules: dict
-    model: type
-
-    @property
-    def name(self) -> str:
-        return self.model.kind
-
-    @property
-    def defaults(self) -> dict:
-        """Every accepted hyperparameter mapped to its default, in signature order."""
-        return {name: p.default for name, p in signature(self.fit).parameters.items()
-                if p.default is not p.empty and name != "seed"}
-
-    def check(self, **hp):
-        """Raise InvalidSpec for the first given hyperparameter out of range."""
-        for key, (ok, requirement) in self.rules.items():
-            if key in hp and not ok(hp[key]):
-                raise InvalidSpec(f"{self.name} {key} {requirement}")

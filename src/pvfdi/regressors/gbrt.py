@@ -11,9 +11,9 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import (AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+from .base import (AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
                    require_finite)
-from .tree import grow_tree, presort, route
+from .tree import check_tree, grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
 
@@ -25,12 +25,15 @@ class GBRTModel(TrainedModel):
     schema = (("float", "base_score"), ("float", "learning_rate"),
               ("float", "reg_lambda"), ("float", "gamma"),
               ("array", "train_loss_history"), ("trees", "trees"))
+    rules = {"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
+             "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
+             "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE}
     rowwise = True  # per-row tree walks summed elementwise
 
     def _check_fields(self):
         require_finite(base_score=self.base_score, learning_rate=self.learning_rate)
-        for t, (_, threshold, _, _, value) in enumerate(self.trees):
-            require_finite(**{f"tree{t}.threshold": threshold, f"tree{t}.value": value})
+        for arrays in self.trees:
+            check_tree(arrays, self._n_features)
 
     @property
     def rounds(self) -> int:
@@ -53,8 +56,8 @@ def fit_gbrt(
     gamma: float = 0.0,
     min_samples_leaf: int = 1,
 ) -> GBRTModel:
-    GBRT.check(rounds=rounds, learning_rate=learning_rate, max_depth=max_depth,
-               reg_lambda=reg_lambda, gamma=gamma, min_samples_leaf=min_samples_leaf)
+    GBRTModel.check(rounds=rounds, learning_rate=learning_rate, max_depth=max_depth,
+                    reg_lambda=reg_lambda, gamma=gamma, min_samples_leaf=min_samples_leaf)
     X, y = as_design(X, y)
 
     columns = presort(X)  # X is fixed, so every round shares one sort
@@ -81,10 +84,4 @@ def fit_gbrt(
                      reg_lambda=reg_lambda, gamma=gamma, train_loss_history=history, trees=trees)
 
 
-GBRT = ModelKind(
-    fit=fit_gbrt,
-    rules={"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
-           "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
-           "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE},
-    model=GBRTModel,
-)
+GBRTModel.fit = staticmethod(fit_gbrt)

@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
                    require_finite, row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
@@ -50,6 +50,8 @@ class GPRModel(TrainedModel):
     schema = (("float", "length_scale"), ("float", "noise_variance"),
               ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
               ("matrix", "X_train"))
+    rules = {"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
+             "max_points": AT_LEAST_ONE}
 
     def _check_fields(self):
         if self.alpha.shape != self.X_train.shape[:1]:
@@ -104,7 +106,7 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     if the kernel matrix cannot be factored even at the largest jitter.
     """
     X, y = as_design(X, y)
-    GPR.check(length_scale=length_scale, noise_variance=noise_variance, max_points=max_points)
+    GPRModel.check(length_scale=length_scale, noise_variance=noise_variance, max_points=max_points)
 
     subsampled = X.shape[0] > max_points
     if subsampled:
@@ -131,9 +133,4 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     raise NotPositiveDefinite(_JITTERS[-1])
 
 
-GPR = ModelKind(
-    fit=fit_gpr,
-    rules={"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
-           "max_points": AT_LEAST_ONE},
-    model=GPRModel,
-)
+GPRModel.fit = staticmethod(fit_gpr)

@@ -34,8 +34,7 @@ fewer than k groups, and every column is a tail column.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import (AT_LEAST_ONE, ModelKind, TrainedModel, as_design, require_finite,
-                   row_products)
+from .base import AT_LEAST_ONE, TrainedModel, as_design, require_finite, row_products
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -46,11 +45,14 @@ _GROUP = 20  # columns per group of the selection filter
 class KNNModel(TrainedModel):
     kind = "KNN"
     schema = (("int", "k"), ("array", "y_train"), ("matrix", "X_train"))
+    rules = {"k": AT_LEAST_ONE}
     rowwise = True  # a row's distances and selection involve no other row
 
     def _check_fields(self):
         if self.y_train.shape != self.X_train.shape[:1]:
             raise ValueError("y_train needs one target per training row")
+        if self.k > self.y_train.size:
+            raise KTooLarge(self.k, self.y_train.size)
         require_finite(X_train=self.X_train, y_train=self.y_train)
         return self.X_train.shape[1]
 
@@ -94,10 +96,7 @@ class KNNModel(TrainedModel):
 
 def fit_knn(X, y, k: int = 2) -> KNNModel:
     X, y = as_design(X, y)
-    KNN.check(k=k)
-    if k > X.shape[0]:
-        raise KTooLarge(k, X.shape[0])
     return KNNModel(X.shape[1], X_train=X, y_train=y, k=k)
 
 
-KNN = ModelKind(fit=fit_knn, rules={"k": AT_LEAST_ONE}, model=KNNModel)
+KNNModel.fit = staticmethod(fit_knn)

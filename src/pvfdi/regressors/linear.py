@@ -9,8 +9,7 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
-                   require_finite)
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, as_design, require_finite
 
 __all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
 
@@ -29,6 +28,7 @@ class LinearModel(TrainedModel):
 
 class LassoModel(LinearModel):
     kind = "LASSO"
+    rules = {"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE}
 
 
 def fit_lr(X, y) -> LinearModel:
@@ -44,6 +44,9 @@ def fit_lr(X, y) -> LinearModel:
     y_mean = y.mean()
     coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
     return LinearModel(X.shape[1], coefficients=coef, bias=y_mean - x_mean @ coef)
+
+
+LinearModel.fit = staticmethod(fit_lr)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -72,7 +75,7 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
     unpenalized (handled by centering). With lam=0 this reduces to
     coordinate-descent least squares.
     """
-    LASSO.check(lam=lam, tol=tol, max_sweeps=max_sweeps)
+    LassoModel.check(lam=lam, tol=tol, max_sweeps=max_sweeps)
     X, y = as_design(X, y)
     n, d = X.shape
     x_mean = X.mean(axis=0)
@@ -102,10 +105,4 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
     return LassoModel(d, coefficients=theta, bias=y_mean - x_mean @ theta)
 
 
-LR = ModelKind(fit=fit_lr, rules={}, model=LinearModel)
-
-LASSO = ModelKind(
-    fit=fit_lasso,
-    rules={"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE},
-    model=LassoModel,
-)
+LassoModel.fit = staticmethod(fit_lasso)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, POSITIVE, ModelKind, TrainedModel, as_design, require_finite
+from .base import AT_LEAST_ONE, POSITIVE, TrainedModel, as_design, require_finite
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -116,6 +116,8 @@ class MLPRModel(TrainedModel):
     kind = "MLPR"
     schema = (("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
               ("array", "b1"), ("array", "W2"), ("matrix", "W1"))
+    rules = {"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
+             "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE}
 
     def _check_fields(self):
         W1 = self.W1
@@ -148,8 +150,8 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     NonFiniteLoss if the loss leaves the reals (divergence).
     """
     X, y = as_design(X, y)
-    MLPR.check(hidden=hidden, learning_rate=learning_rate, max_epochs=max_epochs, tol=tol,
-               patience=patience)
+    MLPRModel.check(hidden=hidden, learning_rate=learning_rate, max_epochs=max_epochs, tol=tol,
+                    patience=patience)
     params = init_params(X.shape[1], hidden, seed)
 
     a1 = np.empty((X.shape[0], hidden))
@@ -193,9 +195,4 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
                      stopped_early=stopped_early)
 
 
-MLPR = ModelKind(
-    fit=fit_mlpr,
-    rules={"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
-           "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE},
-    model=MLPRModel,
-)
+MLPRModel.fit = staticmethod(fit_mlpr)

@@ -1,11 +1,12 @@
-"""The suite's model kinds, one entry each, in benchmark-table order."""
+"""The suite's model kinds, one model class each, in benchmark-table order."""
 
-from .gbrt import GBRT
-from .gpr import GPR
-from .knn import KNN
-from .linear import LASSO, LR
-from .mlp import MLPR
-from .svr import SVR
-from .tree import DT
+from .gbrt import GBRTModel
+from .gpr import GPRModel
+from .knn import KNNModel
+from .linear import LassoModel, LinearModel
+from .mlp import MLPRModel
+from .svr import SVRModel
+from .tree import TreeModel
 
-REGISTRY = {entry.name: entry for entry in (LR, GPR, KNN, DT, GBRT, SVR, MLPR, LASSO)}
+REGISTRY = {cls.kind: cls for cls in (LinearModel, GPRModel, KNNModel, TreeModel, GBRTModel,
+                                      SVRModel, MLPRModel, LassoModel)}

@@ -16,19 +16,19 @@ Floats are written with float.hex(), so reload is bit-exact. After the
 header come the fields of the model class's ``schema``, in schema order.
 Each schema name is an attribute of the class and a keyword of its
 constructor: dumping reads the attributes, and loading calls the class
-with the parsed fields and ``n_features``. A "tree" field is written as
-its ``TREE_PARTS``, unprefixed; a "trees" field as "int rounds" followed
-by one "tree{t}."-prefixed block per tree. Every model kind in the suite
+with the parsed fields and ``n_features``. A "depth" field is an int
+line, -1 for no limit; a "tree" field is written as its ``TREE_PARTS``,
+unprefixed; a "trees" field as "int rounds" followed by one
+"tree{t}."-prefixed block per tree. Every model kind in the suite
 round-trips through save_model/load_model to a model with identical
-predictions and fields of the same types. Loading checks each field
-name, the closing ``end`` line, and that every tree routes each row to a
-leaf; the constructor checks the fields against each other and the
-declared feature count. A malformed file raises IoError.
+predictions and fields of the same types. Loading only parses, checking
+each field name and the closing ``end`` line; the constructor then checks
+the fields as it checks a fitted model's. A malformed file raises IoError.
 """
 
 import numpy as np
 
-from ..errors import IoError
+from ..errors import IoError, ModelError
 from .base import TREE_PARTS
 from .registry import REGISTRY
 
@@ -59,6 +59,9 @@ class _Writer:
 
     def _float(self, name, value):
         self.lines.append(f"float {name} {float(value).hex()}")
+
+    def _depth(self, name, value):
+        self._int(name, -1 if value is None else value)
 
     def _array(self, name, values):
         values = np.asarray(values, dtype=np.float64).ravel()
@@ -116,20 +119,19 @@ class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
-        self.n_features = 0
 
     def header(self):
-        """Check the magic line, record the feature count, return the kind."""
+        """Check the magic line; return the kind and the feature count."""
         magic = self._next().split()
         if magic[:1] != [_MAGIC] or len(magic) != 2:
             raise IoError("not a model file: bad magic line")
         if _parse_int(magic[1]) != FORMAT_VERSION:
             raise IoError(f"unsupported model format version {magic[1]}")
         kind = self._str("kind")
-        self.n_features = self._int("n_features")
-        if self.n_features < 0:
-            raise IoError(f"negative n_features {self.n_features}")
-        return kind
+        n_features = self._int("n_features")
+        if n_features < 0:
+            raise IoError(f"negative n_features {n_features}")
+        return kind, n_features
 
     def field(self, tag, name):
         return getattr(self, "_" + tag)(name)
@@ -161,6 +163,10 @@ class _Reader:
 
     def _float(self, name):
         return _parse_float(self._payload("float", name))
+
+    def _depth(self, name):
+        value = self._int(name)
+        return None if value == -1 else value
 
     def _values(self, tag, name, parse):
         count, _, body = self._payload(tag, name).partition(":")
@@ -198,32 +204,16 @@ class _Reader:
         return [self._tree_arrays(f"tree{t}.") for t in range(rounds)]
 
     def _tree_arrays(self, prefix):
-        arrays = tuple(self.field(tag, prefix + part) for tag, part in TREE_PARTS)
-        feature, _, left, right, _ = arrays
-        n = feature.size
-        if n == 0 or any(a.size != n for a in arrays):
-            raise IoError(f"{prefix}* tree arrays must be non-empty and of equal length")
-        node = np.arange(n)
-        # children numbered after their parent, as grow_tree does, so
-        # routing a row always reaches a leaf
-        valid = np.where(
-            feature >= 0,
-            (feature < self.n_features) & (node < left) & (left < n)
-            & (node < right) & (right < n),
-            (feature == -1) & (left == -1) & (right == -1),
-        )
-        if not valid.all():
-            raise IoError(f"{prefix}* tree node {int(np.argmin(valid))} is malformed")
-        return arrays
+        return tuple(self.field(tag, prefix + part) for tag, part in TREE_PARTS)
 
 
 def dumps(model) -> str:
     """Serialize a trained model to the versioned text format."""
-    entry = REGISTRY.get(model.kind)
-    if entry is None:
+    cls = REGISTRY.get(model.kind)
+    if cls is None:
         raise IoError(f"cannot serialize model kind {model.kind!r}")
     w = _Writer(model.kind, model.training_feature_count)
-    for tag, name in entry.model.schema:
+    for tag, name in cls.schema:
         w.field(tag, name, getattr(model, name))
     return w.text()
 
@@ -231,15 +221,15 @@ def dumps(model) -> str:
 def loads(text: str):
     """Rebuild a trained model from its text serialization."""
     r = _Reader(text)
-    kind = r.header()
-    entry = REGISTRY.get(kind)
-    if entry is None:
+    kind, n_features = r.header()
+    cls = REGISTRY.get(kind)
+    if cls is None:
         raise IoError(f"unknown model kind {kind!r} in model file")
-    fields = {name: r.field(tag, name) for tag, name in entry.model.schema}
+    fields = {name: r.field(tag, name) for tag, name in cls.schema}
     r.end()
     try:
-        return entry.model(**fields, n_features=r.n_features)
-    except ValueError as exc:
+        return cls(**fields, n_features=n_features)
+    except (ValueError, ModelError) as exc:
         raise IoError(f"inconsistent {kind} model file: {exc}") from None
 
 

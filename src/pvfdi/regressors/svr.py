@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .base import (AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, ModelKind, TrainedModel, as_design,
+from .base import (AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
                    require_finite)
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
@@ -66,6 +66,9 @@ class SVRModel(TrainedModel):
               ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
               ("float", "kkt_violation"), ("float", "dual_objective"),
               ("array", "sv_coef"), ("matrix", "sv_X"))
+    rules = {"C": POSITIVE, "epsilon": NON_NEGATIVE,
+             "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
+             "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO}
 
     def _check_fields(self):
         if self.sv_coef.shape != self.sv_X.shape[:1]:
@@ -212,7 +215,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
     """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
     X, y = as_design(X, y)
-    SVR.check(C=C, epsilon=epsilon, gamma=gamma, tol=tol, max_iterations=max_iterations)
+    SVRModel.check(C=C, epsilon=epsilon, gamma=gamma, tol=tol, max_iterations=max_iterations)
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -244,10 +247,4 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     return model
 
 
-SVR = ModelKind(
-    fit=fit_svr,
-    rules={"C": POSITIVE, "epsilon": NON_NEGATIVE,
-           "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
-           "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO},
-    model=SVRModel,
-)
+SVRModel.fit = staticmethod(fit_svr)

@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, DEPTH, ModelKind, TrainedModel, as_design, require_finite
+from .base import AT_LEAST_ONE, DEPTH, TrainedModel, as_design, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -128,8 +128,29 @@ def grow_tree(
     )
 
 
+def check_tree(arrays, n_features):
+    """Raise ValueError unless the tree ``arrays`` route every row to a finite leaf.
+
+    Each split reads a feature below ``n_features`` and numbers both
+    children after itself, as grow_tree does, so a walk cannot loop.
+    """
+    feature, threshold, left, right, value = arrays
+    n = feature.size
+    if n == 0 or any(a.size != n for a in arrays):
+        raise ValueError("tree arrays must be non-empty and of equal length")
+    node = np.arange(n)
+    valid = np.where(
+        feature >= 0,
+        (feature < n_features) & (node < left) & (left < n) & (node < right) & (right < n),
+        (feature == -1) & (left == -1) & (right == -1),
+    )
+    if not valid.all():
+        raise ValueError(f"tree node {int(np.argmin(valid))} is malformed")
+    require_finite(threshold=threshold, value=value)
+
+
 def route(arrays, X):
-    """Leaf value reached by each row of X."""
+    """Leaf value reached by each row of X; ``check_tree`` must accept ``arrays``."""
     feature, threshold, left, right, value = arrays
     idx = np.zeros(X.shape[0], dtype=np.intp)
     active = feature[idx] >= 0
@@ -147,16 +168,16 @@ class TreeModel(TrainedModel):
     """CART regression tree stored as flat parallel arrays.
 
     ``arrays`` holds the tree's ``TREE_PARTS``. ``max_depth`` is the
-    fit's depth limit, -1 when unlimited.
+    fit's depth limit, None when unlimited.
     """
 
     kind = "DT"
-    schema = (("int", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays"))
+    schema = (("depth", "max_depth"), ("int", "min_samples_leaf"), ("tree", "arrays"))
+    rules = {"max_depth": DEPTH, "min_samples_leaf": AT_LEAST_ONE}
     rowwise = True  # each row walks the tree alone
 
     def _check_fields(self):
-        _, threshold, _, _, value = self.arrays
-        require_finite(threshold=threshold, value=value)
+        check_tree(self.arrays, self._n_features)
 
     @property
     def n_nodes(self) -> int:
@@ -174,7 +195,7 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     have zero variance. Leaves predict the node's mean target.
     """
     X, y = as_design(X, y)
-    DT.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    TreeModel.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     arrays = grow_tree(
         presort(X),
         y,
@@ -183,12 +204,8 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
-    return TreeModel(X.shape[1], max_depth=-1 if max_depth is None else max_depth,
-                     min_samples_leaf=min_samples_leaf, arrays=arrays)
+    return TreeModel(X.shape[1], max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                     arrays=arrays)
 
 
-DT = ModelKind(
-    fit=fit_dt,
-    rules={"max_depth": DEPTH, "min_samples_leaf": AT_LEAST_ONE},
-    model=TreeModel,
-)
+TreeModel.fit = staticmethod(fit_dt)

@@ -128,6 +128,24 @@ def test_sweep_flags_match_library_run(tmp_path):
     assert tree_bytes(cli_out) == tree_bytes(lib_out)
 
 
+def test_sweep_empty_noise_columns_hit_every_feature(tmp_path):
+    args = ["sweep", "--n", 120, "--seed", 3, "--models", "LR,KNN"]
+    assert run(args + ["--noise-columns", "", "--out", tmp_path / "empty"]) == 0
+    assert run(args + ["--out", tmp_path / "all"]) == 0
+    assert tree_bytes(tmp_path / "empty") == tree_bytes(tmp_path / "all")
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_repeated_fraction_exits_one(tmp_path, capsys, source):
+    cfg = tmp_path / "pv.ini"
+    cfg.write_text("[experiment]\nfractions = 0, 0.5, 0.5\n")
+    given = ["--fractions", "0,0.5,0.5"] if source == "flag" else ["--config", cfg]
+    assert run(["sweep", "--n", 120, "--models", "LR", "--out", tmp_path / "out"] + given) == 1
+    err = capsys.readouterr().err
+    assert "config error: fractions must not repeat" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_single_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "--n", 120, "--seed", 2, "--models", "LR", "--out", out]) == 0

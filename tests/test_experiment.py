@@ -285,7 +285,6 @@ POOL_CFG = ExperimentConfig(
 
 
 @needs_fork
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging MLPR
 def test_pool_emits_the_serial_bytes(tmp_path, monkeypatch):
     fits = []  # a forked worker's fits stay in the worker: this sees only ours
     fit = experiment.fit
@@ -314,7 +313,6 @@ def _daemon_sweep(out_dir):
 
 
 @needs_fork
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging MLPR
 def test_daemonic_process_sweeps_serially(tmp_path, monkeypatch):
     # a daemonic process may not start workers, so its sweep runs in-process
     fake_host(monkeypatch, 2)
@@ -440,3 +438,13 @@ def test_config_validation():
         ExperimentConfig(noise_std=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(noise_target="nowhere")
+    # at construction, not as a TypeError mid-run or a silently repeated step
+    for bad in ({"repeats": 2.5}, {"repeats": True}, {"synth_n": 100.5}, {"synth_n": 100.0},
+                {"fractions": (0.0, 0.5, 0.5)}, {"fractions": (0.0, 0.0)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig(**bad)
+
+
+def test_empty_noise_columns_mean_every_feature():
+    assert ExperimentConfig(noise_columns=()).noise_columns is None
+    assert ExperimentConfig(noise_columns=["ssrd"]).noise_columns == ("ssrd",)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pvfdi.errors import KTooLarge
-from pvfdi.regressors import fit_knn
+from pvfdi.errors import InvalidSpec, KTooLarge
+from pvfdi.regressors import KNNModel, fit_knn
 
 
 def exhaustive_predict(X_train, y_train, x, k):
@@ -140,3 +140,13 @@ def test_k_too_large_raises():
 def test_k_below_one_rejected():
     with pytest.raises(ValueError):
         fit_knn(np.zeros((3, 2)), np.zeros(3), k=0)
+
+
+def test_constructor_checks_k_as_fit_does():
+    model = fit_knn(np.eye(3), np.arange(3.0), k=3)
+    fields = {"X_train": model.X_train, "y_train": model.y_train}
+    with pytest.raises(KTooLarge):
+        KNNModel(3, k=4, **fields)
+    for bad in (0, 2.5):  # refused, not truncated
+        with pytest.raises(InvalidSpec, match="KNN k"):
+            KNNModel(3, k=bad, **fields)

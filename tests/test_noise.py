@@ -76,6 +76,15 @@ def test_columns_narrow_injection(clean):
     assert np.all(noisy.features[:, hit] != clean.features[:, hit])
 
 
+@pytest.mark.parametrize("columns", [(), []])
+def test_empty_columns_hit_every_feature(clean, columns):
+    cfg = NoiseConfig(1.0, columns=columns, seed=4)
+    assert cfg.columns is None
+    noisy, _ = inject(clean, cfg)
+    expected, _ = inject(clean, NoiseConfig(1.0, seed=4))
+    np.testing.assert_array_equal(noisy.features, expected.features)
+
+
 def test_unknown_column_rejected():
     with pytest.raises(ValueError):
         NoiseConfig(0.5, columns=("sunshine",))

@@ -256,6 +256,34 @@ def test_malformed_model_file_rejected(case):
         loads(text)
 
 
+# stored hyperparameters that break their kind's rule; KNN's 32 training
+# rows cannot hold k = 5000 nearest neighbours
+OUT_OF_RANGE = {
+    "KNN k 0": ("KNN", "int k", "0"),
+    "KNN k 5000": ("KNN", "int k", "5000"),
+    "GPR length_scale 0": ("GPR", "float length_scale", "0x0p+0"),
+    "SVR gamma -16": ("SVR", "float gamma", "-0x1p+4"),
+    "GBRT learning_rate -1": ("GBRT", "float learning_rate", "-0x1p+0"),
+    "DT min_samples_leaf -3": ("DT", "int min_samples_leaf", "-3"),
+    "DT max_depth -2": ("DT", "int max_depth", "-2"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_stored_hyperparameter_out_of_range_rejected(case):
+    kind, head, value = OUT_OF_RANGE[case]
+    name = head.split()[1]
+    with pytest.raises(IoError, match=name):
+        loads(set_token(golden(kind), head, 2, value))
+
+
+def test_unlimited_tree_depth_is_stored_as_minus_one():
+    text = set_token(golden("DT"), "int max_depth", 2, "-1")
+    model = loads(text)
+    assert model.max_depth is None
+    assert dumps(model) == text
+
+
 def test_svr_with_infinite_kkt_violation_round_trips():
     # no SMO step: the violation is still its initial inf
     rng = np.random.default_rng(3)

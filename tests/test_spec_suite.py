@@ -35,8 +35,8 @@ def test_suite_covers_eight_kinds():
 def test_every_range_rule_names_a_hyperparameter():
     # a renamed fit parameter would otherwise silently lose its rule
     for kind, entry in REGISTRY.items():
-        assert entry.name == kind
-        assert set(entry.rules) <= set(entry.defaults), kind
+        assert entry.kind == kind
+        assert set(entry.rules) <= set(entry.defaults()), kind
 
 
 def test_defaults_are_copies():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pvfdi.regressors import fit_dt, fit_gbrt
+from pvfdi.regressors import GBRTModel, TreeModel, fit_dt, fit_gbrt
 from pvfdi.regressors.tree import route
 from tests.conftest import leaf_of
 
@@ -233,3 +233,18 @@ def test_refit_is_deterministic(rng):
 def test_negative_min_samples_leaf_rejected():
     with pytest.raises(ValueError):
         fit_dt(np.zeros((4, 1)), np.zeros(4), min_samples_leaf=0)
+
+
+def test_cyclic_tree_is_refused_at_construction(rng):
+    # routing a row through node 0 would return to node 0 forever
+    X = rng.normal(size=(40, 3))
+    y = X[:, 0] + rng.normal(size=40)
+    feature, threshold, left, right, value = fit_dt(X, y, max_depth=2).arrays
+    looped = (feature, threshold, np.concatenate(([0], left[1:])), right, value)
+    with pytest.raises(ValueError, match="node 0"):
+        TreeModel(3, max_depth=2, min_samples_leaf=5, arrays=looped)
+    booster = fit_gbrt(X, y, rounds=2, max_depth=2)
+    with pytest.raises(ValueError, match="node 0"):
+        GBRTModel(3, base_score=booster.base_score, learning_rate=0.1, reg_lambda=1.0,
+                  gamma=0.0, train_loss_history=booster.train_loss_history,
+                  trees=(booster.trees[0], looped))
