@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DatasetTooSmall,
     EmptyFile,
     InvalidCount,
@@ -291,18 +292,26 @@ def normalize(train: Dataset, others=()) -> tuple:
 
     The column minima and maxima come from ``train`` alone, so test-set
     values beyond the training extrema legitimately fall outside [0, 1];
-    nothing is clipped. Constant columns map to 0.0.
+    nothing is clipped. Constant columns map to 0.0. Raises DataError
+    naming the first column whose scaled values are not finite, as when
+    values near the float extremes make a span overflow.
     """
     lo, hi = train.features.min(axis=0), train.features.max(axis=0)
     power_lo = float(train.power.min())
     power_span = float(train.power.max()) - power_lo
 
     def scaled(d: Dataset) -> Dataset:
-        if power_span == 0:
-            power = np.zeros(len(d))
-        else:
-            power = (d.power - power_lo) / power_span
-        return Dataset(_scale_columns(d.features, lo, hi), power, timestamps=d.timestamps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            features = _scale_columns(d.features, lo, hi)
+            if power_span == 0:
+                power = np.zeros(len(d))
+            else:
+                power = (d.power - power_lo) / power_span
+        finite = np.append(np.isfinite(features).all(axis=0), np.isfinite(power).all())
+        if not finite.all():
+            name = (*FEATURE_NAMES, POWER_COLUMN)[np.argmin(finite)]
+            raise DataError(f"column {name!r} does not min-max scale to finite values")
+        return Dataset(features, power, timestamps=d.timestamps)
 
     return scaled(train), [scaled(d) for d in others]
 

@@ -47,8 +47,10 @@ class ExperimentConfig:
     randomness (synth draw, split, noise, model seeds) flows from
     ``seed`` through purpose-labeled streams unless individual
     ModelSpecs carry their own seeds. Construction raises ValueError for
-    fractions that do not start at 0.0 or that repeat, and for a
-    non-integer ``repeats`` or ``synth_n``; empty ``noise_columns`` become None.
+    fractions that do not start at 0.0 or that repeat, for a non-integer
+    ``repeats``, ``synth_n`` or ``seed``, and for the train ratios and
+    noise parameters SplitConfig and NoiseConfig refuse; empty
+    ``noise_columns`` become None.
     """
 
     data_path: str | None = None
@@ -82,6 +84,9 @@ class ExperimentConfig:
             raise ValueError("repeats must be an integer >= 1")
         if not is_count(self.synth_n):
             raise ValueError("synth_n must be an integer")
+        if not is_count(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        SplitConfig(self.train_ratio, self.seed)  # fail fast on a bad train_ratio
         # fail fast on bad noise parameters; fraction filled per sweep step
         noise = NoiseConfig(fraction=0.0, mean=self.noise_mean, std=self.noise_std,
                             target=self.noise_target, columns=self.noise_columns)

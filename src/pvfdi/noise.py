@@ -26,7 +26,8 @@ class NoiseConfig:
     ``fraction`` of the rows (round-half-up) receive noise; ``target``
     picks which cells inside those rows are hit, and ``columns`` can
     narrow FEATURES/BOTH injection to a subset of the twelve features.
-    None or an empty ``columns`` means all twelve.
+    None or an empty ``columns`` means all twelve. Construction raises
+    ValueError for a NaN or infinite ``mean`` or ``std``.
     """
 
     fraction: float
@@ -39,8 +40,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction!r}")
-        if self.std < 0:
-            raise ValueError(f"std must be >= 0, got {self.std!r}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.std) and self.std >= 0):
+            raise ValueError(f"std must be finite and >= 0, got {self.std!r}")
         if self.target not in NOISE_TARGETS:
             raise ValueError(f"target must be one of {NOISE_TARGETS}, got {self.target!r}")
         if not self.columns:

@@ -1,17 +1,17 @@
 """The eight-model regression suite behind one (spec, dataset) interface.
 
 Each kind is one TrainedModel subclass, declared in its own module next
-to its from-scratch fitting routine, which the class carries as ``fit``
-along with the kind's rules and model-file schema. This package adds the
-ModelSpec record (kind + hyperparameters + seed), validated against that
-class, and dispatches fit calls through it.
+to its from-scratch fitting routine, which ``@Class.fitting`` binds as the
+class's ``fit``, checking the design and the kind's rules first. This
+package adds the ModelSpec record (kind + hyperparameters + seed),
+validated against that class, and dispatches fit calls through it.
 """
 
 from dataclasses import dataclass, field
 from inspect import signature
 
 from ..errors import InvalidSpec
-from .base import TrainedModel
+from .base import TrainedModel, is_count
 from .gbrt import GBRTModel, fit_gbrt
 from .gpr import GPRModel, fit_gpr, rbf_kernel
 from .knn import KNNModel, fit_knn
@@ -61,7 +61,8 @@ class ModelSpec:
 
     The seed feeds MLPR weight initialization and GPR subset selection;
     the other kinds are deterministic without it. Hyperparameters are
-    validated against the kind at construction.
+    validated against the kind, and the seed must be an integer, at
+    construction.
     """
 
     kind: str
@@ -76,6 +77,8 @@ class ModelSpec:
         if unknown:
             raise InvalidSpec(f"{self.kind} does not accept hyperparameters {sorted(unknown)}")
         cls.check(**{**defaults, **hp})
+        if not is_count(self.seed):
+            raise InvalidSpec(f"{self.kind} seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "hyperparameters", hp)
 
     def effective_hyperparameters(self) -> dict:

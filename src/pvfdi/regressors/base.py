@@ -1,5 +1,6 @@
 """The model class every kind subclasses: its file fields, rules, fit and predict contract."""
 
+from functools import wraps
 from inspect import signature
 from numbers import Integral
 
@@ -94,10 +95,11 @@ class TrainedModel:
 
     Subclasses set ``kind``, list the model file's (tag, name) fields in
     file order as ``schema``, map hyperparameters to (predicate,
-    requirement) pairs as ``rules``, set ``fit`` to their fitting routine
-    and implement ``_predict_batch`` over a validated (n, d) array.
-    ``fit(X, y, **hp)``, plus ``seed=`` when it takes one, checks the
-    rules; its keyword defaults, ``seed`` aside, are ``defaults()``.
+    requirement) pairs as ``rules``, bind their fitting routine with the
+    ``@Class.fitting`` decorator and implement ``_predict_batch`` over a
+    validated (n, d) array. ``fit(X, y, **hp)``, plus ``seed=`` when the
+    routine takes one, passes the routine a checked design and rules;
+    the routine's keyword defaults, ``seed`` aside, are ``defaults()``.
 
     The constructor takes exactly the schema's names plus ``n_features``
     (TypeError otherwise) and stores each field in its tag's ``_STORE``
@@ -137,6 +139,22 @@ class TrainedModel:
         width = self._check_fields()
         if width is not None and width != self._n_features:
             raise ValueError(f"declares {self._n_features} features, its fields hold {width}")
+
+    @classmethod
+    def fitting(cls, routine):
+        """Decorator binding ``routine(X, y, **hp)`` as this kind's ``fit``.
+
+        ``fit`` runs ``as_design`` on X and y and ``check`` on the given
+        hyperparameters first; it keeps the routine's signature for ``defaults()``.
+        """
+        @wraps(routine)
+        def fit(X, y, **hp):
+            X, y = as_design(X, y)
+            cls.check(**hp)
+            return routine(X, y, **hp)
+
+        cls.fit = staticmethod(fit)
+        return fit
 
     @classmethod
     def defaults(cls) -> dict:

@@ -11,8 +11,7 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import (AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
-                   require_finite)
+from .base import AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
 from .tree import check_tree, grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -46,6 +45,7 @@ class GBRTModel(TrainedModel):
         return out
 
 
+@GBRTModel.fitting
 def fit_gbrt(
     X,
     y,
@@ -56,10 +56,6 @@ def fit_gbrt(
     gamma: float = 0.0,
     min_samples_leaf: int = 1,
 ) -> GBRTModel:
-    GBRTModel.check(rounds=rounds, learning_rate=learning_rate, max_depth=max_depth,
-                    reg_lambda=reg_lambda, gamma=gamma, min_samples_leaf=min_samples_leaf)
-    X, y = as_design(X, y)
-
     columns = presort(X)  # X is fixed, so every round shares one sort
     base = float(y.mean())
     yhat = np.full(y.shape[0], base)
@@ -82,6 +78,3 @@ def fit_gbrt(
 
     return GBRTModel(X.shape[1], base_score=base, learning_rate=learning_rate,
                      reg_lambda=reg_lambda, gamma=gamma, train_loss_history=history, trees=trees)
-
-
-GBRTModel.fit = staticmethod(fit_gbrt)

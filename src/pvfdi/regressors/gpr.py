@@ -11,8 +11,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
-                   require_finite, row_products)
+from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite,
+                   row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -97,6 +97,7 @@ class GPRModel(TrainedModel):
         return out
 
 
+@GPRModel.fitting
 def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
             max_points: int = 2000, seed: int = 0) -> GPRModel:
     """Fit the exact GP posterior mean.
@@ -105,9 +106,6 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
     from the ``seed``-keyed stream replaces it. Raises NotPositiveDefinite
     if the kernel matrix cannot be factored even at the largest jitter.
     """
-    X, y = as_design(X, y)
-    GPRModel.check(length_scale=length_scale, noise_variance=noise_variance, max_points=max_points)
-
     subsampled = X.shape[0] > max_points
     if subsampled:
         keep = stream(seed, "gpr-subset").permutation(X.shape[0])[:max_points]
@@ -131,6 +129,3 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         return GPRModel(X.shape[1], X_train=X, alpha=alpha, length_scale=length_scale,
                         noise_variance=noise_variance, jitter=jitter, subsampled=subsampled)
     raise NotPositiveDefinite(_JITTERS[-1])
-
-
-GPRModel.fit = staticmethod(fit_gpr)

@@ -34,7 +34,7 @@ fewer than k groups, and every column is a tail column.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, TrainedModel, as_design, require_finite, row_products
+from .base import AT_LEAST_ONE, TrainedModel, require_finite, row_products
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -94,9 +94,6 @@ class KNNModel(TrainedModel):
         return out
 
 
+@KNNModel.fitting
 def fit_knn(X, y, k: int = 2) -> KNNModel:
-    X, y = as_design(X, y)
     return KNNModel(X.shape[1], X_train=X, y_train=y, k=k)
-
-
-KNNModel.fit = staticmethod(fit_knn)

@@ -31,6 +31,7 @@ class LassoModel(LinearModel):
     rules = {"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE}
 
 
+@LinearModel.fitting
 def fit_lr(X, y) -> LinearModel:
     """Ordinary least squares with intercept.
 
@@ -39,14 +40,10 @@ def fit_lr(X, y) -> LinearModel:
     bias absorbs the means. On a single sample this degenerates to
     bias = y, coefficients = 0.
     """
-    X, y = as_design(X, y)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     coef, *_ = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)
     return LinearModel(X.shape[1], coefficients=coef, bias=y_mean - x_mean @ coef)
-
-
-LinearModel.fit = staticmethod(fit_lr)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -66,6 +63,7 @@ def lasso_lambda_max(X, y) -> float:
     return float(np.max(np.abs(Xc.T @ yc)) / n)
 
 
+@LassoModel.fitting
 def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
               max_sweeps: int = 10_000) -> LassoModel:
     """L1-penalized least squares by cyclic coordinate descent.
@@ -75,8 +73,6 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
     unpenalized (handled by centering). With lam=0 this reduces to
     coordinate-descent least squares.
     """
-    LassoModel.check(lam=lam, tol=tol, max_sweeps=max_sweeps)
-    X, y = as_design(X, y)
     n, d = X.shape
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -103,6 +99,3 @@ def fit_lasso(X, y, lam: float = 0.01, tol: float = 1e-8,
             break
 
     return LassoModel(d, coefficients=theta, bias=y_mean - x_mean @ theta)
-
-
-LassoModel.fit = staticmethod(fit_lasso)

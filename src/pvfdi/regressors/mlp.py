@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, POSITIVE, TrainedModel, as_design, require_finite
+from .base import AT_LEAST_ONE, POSITIVE, TrainedModel, require_finite
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -138,6 +138,7 @@ class MLPRModel(TrainedModel):
         return _forward(self.params, X)[1]
 
 
+@MLPRModel.fitting
 def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
              max_epochs: int = 500, tol: float = 1e-8, patience: int = 10,
              seed: int = 0) -> MLPRModel:
@@ -149,9 +150,6 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     momentum overshoots early on) does not trigger the stop. Raises
     NonFiniteLoss if the loss leaves the reals (divergence).
     """
-    X, y = as_design(X, y)
-    MLPRModel.check(hidden=hidden, learning_rate=learning_rate, max_epochs=max_epochs, tol=tol,
-                    patience=patience)
     params = init_params(X.shape[1], hidden, seed)
 
     a1 = np.empty((X.shape[0], hidden))
@@ -193,6 +191,3 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     W1, b1, W2, b2 = params
     return MLPRModel(X.shape[1], W1=W1, b1=b1, W2=W2, b2=b2, loss_history=history,
                      stopped_early=stopped_early)
-
-
-MLPRModel.fit = staticmethod(fit_mlpr)

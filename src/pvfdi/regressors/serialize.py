@@ -3,7 +3,7 @@
 The format is versioned, line-oriented, and binary-free:
 
     pvfdi-model 1
-    kind GBRT
+    str kind GBRT
     int n_features 12
     float base_score 0x1.7ae147ae147aep-2
     array coefficients 3: 0x1p+0 0x1p-1 0x0p+0
@@ -16,7 +16,8 @@ Floats are written with float.hex(), so reload is bit-exact. After the
 header come the fields of the model class's ``schema``, in schema order.
 Each schema name is an attribute of the class and a keyword of its
 constructor: dumping reads the attributes, and loading calls the class
-with the parsed fields and ``n_features``. A "depth" field is an int
+with the parsed fields and ``n_features``. Each schema tag's line format
+is one (write, read) pair in ``_FIELDS``. A "depth" field is an int
 line, -1 for no limit; a "tree" field is written as its ``TREE_PARTS``,
 unprefixed; a "trees" field as "int rounds" followed by one
 "tree{t}."-prefixed block per tree. Every model kind in the suite
@@ -40,62 +41,6 @@ _MAGIC = "pvfdi-model"
 _INT64 = np.iinfo(np.int64)
 
 
-class _Writer:
-    """Appends fields; ``field`` dispatches on the schema tag."""
-
-    def __init__(self, kind, n_features):
-        self.lines = [f"{_MAGIC} {FORMAT_VERSION}"]
-        self._str("kind", kind)
-        self._int("n_features", n_features)
-
-    def field(self, tag, name, value):
-        getattr(self, "_" + tag)(name, value)
-
-    def _str(self, name, value):
-        self.lines.append(f"str {name} {value}")
-
-    def _int(self, name, value):
-        self.lines.append(f"int {name} {int(value)}")
-
-    def _float(self, name, value):
-        self.lines.append(f"float {name} {float(value).hex()}")
-
-    def _depth(self, name, value):
-        self._int(name, -1 if value is None else value)
-
-    def _array(self, name, values):
-        values = np.asarray(values, dtype=np.float64).ravel()
-        body = " ".join(float(v).hex() for v in values)
-        self.lines.append(f"array {name} {values.size}:{' ' if values.size else ''}{body}")
-
-    def _iarray(self, name, values):
-        values = np.asarray(values, dtype=np.intp).ravel()
-        body = " ".join(str(int(v)) for v in values)
-        self.lines.append(f"iarray {name} {values.size}:{' ' if values.size else ''}{body}")
-
-    def _matrix(self, name, values):
-        values = np.asarray(values, dtype=np.float64)
-        self.lines.append(f"matrix {name} {values.shape[0]} {values.shape[1]}")
-        for row in values:
-            self.lines.append(" ".join(float(v).hex() for v in row))
-
-    def _tree(self, name, arrays):
-        self._tree_arrays("", arrays)
-
-    def _trees(self, name, trees):
-        self._int("rounds", len(trees))
-        for t, arrays in enumerate(trees):
-            self._tree_arrays(f"tree{t}.", arrays)
-
-    def _tree_arrays(self, prefix, arrays):
-        for (tag, part), values in zip(TREE_PARTS, arrays):
-            self.field(tag, prefix + part, values)
-
-    def text(self):
-        self.lines.append("end")
-        return "\n".join(self.lines) + "\n"
-
-
 def _parse_float(token):
     try:
         return float.fromhex(token)
@@ -113,98 +58,119 @@ def _parse_int(token):
     return value
 
 
-class _Reader:
-    """Sequential field reader; field names are checked as they come."""
+class _Lines:
+    """A model file's lines, read in order."""
 
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
 
-    def header(self):
-        """Check the magic line; return the kind and the feature count."""
-        magic = self._next().split()
-        if magic[:1] != [_MAGIC] or len(magic) != 2:
-            raise IoError("not a model file: bad magic line")
-        if _parse_int(magic[1]) != FORMAT_VERSION:
-            raise IoError(f"unsupported model format version {magic[1]}")
-        kind = self._str("kind")
-        n_features = self._int("n_features")
-        if n_features < 0:
-            raise IoError(f"negative n_features {n_features}")
-        return kind, n_features
-
-    def field(self, tag, name):
-        return getattr(self, "_" + tag)(name)
-
-    def end(self):
-        if self._next() != "end" or self.pos != len(self.lines):
-            raise IoError("model file must close with a single 'end' line")
-
-    def _next(self):
+    def next(self):
         if self.pos >= len(self.lines):
             raise IoError("model file truncated")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
 
-    def _payload(self, tag, name):
-        line = self._next()
+    def payload(self, tag, name):
+        """The rest of the next line, which must read ``tag name``."""
+        line = self.next()
         head, _, rest = line.partition(" ")
         got_name, _, payload = rest.partition(" ")
         if head != tag or got_name != name:
             raise IoError(f"expected {tag} {name!r}, found {line!r}")
         return payload
 
-    def _str(self, name):
-        return self._payload("str", name)
+    def end(self):
+        if self.next() != "end" or self.pos != len(self.lines):
+            raise IoError("model file must close with a single 'end' line")
 
-    def _int(self, name):
-        return _parse_int(self._payload("int", name))
 
-    def _float(self, name):
-        return _parse_float(self._payload("float", name))
+def _write_int(out, name, value):
+    out.append(f"int {name} {int(value)}")
 
-    def _depth(self, name):
-        value = self._int(name)
-        return None if value == -1 else value
 
-    def _values(self, tag, name, parse):
-        count, _, body = self._payload(tag, name).partition(":")
+def _read_int(lines, name):
+    return _parse_int(lines.payload("int", name))
+
+
+def _vector(tag, dtype, render, parse):
+    """The (write, read) pair of a one-line ``tag name count: v0 v1 ...`` field."""
+    def write(out, name, values):
+        values = np.asarray(values, dtype=dtype).ravel()
+        out.append(f"{tag} {name} {values.size}:" + "".join(" " + render(v) for v in values))
+
+    def read(lines, name):
+        count, _, body = lines.payload(tag, name).partition(":")
         values = [parse(tok) for tok in body.split()]
         if len(values) != _parse_int(count):
             raise IoError(f"{tag} {name!r} declares {count} entries, has {len(values)}")
-        return values
+        return np.asarray(values, dtype=dtype)
 
-    def _array(self, name):
-        return np.asarray(self._values("array", name, _parse_float), dtype=np.float64)
+    return write, read
 
-    def _iarray(self, name):
-        return np.asarray(self._values("iarray", name, _parse_int), dtype=np.intp)
 
-    def _matrix(self, name):
-        dims = [_parse_int(tok) for tok in self._payload("matrix", name).split()]
-        if len(dims) != 2 or min(dims) < 0:
-            raise IoError(f"matrix {name!r} header needs two non-negative dimensions")
-        rows, cols = dims
-        data = []
-        for i in range(rows):
-            row = [_parse_float(tok) for tok in self._next().split()]
-            if len(row) != cols:
-                raise IoError(f"matrix {name!r} row {i} has {len(row)} of {cols} columns")
-            data.append(row)
-        return np.array(data, dtype=np.float64).reshape(rows, cols)
+def _read_depth(lines, name):
+    value = _read_int(lines, name)
+    return None if value == -1 else value
 
-    def _tree(self, name):
-        return self._tree_arrays("")
 
-    def _trees(self, name):
-        rounds = self._int("rounds")
-        if rounds < 0:
-            raise IoError(f"negative tree count {rounds}")
-        return [self._tree_arrays(f"tree{t}.") for t in range(rounds)]
+def _write_matrix(out, name, values):
+    values = np.asarray(values, dtype=np.float64)
+    out.append(f"matrix {name} {values.shape[0]} {values.shape[1]}")
+    out.extend(" ".join(float(v).hex() for v in row) for row in values)
 
-    def _tree_arrays(self, prefix):
-        return tuple(self.field(tag, prefix + part) for tag, part in TREE_PARTS)
+
+def _read_matrix(lines, name):
+    dims = [_parse_int(tok) for tok in lines.payload("matrix", name).split()]
+    if len(dims) != 2 or min(dims) < 0:
+        raise IoError(f"matrix {name!r} header needs two non-negative dimensions")
+    rows, cols = dims
+    data = []
+    for i in range(rows):
+        row = [_parse_float(tok) for tok in lines.next().split()]
+        if len(row) != cols:
+            raise IoError(f"matrix {name!r} row {i} has {len(row)} of {cols} columns")
+        data.append(row)
+    return np.array(data, dtype=np.float64).reshape(rows, cols)
+
+
+def _write_tree(out, prefix, arrays):
+    for (tag, part), values in zip(TREE_PARTS, arrays):
+        _FIELDS[tag][0](out, prefix + part, values)
+
+
+def _read_tree(lines, prefix):
+    return tuple(_FIELDS[tag][1](lines, prefix + part) for tag, part in TREE_PARTS)
+
+
+def _write_trees(out, name, trees):
+    _write_int(out, "rounds", len(trees))
+    for t, arrays in enumerate(trees):
+        _write_tree(out, f"tree{t}.", arrays)
+
+
+def _read_trees(lines, name):
+    rounds = _read_int(lines, "rounds")
+    if rounds < 0:
+        raise IoError(f"negative tree count {rounds}")
+    return [_read_tree(lines, f"tree{t}.") for t in range(rounds)]
+
+
+# schema tag -> (write(out, name, value) appending to the list of lines,
+# read(lines, name) returning the parsed field)
+_FIELDS = {
+    "int": (_write_int, _read_int),
+    "float": (lambda out, name, value: out.append(f"float {name} {float(value).hex()}"),
+              lambda lines, name: _parse_float(lines.payload("float", name))),
+    "depth": (lambda out, name, value: _write_int(out, name, -1 if value is None else value),
+              _read_depth),
+    "array": _vector("array", np.float64, lambda v: float(v).hex(), _parse_float),
+    "iarray": _vector("iarray", np.intp, lambda v: str(int(v)), _parse_int),
+    "matrix": (_write_matrix, _read_matrix),
+    "tree": (lambda out, name, arrays: _write_tree(out, "", arrays),
+             lambda lines, name: _read_tree(lines, "")),
+    "trees": (_write_trees, _read_trees),
+}
 
 
 def dumps(model) -> str:
@@ -212,21 +178,31 @@ def dumps(model) -> str:
     cls = REGISTRY.get(model.kind)
     if cls is None:
         raise IoError(f"cannot serialize model kind {model.kind!r}")
-    w = _Writer(model.kind, model.training_feature_count)
+    out = [f"{_MAGIC} {FORMAT_VERSION}", f"str kind {model.kind}"]
+    _write_int(out, "n_features", model.training_feature_count)
     for tag, name in cls.schema:
-        w.field(tag, name, getattr(model, name))
-    return w.text()
+        _FIELDS[tag][0](out, name, getattr(model, name))
+    out.append("end")
+    return "\n".join(out) + "\n"
 
 
 def loads(text: str):
     """Rebuild a trained model from its text serialization."""
-    r = _Reader(text)
-    kind, n_features = r.header()
+    lines = _Lines(text)
+    magic = lines.next().split()
+    if magic[:1] != [_MAGIC] or len(magic) != 2:
+        raise IoError("not a model file: bad magic line")
+    if _parse_int(magic[1]) != FORMAT_VERSION:
+        raise IoError(f"unsupported model format version {magic[1]}")
+    kind = lines.payload("str", "kind")
+    n_features = _read_int(lines, "n_features")
+    if n_features < 0:
+        raise IoError(f"negative n_features {n_features}")
     cls = REGISTRY.get(kind)
     if cls is None:
         raise IoError(f"unknown model kind {kind!r} in model file")
-    fields = {name: r.field(tag, name) for tag, name in cls.schema}
-    r.end()
+    fields = {name: _FIELDS[tag][1](lines, name) for tag, name in cls.schema}
+    lines.end()
     try:
         return cls(**fields, n_features=n_features)
     except (ValueError, ModelError) as exc:

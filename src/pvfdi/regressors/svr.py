@@ -16,8 +16,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .base import (AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, TrainedModel, as_design,
-                   require_finite)
+from .base import AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
 
@@ -210,12 +209,11 @@ def _bias(G, s, z, C):
     return -(upper_cap.min() + lower_cap.max()) / 2.0
 
 
+@SVRModel.fitting
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             gamma: float | None = None, tol: float = 1e-3,
             max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
     """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
-    X, y = as_design(X, y)
-    SVRModel.check(C=C, epsilon=epsilon, gamma=gamma, tol=tol, max_iterations=max_iterations)
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -245,6 +243,3 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
                      kkt_violation=violation, dual_objective=-0.5 * float(z @ (G + p)))
     model._dual_z = z  # full (alpha; alpha*) iterate, for KKT auditing
     return model
-
-
-SVRModel.fit = staticmethod(fit_svr)

@@ -16,7 +16,7 @@ threshold.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, DEPTH, TrainedModel, as_design, require_finite
+from .base import AT_LEAST_ONE, DEPTH, TrainedModel, require_finite
 
 __all__ = ["TreeModel", "fit_dt", "grow_tree", "presort"]
 
@@ -187,6 +187,7 @@ class TreeModel(TrainedModel):
         return route(self.arrays, X)
 
 
+@TreeModel.fitting
 def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     """CART regression tree minimizing weighted child variance.
 
@@ -194,8 +195,6 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     drop below ``min_samples_leaf`` samples, or when the node's targets
     have zero variance. Leaves predict the node's mean target.
     """
-    X, y = as_design(X, y)
-    TreeModel.check(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     arrays = grow_tree(
         presort(X),
         y,
@@ -206,6 +205,3 @@ def fit_dt(X, y, max_depth=None, min_samples_leaf=5) -> TreeModel:
     )
     return TreeModel(X.shape[1], max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                      arrays=arrays)
-
-
-TreeModel.fit = staticmethod(fit_dt)

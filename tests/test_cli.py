@@ -243,6 +243,29 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("sweep --n 60 --models LR --noise-std nan --out out", 1),
+    ("inject --data d.csv --fraction 0.5 --noise-mean inf --out out/x.csv", 1),
+    ("sweep --n 60 --models GPR --config seed.ini --out out", 1),
+    ("sweep --n 60 --models LR --config ratio.ini --out out", 1),
+    # a feature column at the float extremes overflows min-max scaling
+    ("sweep --data wide.csv --models LR --out out", 2),
+])
+def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    Path("seed.ini").write_text("[model.GPR]\nseed = 2.5\n")
+    Path("ratio.ini").write_text("[experiment]\ntrain_ratio = nan\n")
+    data = pvfdi.synth_generate(60, 3)
+    features = np.array(data.features)
+    features[:, 2] = np.where(np.arange(60) % 2, -1.7e308, 1.7e308)
+    pvfdi.save_csv(data, "d.csv")
+    pvfdi.save_csv(data.replace(features=features), "wide.csv")
+    assert run(argv.split()) == code
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not Path("out").exists()
+
+
 def test_readme_config_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     cfg = tmp_path / "pv.ini"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import pvfdi
 from pvfdi.data import POWER_COLUMN, SYNTH_RANGES, TIMESTAMP_COLUMN
 from pvfdi.errors import (
+    DataError,
     DatasetTooSmall,
     EmptyFile,
     InvalidCount,
@@ -308,6 +309,24 @@ def test_no_clipping_beyond_training_range():
     wild[0] = train.features.max(axis=0) * 2 + 1
     _, (out,) = pvfdi.normalize(train, [pvfdi.Dataset(wild, train.power)])
     assert (out.features[0] > 1.0).any()
+
+
+@pytest.mark.parametrize("side, column", [("train", "sp"), ("train", "POWER"),
+                                          ("test", "tciw")])
+def test_unscalable_column_is_a_data_error(side, column):
+    # a training span of 3.4e308 overflows, and so does a test value of
+    # 1.7e308 over tciw's training span of under 0.8
+    extreme = np.where(np.arange(50) % 2, -1.7e308, 1.7e308)
+    train = small(50, seed=1)
+    features = np.array(train.features)
+    if column != POWER_COLUMN:
+        features[:, pvfdi.FEATURE_NAMES.index(column)] = extreme
+    wild = train.replace(features=features, power=extreme if column == POWER_COLUMN else None)
+    with pytest.raises(DataError, match=f"column '{column}'"):
+        if side == "train":
+            pvfdi.normalize(wild)
+        else:
+            pvfdi.normalize(train, [wild])
 
 
 # --- split -------------------------------------------------------------------------

@@ -438,9 +438,14 @@ def test_config_validation():
         ExperimentConfig(noise_std=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(noise_target="nowhere")
+    with pytest.raises(ValueError, match="std must be finite"):
+        ExperimentConfig(noise_std=math.nan)
+    with pytest.raises(ValueError, match="mean must be finite"):
+        ExperimentConfig(noise_mean=math.inf)
     # at construction, not as a TypeError mid-run or a silently repeated step
     for bad in ({"repeats": 2.5}, {"repeats": True}, {"synth_n": 100.5}, {"synth_n": 100.0},
-                {"fractions": (0.0, 0.5, 0.5)}, {"fractions": (0.0, 0.0)}):
+                {"fractions": (0.0, 0.5, 0.5)}, {"fractions": (0.0, 0.0)},
+                {"seed": 2.5}, {"seed": True}, {"seed": math.nan}, {"train_ratio": math.nan}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentConfig(**bad)
 

@@ -97,6 +97,11 @@ def test_config_validation():
         NoiseConfig(1.5)
     with pytest.raises(ValueError):
         NoiseConfig(0.5, std=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="std must be finite"):
+            NoiseConfig(0.5, std=bad)
+        with pytest.raises(ValueError, match="mean must be finite"):
+            NoiseConfig(0.5, mean=bad)
     with pytest.raises(ValueError):
         NoiseConfig(0.5, target="features")
     assert NOISE_TARGETS == ("FEATURES", "POWER", "BOTH")

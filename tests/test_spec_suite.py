@@ -57,6 +57,14 @@ def test_unknown_hyperparameter_rejected():
         ModelSpec("KNN", {"neighbours": 3})
 
 
+@pytest.mark.parametrize("seed", [2.5, True, float("nan"), "1"])
+def test_spec_seed_must_be_an_integer(seed):
+    # the streams apply int(seed), so 2.5 would fit as seed 2 and be recorded as 2.5
+    with pytest.raises(InvalidSpec, match="seed must be an integer"):
+        ModelSpec("GPR", seed=seed)
+    assert ModelSpec("GPR", seed=np.int64(2)).seed == 2
+
+
 def test_out_of_range_values_rejected():
     with pytest.raises(InvalidSpec):
         ModelSpec("KNN", {"k": 0})
