@@ -166,7 +166,13 @@ class TrainedModel:
     def check(cls, **hp):
         """Raise InvalidSpec for the first given hyperparameter out of range."""
         for key, (ok, requirement) in cls.rules.items():
-            if key in hp and not ok(hp[key]):
+            if key not in hp:
+                continue
+            try:
+                passed = ok(hp[key])
+            except TypeError:  # a config's `none` where the rule needs a number
+                passed = False
+            if not passed:
                 raise InvalidSpec(f"{cls.kind} {key} {requirement}")
 
     def _check_fields(self) -> int | None:

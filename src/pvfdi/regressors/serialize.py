@@ -44,7 +44,7 @@ _INT64 = np.iinfo(np.int64)
 def _parse_float(token):
     try:
         return float.fromhex(token)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise IoError(f"malformed float token {token!r}") from None
 
 

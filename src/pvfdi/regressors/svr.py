@@ -7,12 +7,17 @@ to 0 <= z <= C and s'z = 0. Pairs are picked by maximal violation for i
 and a second-order gain rule for j; the stop test is the maximal KKT
 violation Gmax + Gmax2 dropping below tol.
 
+As in LIBSVM, kernel rows are computed on demand, each alone, into one
+LRU cache that ``cache_mb`` bounds. A row computed again after an eviction
+has the same bytes, so ``cache_mb`` limits memory and never the model.
+
 Hitting max_iterations is not an error: the best iterate is returned
 with ``converged`` False so callers can decide what to do with it. A cap
 of 0 returns the starting iterate.
 """
 
-from collections import OrderedDict
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,33 +35,20 @@ def _rbf_rows(A, X, X_sq, gamma):
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
-class _RowCache:
-    """LRU cache of kernel rows K(base, :) over the training set."""
+def _row_cache(X, gamma, cache_mb):
+    """``row(u)``: K(u mod n, :) twice over; K's rows sit in an LRU of ``cache_mb``, >= 2 rows."""
+    n = X.shape[0]
+    X_sq = np.einsum("ij,ij->i", X, X)
 
-    def __init__(self, X, gamma, cache_mb):
-        self.X = X
-        self.X_sq = np.einsum("ij,ij->i", X, X)
-        self.gamma = gamma
-        n = X.shape[0]
-        self.max_rows = max(2, int(cache_mb * 2**20 / (8 * n)))
-        self.full = None
-        if n <= self.max_rows:
-            self.full = _rbf_rows(X, X, self.X_sq, gamma)
-        self._rows = OrderedDict()
+    @lru_cache(maxsize=max(2, int(cache_mb * 2**20 / (8 * n))))
+    def base_row(b):
+        return _rbf_rows(X[b : b + 1], X, X_sq, gamma)[0]
 
-    def row(self, base):
-        if self.full is not None:
-            return self.full[base]
-        got = self._rows.get(base)
-        if got is not None:
-            self._rows.move_to_end(base)
-            return got
-        got = _rbf_rows(self.X[base : base + 1], self.X, self.X_sq,
-                        self.gamma)[0]
-        if len(self._rows) >= self.max_rows:
-            self._rows.popitem(last=False)
-        self._rows[base] = got
-        return got
+    def row(u):
+        k = base_row(u % n)
+        return np.concatenate((k, k))
+
+    return row
 
 
 class SVRModel(TrainedModel):
@@ -67,7 +59,8 @@ class SVRModel(TrainedModel):
               ("array", "sv_coef"), ("matrix", "sv_X"))
     rules = {"C": POSITIVE, "epsilon": NON_NEGATIVE,
              "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
-             "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO}
+             "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO,
+             "cache_mb": (lambda v: 0 < v < math.inf, "must be positive and finite")}
 
     def _check_fields(self):
         if self.sv_coef.shape != self.sv_X.shape[:1]:
@@ -93,7 +86,7 @@ class SVRModel(TrainedModel):
         return out
 
 
-def _select_pair(G, s, lower, upper, cache, n, tol):
+def _select_pair(G, s, lower, upper, row, tol):
     """Return (i, j, violation); i or j of -1 signals optimality."""
     up_val = np.where((s > 0) & ~upper | (s < 0) & ~lower, -s * G, -np.inf)
     i = int(np.argmax(up_val))
@@ -105,10 +98,8 @@ def _select_pair(G, s, lower, upper, cache, n, tol):
     if not np.isfinite(violation) or violation < tol:
         return -1, -1, violation
 
-    k_i = cache.row(i % n)
-    k2 = np.concatenate((k_i, k_i))
     # kernel diagonal is 1 for RBF
-    quad = np.maximum(2.0 - 2.0 * k2, _TAU)
+    quad = np.maximum(2.0 - 2.0 * row(i), _TAU)
     grad_diff = gmax + s * G
     gain = np.where(in_low & (grad_diff > 0),
                     -(grad_diff * grad_diff) / quad, np.inf)
@@ -118,12 +109,10 @@ def _select_pair(G, s, lower, upper, cache, n, tol):
     return i, j, violation
 
 
-def _take_step(z, G, s, i, j, C, cache, n):
+def _take_step(z, G, s, i, j, C, row):
     """One pairwise update, clipped to the box; mirrors the classic solver."""
-    k_i = cache.row(i % n)
-    k_j = cache.row(j % n)
-    kij = k_i[j % n]
-    quad = max(2.0 - 2.0 * kij, _TAU)
+    k_i, k_j = row(i), row(j)
+    quad = max(2.0 - 2.0 * k_i[j], _TAU)
     old_i, old_j = z[i], z[j]
 
     if s[i] != s[j]:
@@ -135,15 +124,13 @@ def _take_step(z, G, s, i, j, C, cache, n):
             if z[j] < 0:
                 z[j] = 0.0
                 z[i] = diff
-        else:
-            if z[i] < 0:
-                z[i] = 0.0
-                z[j] = -diff
-        if diff > 0:
             if z[i] > C:
                 z[i] = C
                 z[j] = C - diff
         else:
+            if z[i] < 0:
+                z[i] = 0.0
+                z[j] = -diff
             if z[j] > C:
                 z[j] = C
                 z[i] = C + diff
@@ -156,23 +143,21 @@ def _take_step(z, G, s, i, j, C, cache, n):
             if z[i] > C:
                 z[i] = C
                 z[j] = total - C
-        else:
-            if z[j] < 0:
-                z[j] = 0.0
-                z[i] = total
-        if total > C:
             if z[j] > C:
                 z[j] = C
                 z[i] = total - C
         else:
+            if z[j] < 0:
+                z[j] = 0.0
+                z[i] = total
             if z[i] < 0:
                 z[i] = 0.0
                 z[j] = total
 
     d_i = z[i] - old_i
     d_j = z[j] - old_j
-    G += (s[i] * d_i) * (s * np.concatenate((k_i, k_i)))
-    G += (s[j] * d_j) * (s * np.concatenate((k_j, k_j)))
+    G += (s[i] * d_i) * (s * k_i)
+    G += (s[j] * d_j) * (s * k_j)
 
 
 def kkt_violation(X, y, z, C, epsilon, gamma) -> float:
@@ -213,7 +198,7 @@ def _bias(G, s, z, C):
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             gamma: float | None = None, tol: float = 1e-3,
             max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
-    """Train an RBF-kernel SVR; gamma defaults to 1/n_features."""
+    """Train an RBF-kernel SVR; gamma defaults to 1/n_features; ``cache_mb`` bounds memory only."""
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
@@ -222,17 +207,17 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     p = np.concatenate((epsilon - y, epsilon + y))
     z = np.zeros(2 * n)
     G = p.copy()
-    cache = _RowCache(X, gamma, cache_mb)
+    row = _row_cache(X, gamma, cache_mb)
 
     converged = False
     violation = np.inf
     it = 0
     while it < max_iterations:
-        i, j, violation = _select_pair(G, s, z <= 0.0, z >= C, cache, n, tol)
+        i, j, violation = _select_pair(G, s, z <= 0.0, z >= C, row, tol)
         if i < 0:
             converged = True
             break
-        _take_step(z, G, s, i, j, C, cache, n)
+        _take_step(z, G, s, i, j, C, row)
         it += 1
 
     beta = z[:n] - z[n:]

@@ -248,6 +248,8 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     ("inject --data d.csv --fraction 0.5 --noise-mean inf --out out/x.csv", 1),
     ("sweep --n 60 --models GPR --config seed.ini --out out", 1),
     ("sweep --n 60 --models LR --config ratio.ini --out out", 1),
+    ("sweep --n 60 --models SVR --config cache.ini --out out", 1),
+    ("sweep --n 60 --models SVR --config none.ini --out out", 1),
     # a feature column at the float extremes overflows min-max scaling
     ("sweep --data wide.csv --models LR --out out", 2),
 ])
@@ -255,6 +257,8 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     monkeypatch.chdir(tmp_path)
     Path("seed.ini").write_text("[model.GPR]\nseed = 2.5\n")
     Path("ratio.ini").write_text("[experiment]\ntrain_ratio = nan\n")
+    Path("cache.ini").write_text("[model.SVR]\ncache_mb = nan\n")
+    Path("none.ini").write_text("[model.SVR]\ncache_mb = none\n")
     data = pvfdi.synth_generate(60, 3)
     features = np.array(data.features)
     features[:, 2] = np.where(np.arange(60) % 2, -1.7e308, 1.7e308)

@@ -226,6 +226,7 @@ MALFORMED = {
     "MLPR W2 vs W1": ("MLPR", lambda t: shorten(t, "array W2")),
     # non-finite values that prediction reads
     "LR bias NaN": ("LR", lambda t: set_token(t, "float bias", 2, "nan")),
+    "LR bias beyond the float range": ("LR", lambda t: set_token(t, "float bias", 2, "0x1p+1024")),
     "LASSO coefficient -inf": ("LASSO", lambda t: set_token(t, "array coefficients", 3, "-inf")),
     "GPR alpha NaN": ("GPR", lambda t: set_token(t, "array alpha", 3, "nan")),
     "GPR X_train inf": ("GPR", lambda t: set_entry(t, "matrix X_train", 0, 0, "inf")),
@@ -305,7 +306,7 @@ def test_svr_with_infinite_kkt_violation_round_trips():
 
 REPLACEMENTS = st.one_of(
     st.integers(-3, 40).map(str),
-    st.sampled_from(["", "x", "end", "LR", "nan", "-inf", "0x1p+1000", "-0x1p-3",
+    st.sampled_from(["", "x", "end", "LR", "nan", "-inf", "0x1p+1000", "0x1p+1024", "-0x1p-3",
                      "99999999999999999999", "1:", "0:"]),
 )
 

@@ -36,7 +36,7 @@ def test_every_range_rule_names_a_hyperparameter():
     # a renamed fit parameter would otherwise silently lose its rule
     for kind, entry in REGISTRY.items():
         assert entry.kind == kind
-        assert set(entry.rules) <= set(entry.defaults()), kind
+        assert set(entry.rules) == set(entry.defaults()), kind
 
 
 def test_defaults_are_copies():
@@ -78,8 +78,10 @@ def test_out_of_range_values_rejected():
         ModelSpec("MLPR", {"hidden": 0})
 
 
-@pytest.mark.parametrize("kind,name", [(kind, name) for kind, entry in REGISTRY.items()
-                                       for name in entry.rules])
+ALL_RULES = [(kind, name) for kind, entry in REGISTRY.items() for name in entry.rules]
+
+
+@pytest.mark.parametrize("kind,name", ALL_RULES)
 def test_fit_routine_checks_every_rule(kind, name):
     # a direct call refuses what ModelSpec refuses, before any fitting
     ok, _ = REGISTRY[kind].rules[name]
@@ -89,6 +91,18 @@ def test_fit_routine_checks_every_rule(kind, name):
     for value in refused:
         with pytest.raises(ValueError, match=name):
             REGISTRY[kind].fit(X, X[:, 0], **{name: value})
+
+
+@pytest.mark.parametrize("kind,name", ALL_RULES)
+def test_value_a_rule_cannot_compare_is_out_of_range(kind, name):
+    # a config's `none` reaches the rule as None; a numeric rule raised TypeError on it
+    for value in (None, "x"):
+        try:
+            ModelSpec(kind, {name: value})
+        except InvalidSpec as exc:
+            assert name in str(exc)
+    with pytest.raises(InvalidSpec, match=name):
+        ModelSpec(kind, {name: "x"})
 
 
 COUNT_HYPERPARAMETERS = [

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import pvfdi
 from pvfdi.regressors import fit_svr
+from pvfdi.regressors.serialize import dumps
 from pvfdi.regressors.svr import kkt_violation
 
 
@@ -138,6 +140,18 @@ def test_refit_is_deterministic(norm_split):
     np.testing.assert_array_equal(a.sv_coef, b.sv_coef)
     assert a.bias == b.bias
     assert a.iterations == b.iterations
+
+
+def test_cache_size_never_changes_the_model():
+    # the default cache holds all 480 rows; one of two rows evicts on almost every fetch
+    raw = pvfdi.synth_generate(600, seed=42)
+    train_raw, test_raw = pvfdi.split(raw, pvfdi.SplitConfig(0.8, 42))
+    train, _ = pvfdi.normalize(train_raw, [test_raw])
+    X, y = train.features, train.power
+    full = fit_svr(X, y)
+    tiny = fit_svr(X, y, cache_mb=1e-9)
+    assert dumps(full) == dumps(tiny)
+    assert full._dual_z.tobytes() == tiny._dual_z.tobytes()
 
 
 def test_default_gamma_is_reciprocal_dimension(rng):
