@@ -8,7 +8,6 @@ naming the twelve feature columns plus POWER (TIMESTAMP optional).
 
 import csv
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,12 +122,14 @@ class Dataset:
 
     def to_csv_bytes(self) -> bytes:
         """Canonical CSV serialization (also the checksum domain)."""
-        buf = io.StringIO()
-        _write_csv(self, buf)
-        return buf.getvalue().encode("utf-8")
+        return "".join(_csv_blocks(self)).encode("utf-8")
 
     def checksum(self) -> str:
-        return hashlib.sha256(self.to_csv_bytes()).hexdigest()
+        """sha256 of ``to_csv_bytes()``, hashed a block at a time."""
+        digest = hashlib.sha256()
+        for block in _csv_blocks(self):
+            digest.update(block.encode("utf-8"))
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -251,20 +252,22 @@ def _stamp_cell(stamp: str) -> str:
     return stamp
 
 
-def _write_csv(dataset: Dataset, fh, header_comment: str | None = None) -> None:
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
+def _csv_blocks(dataset: Dataset, header_comment: str | None = None):
+    """The CSV text: the header lines, then blocks of at most 512 rows, so its memory stays flat."""
     columns = [*FEATURE_NAMES, POWER_COLUMN]
-    # repr of a float never holds a comma, quote or line break, so the
-    # numeric cells need no csv quoting; rendering a row at a time keeps
-    # the whole table's Python floats from being alive at once
-    table = np.column_stack((dataset.features, dataset.power))
-    lines = (",".join(map(repr, row.tolist())) for row in table)
     if dataset.timestamps is not None:
         columns.insert(0, TIMESTAMP_COLUMN)
-        lines = (f"{_stamp_cell(stamp)},{line}" for stamp, line in zip(dataset.timestamps, lines))
-    fh.write(",".join(columns) + "\n")
-    fh.writelines(line + "\n" for line in lines)
+    yield (f"# {header_comment}\n" if header_comment else "") + ",".join(columns) + "\n"
+    for lo in range(0, len(dataset), 512):
+        rows = slice(lo, lo + 512)
+        # repr of a float never holds a comma, quote or line break, so the
+        # numeric cells need no csv quoting
+        table = np.column_stack((dataset.features[rows], dataset.power[rows]))
+        lines = [",".join(map(repr, row)) for row in table.tolist()]
+        if dataset.timestamps is not None:
+            stamps = dataset.timestamps[rows]
+            lines = [f"{_stamp_cell(stamp)},{line}" for stamp, line in zip(stamps, lines)]
+        yield "\n".join(lines) + "\n"
 
 
 def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:
@@ -274,10 +277,16 @@ def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:
     load_csv skips.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(dataset, fh, header_comment)
+        fh.writelines(_csv_blocks(dataset, header_comment))
 
 
 # --- normalization -------------------------------------------------------------
+
+def nonfinite_column(features: np.ndarray, power: np.ndarray) -> str | None:
+    """Name of the first column, POWER last, holding a NaN or infinity; None if none."""
+    finite = np.append(np.isfinite(features).all(axis=0), np.isfinite(power).all())
+    return None if finite.all() else (*FEATURE_NAMES, POWER_COLUMN)[np.argmin(finite)]
+
 
 def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
@@ -307,9 +316,8 @@ def normalize(train: Dataset, others=()) -> tuple:
                 power = np.zeros(len(d))
             else:
                 power = (d.power - power_lo) / power_span
-        finite = np.append(np.isfinite(features).all(axis=0), np.isfinite(power).all())
-        if not finite.all():
-            name = (*FEATURE_NAMES, POWER_COLUMN)[np.argmin(finite)]
+        name = nonfinite_column(features, power)
+        if name is not None:
             raise DataError(f"column {name!r} does not min-max scale to finite values")
         return Dataset(features, power, timestamps=d.timestamps)
 

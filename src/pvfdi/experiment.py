@@ -152,9 +152,10 @@ def _model_job(shared, index):
 
     ``shared`` is ``(cfg, specs, train, test, steps)``, where ``steps``
     lists the ``(noisy, rows)`` pairs ``inject`` returned, in sweep
-    order. Returns the clean series followed by one series per step, or
-    the error text of the first failure: a failing model becomes its own
-    error row and never aborts the others.
+    order. Returns the clean predictions followed by one prediction
+    array per step, or the error text of the first failure: a failing
+    model becomes its own error row and never aborts the others. The
+    caller pairs them with the actual values it already holds.
 
     A step that changed no feature reuses the clean predictions. Any
     other step re-predicts the changed rows through ``predict_rows`` and
@@ -166,13 +167,13 @@ def _model_job(shared, index):
     try:
         model = fit(specs[index], train)
         clean = model.predict_batch(test.features)
-        out = [_series(cfg, test.power, clean)]
+        out = [clean]
         for noisy, rows in steps:
             predicted = clean
             if rows and cfg.noise_target != "POWER":
                 predicted = clean.copy()
                 predicted[rows] = model.predict_rows(noisy.features, rows)
-            out.append(_series(cfg, noisy.power, predicted))
+            out.append(predicted)
         return out
     except Exception as exc:  # error row per failed model
         return f"{type(exc).__name__}: {exc}"
@@ -337,7 +338,13 @@ def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
         cfg, specs, train, test, steps, lambda: _provenance(cfg, specs, names, raw))
     nonzero = [f for f in cfg.fractions if f != 0.0]
     top = max(cfg.fractions)
+    test_sets = [test] + [noisy for noisy, _ in steps]
     for name, outcome in zip(names, outcomes):
+        if not isinstance(outcome, str):
+            try:  # a non-finite prediction makes its model's error row
+                outcome = [_series(cfg, d.power, p) for d, p in zip(test_sets, outcome)]
+            except ValueError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
         if isinstance(outcome, str):
             report.errors[name] = outcome
             continue

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset
+from .data import FEATURE_NAMES, Dataset, nonfinite_column
+from .errors import DataError
 from .rng import stream
 
 __all__ = ["NoiseConfig", "NOISE_TARGETS", "inject"]
@@ -65,6 +66,8 @@ def inject(test: Dataset, cfg: NoiseConfig) -> tuple:
     sorted list of perturbed row indices. Rows outside it are
     value-identical to the input, and the input is never modified. The
     noise sweep relies on this: it re-predicts only ``affected``.
+    Raises DataError naming the first column that the noise takes
+    beyond the float range, as a std near 1e308 does.
     """
     n = len(test)
     count = math.floor(cfg.fraction * n + 0.5)  # round half up
@@ -74,13 +77,17 @@ def inject(test: Dataset, cfg: NoiseConfig) -> tuple:
     power = np.array(test.power)
     if count:
         cells = stream(cfg.seed, "noise-cells")
-        if cfg.target in ("FEATURES", "BOTH"):
-            names = cfg.columns if cfg.columns is not None else FEATURE_NAMES
-            cols = np.array([FEATURE_NAMES.index(c) for c in names], dtype=np.intp)
-            features[np.ix_(rows, cols)] += cells.normal(
-                cfg.mean, cfg.std, size=(count, cols.size)
-            )
-        if cfg.target in ("POWER", "BOTH"):
-            power[rows] += cells.normal(cfg.mean, cfg.std, size=count)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            if cfg.target in ("FEATURES", "BOTH"):
+                names = cfg.columns if cfg.columns is not None else FEATURE_NAMES
+                cols = np.array([FEATURE_NAMES.index(c) for c in names], dtype=np.intp)
+                features[np.ix_(rows, cols)] += cells.normal(
+                    cfg.mean, cfg.std, size=(count, cols.size)
+                )
+            if cfg.target in ("POWER", "BOTH"):
+                power[rows] += cells.normal(cfg.mean, cfg.std, size=count)
+        name = nonfinite_column(features, power)
+        if name is not None:
+            raise DataError(f"noise takes column {name!r} beyond the float range")
 
     return test.replace(features=features, power=power), [int(r) for r in rows]

@@ -1,5 +1,6 @@
 """The model class every kind subclasses: its file fields, rules, fit and predict contract."""
 
+import math
 from functools import wraps
 from inspect import signature
 from numbers import Integral
@@ -10,6 +11,8 @@ from ..errors import DimensionMismatch, InvalidSpec
 
 # (predicate, requirement) pairs shared by the kinds' range rules
 POSITIVE = (lambda v: v > 0, "must be positive")
+# a rate or scale the arithmetic multiplies or divides by, where inf overflows
+FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 
 

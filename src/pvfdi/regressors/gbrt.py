@@ -11,7 +11,8 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, DEPTH, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, DEPTH, FINITE_POSITIVE, NON_NEGATIVE, TrainedModel,
+                   require_finite)
 from .tree import check_tree, grow_tree, presort, route
 
 __all__ = ["GBRTModel", "fit_gbrt"]
@@ -24,7 +25,7 @@ class GBRTModel(TrainedModel):
     schema = (("float", "base_score"), ("float", "learning_rate"),
               ("float", "reg_lambda"), ("float", "gamma"),
               ("array", "train_loss_history"), ("trees", "trees"))
-    rules = {"rounds": AT_LEAST_ONE, "learning_rate": POSITIVE,
+    rules = {"rounds": AT_LEAST_ONE, "learning_rate": FINITE_POSITIVE,
              "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
              "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE}
     rowwise = True  # per-row tree walks summed elementwise

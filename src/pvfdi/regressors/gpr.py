@@ -6,13 +6,14 @@ of points. Above ``max_points`` a seeded uniform subsample keeps the
 factorization tractable; the predictor is then exact on that subset.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite,
-                   row_products)
+from .base import AT_LEAST_ONE, FINITE_POSITIVE, TrainedModel, require_finite, row_products
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -50,7 +51,8 @@ class GPRModel(TrainedModel):
     schema = (("float", "length_scale"), ("float", "noise_variance"),
               ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
               ("matrix", "X_train"))
-    rules = {"length_scale": POSITIVE, "noise_variance": NON_NEGATIVE,
+    rules = {"length_scale": FINITE_POSITIVE,
+             "noise_variance": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
              "max_points": AT_LEAST_ONE}
 
     def _check_fields(self):

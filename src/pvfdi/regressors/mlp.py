@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, POSITIVE, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, require_finite
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
            "loss_and_gradient"]
@@ -116,7 +116,7 @@ class MLPRModel(TrainedModel):
     kind = "MLPR"
     schema = (("float", "b2"), ("int", "stopped_early"), ("array", "loss_history"),
               ("array", "b1"), ("array", "W2"), ("matrix", "W1"))
-    rules = {"hidden": AT_LEAST_ONE, "learning_rate": POSITIVE,
+    rules = {"hidden": AT_LEAST_ONE, "learning_rate": FINITE_POSITIVE,
              "max_epochs": AT_LEAST_ONE, "tol": POSITIVE, "patience": AT_LEAST_ONE}
 
     def _check_fields(self):

@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import AT_LEAST_ZERO, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
+from .base import (AT_LEAST_ZERO, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, TrainedModel,
+                   require_finite)
 
 __all__ = ["SVRModel", "fit_svr", "kkt_violation"]
 
@@ -58,9 +59,10 @@ class SVRModel(TrainedModel):
               ("float", "kkt_violation"), ("float", "dual_objective"),
               ("array", "sv_coef"), ("matrix", "sv_X"))
     rules = {"C": POSITIVE, "epsilon": NON_NEGATIVE,
-             "gamma": (lambda v: v is None or v > 0, "must be positive or None"),
+             "gamma": (lambda v: v is None or 0 < v < math.inf,
+                       "must be positive and finite, or None"),
              "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO,
-             "cache_mb": (lambda v: 0 < v < math.inf, "must be positive and finite")}
+             "cache_mb": FINITE_POSITIVE}
 
     def _check_fields(self):
         if self.sv_coef.shape != self.sv_X.shape[:1]:

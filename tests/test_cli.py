@@ -243,6 +243,22 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     assert not (tmp_path / "out").exists()
 
 
+# a rate or scale of inf passes "positive" yet overflows the arithmetic
+@pytest.mark.parametrize("kind, key", [
+    ("GBRT", "learning_rate"), ("MLPR", "learning_rate"), ("GPR", "length_scale"),
+    ("GPR", "noise_variance"), ("SVR", "gamma"),
+])
+def test_infinite_rate_or_scale_exits_one(tmp_path, capsys, kind, key):
+    cfg = tmp_path / "pv.ini"
+    cfg.write_text(f"[model.{kind}]\n{key} = inf\n")
+    assert run(["sweep", "--config", cfg, "--n", 60, "--models", kind,
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {kind} {key} must be" in err and "finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     ("sweep --n 60 --models LR --noise-std nan --out out", 1),
     ("inject --data d.csv --fraction 0.5 --noise-mean inf --out out/x.csv", 1),
@@ -250,6 +266,10 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     ("sweep --n 60 --models LR --config ratio.ini --out out", 1),
     ("sweep --n 60 --models SVR --config cache.ini --out out", 1),
     ("sweep --n 60 --models SVR --config none.ini --out out", 1),
+    # noise that overflows a column is a data error, as in min-max scaling
+    ("sweep --n 60 --models LR --noise-std 1e308 --out out", 2),
+    ("inject --data d.csv --fraction 0.5 --noise-std 1e308 --out out/x.csv", 2),
+    ("inject --data wide.csv --fraction 1 --noise-mean 1e308 --out out/x.csv", 2),
     # a feature column at the float extremes overflows min-max scaling
     ("sweep --data wide.csv --models LR --out out", 2),
 ])

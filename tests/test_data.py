@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,11 @@ def csv_writer_reference(ds):
     return buf.getvalue().encode("utf-8")
 
 
+# stamps that need no quoting, and stamps that csv or the reader needs quoted
+STAMPS = ["2014-04-01 12:00", "a,b", 'say "hi"', "", " lead", "two\nlines", "cr\r",
+          "tab\t", "#", "'"]
+
+
 @pytest.mark.parametrize("stamped", [False, True])
 def test_csv_bytes_match_csv_writer(tmp_path, stamped):
     ds = small(10)
@@ -92,15 +99,44 @@ def test_csv_bytes_match_csv_writer(tmp_path, stamped):
     features[0, :3] = [-0.0, 5e-324, 1e308]
     power = ds.power.copy()
     power[1] = -0.0
-    stamps = ["2014-04-01 12:00", "a,b", 'say "hi"', "", " lead", "two\nlines", "cr\r",
-              "tab\t", "#", "'"]
-    ds = pvfdi.Dataset(features, power, timestamps=stamps if stamped else None)
+    ds = pvfdi.Dataset(features, power, timestamps=STAMPS if stamped else None)
     assert ds.to_csv_bytes() == csv_writer_reference(ds)
     path = tmp_path / "d.csv"
     pvfdi.save_csv(ds, path, header_comment="a comment")
     comment, body = path.read_bytes().split(b"\n", 1)
     assert comment == b"# a comment"
     assert body == ds.to_csv_bytes()
+
+
+# the CSV text is rendered in blocks of 512 rows: counts on either side of
+# one and two block edges
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("stamped", [False, True])
+def test_csv_blocks_join_to_the_csv_writer_bytes(tmp_path, n, stamped):
+    ds = pvfdi.synth_generate(max(n, 10), 5).take(np.arange(n))
+    if stamped:
+        ds = pvfdi.Dataset(ds.features, ds.power,
+                           timestamps=[STAMPS[i % len(STAMPS)] for i in range(n)])
+    expected = csv_writer_reference(ds)
+    assert ds.to_csv_bytes() == expected
+    assert ds.checksum() == hashlib.sha256(expected).hexdigest()
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path, header_comment="a comment")
+    assert path.read_bytes() == b"# a comment\n" + expected
+    pvfdi.save_csv(ds, path)
+    assert path.read_bytes() == expected
+
+
+def test_checksum_memory_does_not_grow_with_rows():
+    ds = pvfdi.synth_generate(20_000, 1)
+    tracemalloc.start()
+    try:
+        ds.checksum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole table's CSV text is about 5 MB, and a block's text about 0.1 MB
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("stamp", ["#3", " #3", "a\n#b", "cr\r", "a\rb"])

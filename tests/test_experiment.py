@@ -268,7 +268,7 @@ def test_rowwise_splice_matches_full_batch_prediction(tmp_path, monkeypatch, noi
         # the reference predicts every row of every test set
         cfg, specs, train, test, steps = shared
         model = experiment.fit(specs[index], train)
-        return [experiment._series(cfg, data.power, model.predict_batch(data.features))
+        return [model.predict_batch(data.features)
                 for data in [test] + [noisy for noisy, _ in steps]]
 
     monkeypatch.setattr(experiment, "_model_job", full_batch_job)

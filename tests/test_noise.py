@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pvfdi
+from pvfdi.errors import DataError
 from pvfdi.noise import NOISE_TARGETS, NoiseConfig, inject
 
 
@@ -105,6 +106,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(0.5, target="features")
     assert NOISE_TARGETS == ("FEATURES", "POWER", "BOTH")
+
+
+@pytest.mark.parametrize("target, columns, name", [
+    ("FEATURES", None, "tclw"), ("FEATURES", ("ssrd", "tp"), "ssrd"), ("POWER", None, "POWER"),
+])
+def test_noise_beyond_the_float_range_is_a_data_error(clean, target, columns, name):
+    # a std of 1e308 takes a draw beyond +-1.797 (7 % of them) to infinity
+    cfg = NoiseConfig(0.5, std=1e308, target=target, columns=columns)
+    with pytest.raises(DataError, match=f"column '{name}'"):
+        inject(clean, cfg)
 
 
 def test_injection_deterministic(clean):
