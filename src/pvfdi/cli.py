@@ -20,17 +20,14 @@ from .errors import ConfigError, DataError, PvfdiError
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
-    _aligned,
-    _csv_table,
-    _rows,
-    _write_json,
-    _write_text,
     compute_sensitivity,
     emit_report,
     fraction_label,
     run_clean_benchmark,
     run_noise_sweep,
     sensitivity_label,
+    write_json,
+    write_table,
 )
 from .noise import NOISE_TARGETS, NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, KINDS, ModelSpec, default_hyperparameters
@@ -204,7 +201,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
-    _write_json(out.with_name(out.name + ".provenance.json"), {
+    write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
         "command": "synth",
         "n": args.n,
@@ -234,7 +231,7 @@ def cmd_inject(args) -> int:
     index_path = out.with_name(out.name + ".affected.txt")
     with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{row}\n" for row in affected)
-    _write_json(out.with_name(out.name + ".provenance.json"), {
+    write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
         "command": "inject",
         "input": str(args.data),
@@ -323,15 +320,14 @@ def cmd_report(args) -> int:
     values = {name: [row[c] for c in header[1:]] for name, row in sensitivity.items()}
 
     out_dir = Path(args.out)
-    rows = _rows(report, header, values, repr)
-    _write_text(out_dir / "sensitivity.csv", _csv_table(header, rows))
-    _write_json(out_dir / "provenance.json", {
+    text = write_table(out_dir, report, "sensitivity.csv", header, values, "{:+.2f}%")
+    write_json(out_dir / "provenance.json", {
         "version": __version__,
         "command": "report",
         "input": str(args.data),
         "fractions": [fraction_label(f) for f in fractions],
     })
-    print(_aligned(header, _rows(report, header, values, "{:+.2f}%".format)), end="")
+    print(text, end="")
     print(f"wrote {out_dir / 'sensitivity.csv'}")
     return EXIT_OK
 

@@ -34,6 +34,8 @@ __all__ = [
     "run_noise_sweep",
     "compute_sensitivity",
     "emit_report",
+    "write_table",
+    "write_json",
     "fraction_label",
     "sensitivity_label",
 ]
@@ -341,29 +343,30 @@ def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
     test_sets = [test] + [noisy for noisy, _ in steps]
     for name, outcome in zip(names, outcomes):
         if not isinstance(outcome, str):
-            try:  # a non-finite prediction makes its model's error row
-                outcome = [_series(cfg, d.power, p) for d, p in zip(test_sets, outcome)]
+            try:  # a non-finite prediction or RMSE makes its model's error row
+                clean, *noisy = [_series(cfg, d.power, p) for d, p in zip(test_sets, outcome)]
+                triple = metric_triple(clean)
+                noisy_rmse = [rmse(step) for step in noisy]
             except ValueError as exc:
                 outcome = f"{type(exc).__name__}: {exc}"
         if isinstance(outcome, str):
             report.errors[name] = outcome
             continue
-        clean, *noisy = outcome
-        report.clean_table[name] = metric_triple(clean)
+        report.clean_table[name] = triple
         series = report.prediction_series[name] = {"clean": clean}
         if not sweep:
             continue
         # the zero column IS the clean benchmark, bit for bit
-        row = report.noise_table[name] = {0.0: report.clean_table[name].rmse}
+        row = report.noise_table[name] = {0.0: triple.rmse}
         series["noisy"] = clean  # kept only when every fraction is 0
         for k, f in enumerate(nonzero):
-            block = noisy[k * cfg.repeats:(k + 1) * cfg.repeats]
+            block = slice(k * cfg.repeats, (k + 1) * cfg.repeats)
             total = 0.0
-            for step in block:
-                total += rmse(step)
+            for value in noisy_rmse[block]:
+                total += value
             row[f] = total / cfg.repeats
             if f == top:
-                series["noisy"] = block[0]
+                series["noisy"] = noisy[block][0]
     if sweep:
         report.sensitivity_table = compute_sensitivity(report.noise_table, report.errors)
     return report
@@ -420,12 +423,9 @@ def _write_text(path: Path, text: str):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
-def _write_json(path: Path, block: dict):
-    _write_text(path, json.dumps(block, sort_keys=True, indent=2) + "\n")
-
-
-def _csv_table(header, rows) -> str:
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+def write_json(path, block: dict):
+    """Write ``block`` to ``path`` as sorted, indented JSON; IoError if it cannot."""
+    _write_text(Path(path), json.dumps(block, sort_keys=True, indent=2) + "\n")
 
 
 def _aligned(header, rows) -> str:
@@ -437,15 +437,24 @@ def _aligned(header, rows) -> str:
     return "\n".join([fmt(header)] + [fmt(r) for r in rows]) + "\n"
 
 
-def _rows(report, header, values, cell) -> list:
-    """One row per model in config order; a failed model's cells read ERROR."""
-    rows = []
+def write_table(out_dir, report, file, header, values, human) -> str:
+    """Write one table as ``out_dir/file`` and return its text aligned for reading.
+
+    ``values`` maps a model name to its cells after the name. The table
+    has one row per model in ``report.model_order``: the CSV cells hold
+    the exact repr of each float and the text cells ``human.format`` of
+    it, and a model in ``report.errors`` with no values reads ERROR.
+    """
+    exact, text = [], []
     for name in report.model_order:
         if name in values:
-            rows.append([name] + [cell(v) for v in values[name]])
+            exact.append([name] + [repr(float(v)) for v in values[name]])
+            text.append([name] + [human.format(v) for v in values[name]])
         elif name in report.errors:
-            rows.append([name] + ["ERROR"] * (len(header) - 1))
-    return rows
+            exact.append([name] + ["ERROR"] * (len(header) - 1))
+            text.append(exact[-1])
+    _write_text(Path(out_dir) / file, "".join(",".join(row) + "\n" for row in [header, *exact]))
+    return _aligned(header, text)
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:
@@ -475,12 +484,9 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         ]
     written = []
     text_blocks = []
-    exact = lambda v: repr(float(v))
     for file, title, header, values, human in tables:
         written.append(out_dir / file)
-        _write_text(written[-1], _csv_table(header, _rows(report, header, values, exact)))
-        text_blocks.append(title + "\n" + _aligned(
-            header, _rows(report, header, values, human.format)))
+        text_blocks.append(title + "\n" + write_table(out_dir, report, file, header, values, human))
     if not report.noise_table:
         text_blocks.append("Noise sweep: not run; sweep files skipped.\n")
 
@@ -503,7 +509,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
                         + "".join(map(str.__add__, starts[key], cells)) + "\n")
 
     written.append(out_dir / "provenance.json")
-    _write_json(written[-1], report.provenance)
+    write_json(written[-1], report.provenance)
 
     written.append(out_dir / "report.txt")
     _write_text(written[-1], "\n".join(text_blocks))

@@ -3,7 +3,10 @@
 All three metrics operate on paired actual/forecast series. Sums are
 accumulated with numpy's pairwise summation in float64, which keeps them
 within 1e-12 relative error of a naive direct-summation reference even
-for series tens of thousands of entries long.
+for series tens of thousands of entries long. A series whose squared
+errors sum beyond the float range has no MSE or RMSE: ``mse``, and so
+``rmse`` and ``metric_triple``, raise ValueError, as EvaluationSeries
+does for a non-finite value, and print no numpy warning.
 """
 
 import math
@@ -72,9 +75,13 @@ class MetricTriple:
 
 
 def mse(s: EvaluationSeries) -> float:
-    """Mean squared error: sum((Y_t - Yhat_t)^2) / n."""
-    diff = s.actual - s.predicted
-    return float(np.dot(diff, diff) / diff.size)
+    """Mean squared error: sum((Y_t - Yhat_t)^2) / n; ValueError if it overflows."""
+    with np.errstate(over="ignore"):
+        diff = s.actual - s.predicted
+        value = float(np.dot(diff, diff) / diff.size)
+    if not math.isfinite(value):
+        raise ValueError("mean squared error overflows the float range")
+    return value
 
 
 def rmse(s: EvaluationSeries) -> float:

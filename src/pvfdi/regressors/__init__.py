@@ -13,14 +13,14 @@ from inspect import signature
 from ..errors import InvalidSpec
 from .base import TrainedModel, is_count
 from .gbrt import GBRTModel, fit_gbrt
-from .gpr import GPRModel, fit_gpr, rbf_kernel
+from .gpr import GPRModel, fit_gpr
 from .knn import KNNModel, fit_knn
-from .linear import LinearModel, fit_lasso, fit_lr, lasso_lambda_max
-from .mlp import MLPRModel, fit_mlpr, init_params, loss_and_gradient, mlp_loss
+from .linear import LinearModel, fit_lasso, fit_lr
+from .mlp import MLPRModel, fit_mlpr
 from .registry import REGISTRY
-from .serialize import FORMAT_VERSION, dumps, load_model, loads, save_model
+from .serialize import load_model, save_model
 from .svr import SVRModel, fit_svr
-from .tree import TreeModel, fit_dt, grow_tree, presort, route
+from .tree import TreeModel, fit_dt
 
 __all__ = [
     "KINDS",
@@ -29,14 +29,14 @@ __all__ = [
     "fit",
     "default_hyperparameters",
     "TrainedModel",
-    "LinearModel", "fit_lr", "fit_lasso", "lasso_lambda_max",
-    "GPRModel", "fit_gpr", "rbf_kernel",
+    "LinearModel", "fit_lr", "fit_lasso",
+    "GPRModel", "fit_gpr",
     "KNNModel", "fit_knn",
-    "TreeModel", "fit_dt", "grow_tree", "presort", "route",
+    "TreeModel", "fit_dt",
     "GBRTModel", "fit_gbrt",
     "SVRModel", "fit_svr",
-    "MLPRModel", "fit_mlpr", "init_params", "mlp_loss", "loss_and_gradient",
-    "save_model", "load_model", "dumps", "loads", "FORMAT_VERSION",
+    "MLPRModel", "fit_mlpr",
+    "save_model", "load_model",
 ]
 
 DEFAULT_KINDS = tuple(REGISTRY)

@@ -9,9 +9,9 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, as_design, require_finite
+from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
 
-__all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso", "lasso_lambda_max"]
+__all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso"]
 
 
 class LinearModel(TrainedModel):
@@ -52,15 +52,6 @@ def _soft_threshold(value: float, threshold: float) -> float:
     if value < -threshold:
         return value + threshold
     return 0.0
-
-
-def lasso_lambda_max(X, y) -> float:
-    """Smallest penalty for which the lasso solution is all zeros."""
-    X, y = as_design(X, y)
-    n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    yc = y - y.mean()
-    return float(np.max(np.abs(Xc.T @ yc)) / n)
 
 
 @LassoModel.fitting

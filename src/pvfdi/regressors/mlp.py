@@ -1,9 +1,8 @@
 """Single-hidden-layer perceptron regressor trained by full-batch Adam.
 
 Architecture is input -> hidden (ReLU) -> linear output, squared loss.
-``mlp_loss`` and ``loss_and_gradient`` are module-level and operate on a
-plain (W1, b1, W2, b2) tuple so the backward pass can be checked against
-finite differences without touching a trained model.
+The forward pass, the loss and the gradient act on a plain (W1, b1, W2,
+b2) tuple.
 
 Training runs every epoch in two (n, hidden) float64 buffers allocated
 once per fit: ``a1`` holds the hidden activations, built in place as
@@ -34,8 +33,7 @@ from ..errors import NonFiniteLoss
 from ..rng import stream
 from .base import AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, require_finite
 
-__all__ = ["MLPRModel", "fit_mlpr", "init_params", "mlp_loss",
-           "loss_and_gradient"]
+__all__ = ["MLPRModel", "fit_mlpr", "init_params"]
 
 
 def init_params(n_features, hidden, seed):
@@ -62,13 +60,6 @@ def _forward(params, X, a1=None):
     a1 += b1
     np.maximum(a1, 0.0, out=a1)
     return a1, a1 @ W2 + b2
-
-
-def mlp_loss(params, X, y):
-    """Mean squared error of the net on (X, y)."""
-    _, yhat = _forward(params, X)
-    r = yhat - y
-    return float(r @ r) / X.shape[0]
 
 
 def _forward_loss(params, X, y, a1):
@@ -98,18 +89,6 @@ def _gradient(params, X, a1, r, d):
     gW1 = X.T @ d
     gb1 = d.sum(axis=0)
     return gW1, gb1, gW2, gb2
-
-
-def _loss_and_gradient(params, X, y, a1, d):
-    """``loss_and_gradient`` writing into two (n, hidden) buffers."""
-    r, loss = _forward_loss(params, X, y, a1)
-    return loss, _gradient(params, X, a1, r, d)
-
-
-def loss_and_gradient(params, X, y):
-    """Loss plus its gradient in the same (W1, b1, W2, b2) layout."""
-    shape = (X.shape[0], np.shape(params[0])[1])
-    return _loss_and_gradient(params, X, y, np.empty(shape), np.empty(shape))
 
 
 class MLPRModel(TrainedModel):

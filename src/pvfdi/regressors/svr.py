@@ -24,7 +24,7 @@ import numpy as np
 from .base import (AT_LEAST_ZERO, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, TrainedModel,
                    require_finite)
 
-__all__ = ["SVRModel", "fit_svr", "kkt_violation"]
+__all__ = ["SVRModel", "fit_svr"]
 
 _TAU = 1e-12  # floor for non-positive curvature, as in standard SMO solvers
 
@@ -162,28 +162,6 @@ def _take_step(z, G, s, i, j, C, row):
     G += (s[j] * d_j) * (s * k_j)
 
 
-def kkt_violation(X, y, z, C, epsilon, gamma) -> float:
-    """Maximal KKT violation of dual iterate ``z``, recomputed from scratch.
-
-    Independent of any solver state: rebuilds the gradient from the
-    kernel and returns Gmax + Gmax2 (negative infinity when one side has
-    no movable variable).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    n = X.shape[0]
-    s = np.concatenate((np.ones(n), -np.ones(n)))
-    p = np.concatenate((epsilon - y, epsilon + y))
-    X_sq = np.einsum("ij,ij->i", X, X)
-    K = _rbf_rows(X, X, X_sq, gamma)
-    beta = z[:n] - z[n:]
-    G = s * np.tile(K @ beta, 2) + p
-    lower, upper = z <= 0.0, z >= C
-    up_val = np.where((s > 0) & ~upper | (s < 0) & ~lower, -s * G, -np.inf)
-    low_val = np.where((s > 0) & ~lower | (s < 0) & ~upper, s * G, -np.inf)
-    return float(up_val.max() + low_val.max())
-
-
 def _bias(G, s, z, C):
     """Average s*G over free vectors, else the feasible-interval midpoint."""
     free = (z > 0.0) & (z < C)
@@ -196,18 +174,17 @@ def _bias(G, s, z, C):
     return -(upper_cap.min() + lower_cap.max()) / 2.0
 
 
-@SVRModel.fitting
-def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
-            gamma: float | None = None, tol: float = 1e-3,
-            max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
-    """Train an RBF-kernel SVR; gamma defaults to 1/n_features; ``cache_mb`` bounds memory only."""
-    n = X.shape[0]
-    if gamma is None:
-        gamma = 1.0 / X.shape[1]
+def _dual_terms(y, epsilon):
+    """The dual's signs s and linear term p, each 2n entries."""
+    n = y.shape[0]
+    return (np.concatenate((np.ones(n), -np.ones(n))),
+            np.concatenate((epsilon - y, epsilon + y)))
 
-    s = np.concatenate((np.ones(n), -np.ones(n)))
-    p = np.concatenate((epsilon - y, epsilon + y))
-    z = np.zeros(2 * n)
+
+def _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb):
+    """(z, G, iterations, converged, violation): the dual iterate, its gradient and the stop state."""
+    s, p = _dual_terms(y, epsilon)
+    z = np.zeros(2 * X.shape[0])
     G = p.copy()
     row = _row_cache(X, gamma, cache_mb)
 
@@ -221,12 +198,21 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
             break
         _take_step(z, G, s, i, j, C, row)
         it += 1
+    return z, G, it, converged, violation
 
+
+@SVRModel.fitting
+def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
+            gamma: float | None = None, tol: float = 1e-3,
+            max_iterations: int = 200_000, cache_mb: float = 128.0) -> SVRModel:
+    """Train an RBF-kernel SVR; gamma defaults to 1/n_features; ``cache_mb`` bounds memory only."""
+    n = X.shape[0]
+    if gamma is None:
+        gamma = 1.0 / X.shape[1]
+    z, G, it, converged, violation = _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb)
+    s, p = _dual_terms(y, epsilon)
     beta = z[:n] - z[n:]
-    bias = _bias(G, s, z, C)
     keep = beta != 0.0
-    model = SVRModel(X.shape[1], sv_X=X[keep], sv_coef=beta[keep], bias=bias, gamma=gamma,
-                     C=C, epsilon=epsilon, converged=converged, iterations=it,
-                     kkt_violation=violation, dual_objective=-0.5 * float(z @ (G + p)))
-    model._dual_z = z  # full (alpha; alpha*) iterate, for KKT auditing
-    return model
+    return SVRModel(X.shape[1], sv_X=X[keep], sv_coef=beta[keep], bias=_bias(G, s, z, C),
+                    gamma=gamma, C=C, epsilon=epsilon, converged=converged, iterations=it,
+                    kkt_violation=violation, dual_objective=-0.5 * float(z @ (G + p)))

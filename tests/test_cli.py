@@ -182,6 +182,23 @@ def test_failed_model_exits_three_but_emits(tmp_path, capsys):
     assert any(line.startswith("LR,") and "ERROR" not in line for line in grid)
 
 
+def test_overflowing_rmse_is_its_models_error_row(tmp_path, capsys):
+    # LR's noisy predictions stay finite, but their squared errors sum beyond
+    # the float range; DT's leaf values cannot
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    args = ["sweep", "--n", 60, "--noise-mean", 1e308]
+    assert run(args + ["--models", "LR,DT", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "model LR failed: ValueError" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert run(args + ["--models", "DT", "--out", alone]) == 0
+    for name in ("clean_metrics.csv", "noise_rmse.csv", "sensitivity.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[1].startswith("LR,") and set(lines[1].split(",")[1:]) == {"ERROR"}
+        assert lines[2] == (alone / name).read_text().splitlines()[1]
+    assert not (out / "series" / "LR_clean.csv").exists()
+
+
 # --- config files -------------------------------------------------------------------
 
 def test_config_file_drives_run_and_flags_override(tmp_path):

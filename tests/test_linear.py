@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pvfdi.regressors import fit_lasso, fit_lr, lasso_lambda_max
+from pvfdi.regressors import fit_lasso, fit_lr
+from tests.oracles import lasso_lambda_max
 
 
 def normal_equation_oracle(X, y):

@@ -32,6 +32,24 @@ def test_hand_computed_values():
     assert mae(s) == 2.0
 
 
+@pytest.mark.parametrize("actual, predicted", [
+    (0.0, 1e200),          # each square overflows
+    (0.5, 1.2e154),        # each square is finite, their sum is not
+    (-1.7e308, 1.7e308),   # the difference itself overflows
+])
+def test_overflowing_squared_error_raises_without_a_warning(actual, predicted):
+    s = EvaluationSeries(np.full(4, actual), np.full(4, predicted))
+    for metric in (mse, rmse, metric_triple):
+        with pytest.raises(ValueError, match="overflows"):
+            metric(s)
+
+
+def test_squared_errors_summing_just_below_the_float_range_are_kept():
+    s = EvaluationSeries(np.zeros(2), np.array([9e153, -9e153]))  # sum 1.62e308
+    assert mse(s) == float(np.dot(s.predicted, s.predicted) / 2)
+    assert math.isfinite(rmse(s))
+
+
 def test_perfect_prediction_is_zero():
     s = EvaluationSeries(np.arange(5.0), np.arange(5.0))
     assert rmse(s) == mse(s) == mae(s) == 0.0

@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 import pvfdi
 from pvfdi.regressors import fit_svr
 from pvfdi.regressors.serialize import dumps
-from pvfdi.regressors.svr import kkt_violation
+from tests.oracles import dual_iterate, kkt_violation
 
 
 def rbf(A, B, gamma):
@@ -97,9 +97,20 @@ def test_converged_iterate_satisfies_kkt(norm_split):
     X, y = train.features[:120], train.power[:120]
     model = fit_svr(X, y, C=1.0, epsilon=0.1, tol=1e-3)
     assert model.converged
-    audited = kkt_violation(X, y, model._dual_z, 1.0, 0.1, model.gamma)
+    z = dual_iterate(X, y, C=1.0, epsilon=0.1, tol=1e-3)
+    audited = kkt_violation(X, y, z, 1.0, 0.1, model.gamma)
     assert audited < 1e-3 + 1e-9
     assert model.kkt_violation < 1e-3
+
+
+def test_model_holds_the_nonzero_coefficients_of_the_dual_iterate(norm_split):
+    train, _ = norm_split
+    X, y = train.features[:100], train.power[:100]
+    model = fit_svr(X, y, C=0.5)
+    z = dual_iterate(X, y, C=0.5)
+    beta = z[:100] - z[100:]
+    assert model.sv_coef.tobytes() == beta[beta != 0.0].tobytes()
+    assert model.sv_X.tobytes() == X[beta != 0.0].tobytes()
 
 
 def test_dual_objective_history_non_decreasing(norm_split):
@@ -151,7 +162,7 @@ def test_cache_size_never_changes_the_model():
     full = fit_svr(X, y)
     tiny = fit_svr(X, y, cache_mb=1e-9)
     assert dumps(full) == dumps(tiny)
-    assert full._dual_z.tobytes() == tiny._dual_z.tobytes()
+    assert dual_iterate(X, y).tobytes() == dual_iterate(X, y, cache_mb=1e-9).tobytes()
 
 
 def test_default_gamma_is_reciprocal_dimension(rng):
