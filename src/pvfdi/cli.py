@@ -25,7 +25,6 @@ from .experiment import (
     fraction_label,
     run_clean_benchmark,
     run_noise_sweep,
-    sensitivity_label,
     write_json,
     write_table,
 )
@@ -274,8 +273,8 @@ def cmd_sweep(args) -> int:
 def _load_noise_grid(path: Path) -> ExperimentReport:
     """Parse an emitted noise_rmse.csv back into a report.
 
-    The report holds the rows' model order, the noise table of every
-    numeric row, and an error for every ERROR row.
+    The report holds the header's fractions, the rows' model order, the
+    noise table of every numeric row, and an error for every ERROR row.
     """
     if path.is_dir():
         path = path / "noise_rmse.csv"
@@ -307,25 +306,22 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
             table[cells[0]] = {f: float(v) for f, v in zip(fractions, cells[1:])}
         except ValueError:
             raise DataError(f"row {cells[:1]} in {path} has a non-numeric RMSE") from None
-    if not table:
+    if not order:
         raise DataError(f"no model rows in {path}")
-    return ExperimentReport(model_order=tuple(order), noise_table=table, errors=errors)
+    return ExperimentReport(model_order=tuple(order), fractions=tuple(sorted(set(fractions))),
+                            noise_table=table, errors=errors)
 
 
 def cmd_report(args) -> int:
     report = _load_noise_grid(Path(args.data))
-    sensitivity = compute_sensitivity(report.noise_table, report.errors)
-    fractions = sorted(next(iter(report.noise_table.values())))
-    header = ["model"] + [sensitivity_label(f) for f in fractions if f != 0.0]
-    values = {name: [row[c] for c in header[1:]] for name, row in sensitivity.items()}
-
+    report.sensitivity_table = compute_sensitivity(report.noise_table, report.errors)
     out_dir = Path(args.out)
-    text = write_table(out_dir, report, "sensitivity.csv", header, values, "{:+.2f}%")
+    text = write_table(out_dir, report, "sensitivity.csv")
     write_json(out_dir / "provenance.json", {
         "version": __version__,
         "command": "report",
         "input": str(args.data),
-        "fractions": [fraction_label(f) for f in fractions],
+        "fractions": [fraction_label(f) for f in report.fractions],
     })
     print(text, end="")
     print(f"wrote {out_dir / 'sensitivity.csv'}")

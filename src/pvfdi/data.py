@@ -120,12 +120,8 @@ class Dataset:
             timestamps=self._timestamps,
         )
 
-    def to_csv_bytes(self) -> bytes:
-        """Canonical CSV serialization (also the checksum domain)."""
-        return "".join(_csv_blocks(self)).encode("utf-8")
-
     def checksum(self) -> str:
-        """sha256 of ``to_csv_bytes()``, hashed a block at a time."""
+        """sha256 of the CSV bytes ``save_csv`` writes with no comment, hashed a block at a time."""
         digest = hashlib.sha256()
         for block in _csv_blocks(self):
             digest.update(block.encode("utf-8"))

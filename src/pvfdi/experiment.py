@@ -105,6 +105,7 @@ class ExperimentReport:
     """Assembled results; tables are keyed by model name, config order."""
 
     model_order: tuple = ()
+    fractions: tuple = ()  # the sweep's, ascending from 0.0; () for a clean benchmark
     clean_table: dict = field(default_factory=dict)       # name -> MetricTriple
     noise_table: dict = field(default_factory=dict)       # name -> {fraction: rmse}
     sensitivity_table: dict = field(default_factory=dict) # name -> {label: percent}
@@ -269,19 +270,20 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
         return [futures[i].result() for i in range(len(specs))], during
 
 
-def _noise_seed(cfg, fraction, repeat):
-    if cfg.repeats == 1:
-        return derive_seed(cfg.seed, "noise", fraction)
-    return derive_seed(cfg.seed, "noise", fraction, repeat)
+def _schedule(cfg) -> list:
+    """(fraction, noise seed) of every injection in sweep order: each nonzero
+    fraction in config order, ``cfg.repeats`` times."""
+    repeats = [()] if cfg.repeats == 1 else [(r,) for r in range(cfg.repeats)]
+    return [(f, derive_seed(cfg.seed, "noise", f, *r))
+            for f in cfg.fractions if f != 0.0 for r in repeats]
 
 
 def _provenance(cfg, specs, names, raw: Dataset) -> dict:
     from . import __version__
 
-    noise_seeds = {
-        fraction_label(f): [_noise_seed(cfg, f, r) for r in range(cfg.repeats)]
-        for f in cfg.fractions if f != 0.0
-    }
+    noise_seeds = {}
+    for f, seed in _schedule(cfg):
+        noise_seeds.setdefault(fraction_label(f), []).append(seed)
     return {
         "version": __version__,
         "dataset": {
@@ -316,30 +318,22 @@ def _provenance(cfg, specs, names, raw: Dataset) -> dict:
     }
 
 
-def _noisy_steps(cfg, test: Dataset) -> list:
-    """``inject`` results for every nonzero fraction and repeat, in sweep order."""
-    return [
-        inject(test, NoiseConfig(
-            fraction=f, mean=cfg.noise_mean, std=cfg.noise_std,
-            target=cfg.noise_target, columns=cfg.noise_columns,
-            seed=_noise_seed(cfg, f, r),
-        ))
-        for f in cfg.fractions if f != 0.0
-        for r in range(cfg.repeats)
-    ]
-
-
 def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
     """Run every model's job and build the report: clean columns, and the sweep's if ``sweep``."""
     raw, train, test = _prepare(cfg)
-    steps = _noisy_steps(cfg, test) if sweep else []
+    schedule = _schedule(cfg) if sweep else []
+    steps = [inject(test, NoiseConfig(fraction=f, mean=cfg.noise_mean, std=cfg.noise_std,
+                                      target=cfg.noise_target, columns=cfg.noise_columns,
+                                      seed=seed))
+             for f, seed in schedule]
     specs = cfg.model_specs()
     names = _model_names(specs)
-    report = ExperimentReport(model_order=names)
+    report = ExperimentReport(model_order=names,
+                              fractions=tuple(sorted(cfg.fractions)) if sweep else ())
     outcomes, report.provenance = _run_jobs(
         cfg, specs, train, test, steps, lambda: _provenance(cfg, specs, names, raw))
-    nonzero = [f for f in cfg.fractions if f != 0.0]
-    top = max(cfg.fractions)
+    # the noisy series is repeat 0 of the largest fraction, or clean when every fraction is 0
+    top = [f for f, _ in schedule].index(report.fractions[-1]) if schedule else None
     test_sets = [test] + [noisy for noisy, _ in steps]
     for name, outcome in zip(names, outcomes):
         if not isinstance(outcome, str):
@@ -356,17 +350,13 @@ def _evaluate_models(cfg, sweep: bool) -> ExperimentReport:
         series = report.prediction_series[name] = {"clean": clean}
         if not sweep:
             continue
+        series["noisy"] = clean if top is None else noisy[top]
+        totals = dict.fromkeys(report.fractions[1:], 0.0)
+        for (f, _), value in zip(schedule, noisy_rmse):
+            totals[f] += value
         # the zero column IS the clean benchmark, bit for bit
-        row = report.noise_table[name] = {0.0: triple.rmse}
-        series["noisy"] = clean  # kept only when every fraction is 0
-        for k, f in enumerate(nonzero):
-            block = slice(k * cfg.repeats, (k + 1) * cfg.repeats)
-            total = 0.0
-            for value in noisy_rmse[block]:
-                total += value
-            row[f] = total / cfg.repeats
-            if f == top:
-                series["noisy"] = noisy[block][0]
+        report.noise_table[name] = {0.0: triple.rmse,
+                                    **{f: total / cfg.repeats for f, total in totals.items()}}
     if sweep:
         report.sensitivity_table = compute_sensitivity(report.noise_table, report.errors)
     return report
@@ -437,14 +427,39 @@ def _aligned(header, rows) -> str:
     return "\n".join([fmt(header)] + [fmt(r) for r in rows]) + "\n"
 
 
-def write_table(out_dir, report, file, header, values, human) -> str:
-    """Write one table as ``out_dir/file`` and return its text aligned for reading.
+# Every table file: its report.txt title, its header after "model" and
+# each model's values in header order, both read from a report, and the
+# format of a report.txt cell. Sweep tables have a column per fraction.
+_TABLES = {
+    "clean_metrics.csv": (
+        "Clean test metrics", lambda r: ["rmse", "mse", "mae"],
+        lambda r: {name: (t.rmse, t.mse, t.mae) for name, t in r.clean_table.items()},
+        "{:.6f}"),
+    "noise_rmse.csv": (
+        "RMSE under injection", lambda r: [fraction_label(f) for f in r.fractions],
+        lambda r: {name: [row[f] for f in r.fractions] for name, row in r.noise_table.items()},
+        "{:.6f}"),
+    "sensitivity.csv": (
+        "RMSE change vs clean (percent)",
+        lambda r: [sensitivity_label(f) for f in r.fractions[1:]],
+        lambda r: {name: [row[sensitivity_label(f)] for f in r.fractions[1:]]
+                   for name, row in r.sensitivity_table.items()},
+        "{:+.2f}%"),
+}
 
-    ``values`` maps a model name to its cells after the name. The table
-    has one row per model in ``report.model_order``: the CSV cells hold
-    the exact repr of each float and the text cells ``human.format`` of
-    it, and a model in ``report.errors`` with no values reads ERROR.
+
+def write_table(out_dir, report, file) -> str:
+    """Write ``report``'s table ``file`` as ``out_dir/file`` and return it aligned for reading.
+
+    ``file`` is clean_metrics.csv, noise_rmse.csv or sensitivity.csv; the
+    last two have a column per fraction in ``report.fractions``. The
+    table has one row per model in ``report.model_order``: the CSV cells
+    hold the exact repr of each float and the text cells a rounded form
+    of it, and a model in ``report.errors`` with no values reads ERROR.
     """
+    _, columns, table, human = _TABLES[file]
+    header = ["model", *columns(report)]
+    values = table(report)
     exact, text = [], []
     for name in report.model_order:
         if name in values:
@@ -465,29 +480,12 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     byte-deterministic. Returns the written paths.
     """
     out_dir = Path(out_dir)
-    # (file, report.txt title, header, values per model, report.txt cell format)
-    tables = [("clean_metrics.csv", "Clean test metrics", ["model", "rmse", "mse", "mae"],
-               {name: (t.rmse, t.mse, t.mae) for name, t in report.clean_table.items()},
-               "{:.6f}")]
-    if report.noise_table:
-        fractions = sorted(next(iter(report.noise_table.values())))
-        labels = [sensitivity_label(f) for f in fractions if f != 0.0]
-        tables += [
-            ("noise_rmse.csv", "RMSE under injection",
-             ["model"] + [fraction_label(f) for f in fractions],
-             {name: [row[f] for f in fractions] for name, row in report.noise_table.items()},
-             "{:.6f}"),
-            ("sensitivity.csv", "RMSE change vs clean (percent)", ["model"] + labels,
-             {name: [row[label] for label in labels]
-              for name, row in report.sensitivity_table.items()},
-             "{:+.2f}%"),
-        ]
     written = []
     text_blocks = []
-    for file, title, header, values, human in tables:
+    for file in _TABLES if report.fractions else ["clean_metrics.csv"]:
         written.append(out_dir / file)
-        text_blocks.append(title + "\n" + write_table(out_dir, report, file, header, values, human))
-    if not report.noise_table:
+        text_blocks.append(_TABLES[file][0] + "\n" + write_table(out_dir, report, file))
+    if not report.fractions:
         text_blocks.append("Noise sweep: not run; sweep files skipped.\n")
 
     if report.errors:

@@ -11,9 +11,10 @@ from ..errors import DimensionMismatch, InvalidSpec
 
 # (predicate, requirement) pairs shared by the kinds' range rules
 POSITIVE = (lambda v: v > 0, "must be positive")
-# a rate or scale the arithmetic multiplies or divides by, where inf overflows
-FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+# a rate, scale, penalty or variance the arithmetic uses, where inf overflows
+FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 
 
 def is_count(v) -> bool:
@@ -187,7 +188,8 @@ class TrainedModel:
 
     def predict_batch(self, X) -> np.ndarray:
         """Model outputs for an (n, d) array of feature vectors; never clamped to [0, 1]."""
-        return np.asarray(self._predict_batch(self._checked(X)), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check the outputs
+            return np.asarray(self._predict_batch(self._checked(X)), dtype=np.float64)
 
     def predict_rows(self, X, rows) -> np.ndarray:
         """``predict_batch(X)[rows]``, bit for bit, for ascending row indices ``rows``."""

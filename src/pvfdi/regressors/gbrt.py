@@ -11,7 +11,7 @@ learning_rate times each tree's leaf weight.
 
 import numpy as np
 
-from .base import (AT_LEAST_ONE, DEPTH, FINITE_POSITIVE, NON_NEGATIVE, TrainedModel,
+from .base import (AT_LEAST_ONE, DEPTH, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
                    require_finite)
 from .tree import check_tree, grow_tree, presort, route
 
@@ -26,8 +26,8 @@ class GBRTModel(TrainedModel):
               ("float", "reg_lambda"), ("float", "gamma"),
               ("array", "train_loss_history"), ("trees", "trees"))
     rules = {"rounds": AT_LEAST_ONE, "learning_rate": FINITE_POSITIVE,
-             "max_depth": DEPTH, "reg_lambda": NON_NEGATIVE,
-             "gamma": NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE}
+             "max_depth": DEPTH, "reg_lambda": FINITE_NON_NEGATIVE,
+             "gamma": FINITE_NON_NEGATIVE, "min_samples_leaf": AT_LEAST_ONE}
     rowwise = True  # per-row tree walks summed elementwise
 
     def _check_fields(self):

@@ -6,14 +6,13 @@ of points. Above ``max_points`` a seeded uniform subsample keeps the
 factorization tractable; the predictor is then exact on that subset.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import AT_LEAST_ONE, FINITE_POSITIVE, TrainedModel, require_finite, row_products
+from .base import (AT_LEAST_ONE, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
+                   require_finite, row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -52,7 +51,7 @@ class GPRModel(TrainedModel):
               ("float", "jitter"), ("int", "subsampled"), ("array", "alpha"),
               ("matrix", "X_train"))
     rules = {"length_scale": FINITE_POSITIVE,
-             "noise_variance": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+             "noise_variance": FINITE_NON_NEGATIVE,
              "max_points": AT_LEAST_ONE}
 
     def _check_fields(self):
@@ -90,12 +89,13 @@ class GPRModel(TrainedModel):
         scratch = self._block(n)
         block = np.zeros(scratch.shape)
         edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
-        for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):
-            if lo == hi:
-                continue
-            at = rows[lo:hi] - start
-            block[at] = _rbf_into(Q[lo:hi], self.X_train, self.length_scale, scratch)
-            out[lo:hi] = (block[: min(_CHUNK_ROWS, n - start)] @ self.alpha)[at]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch
+            for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):
+                if lo == hi:
+                    continue
+                at = rows[lo:hi] - start
+                block[at] = _rbf_into(Q[lo:hi], self.X_train, self.length_scale, scratch)
+                out[lo:hi] = (block[: min(_CHUNK_ROWS, n - start)] @ self.alpha)[at]
         return out
 
 

@@ -5,7 +5,8 @@ k nearest training points, taken in (distance, training index) order:
 equal distances resolve to the lower training index, and a NaN distance
 (expanded distances can overflow at extreme feature values) ranks last.
 That is the first k of a stable sort of the query's distance row, so
-results are fully deterministic.
+results are fully deterministic; a query whose k nearest distances are
+not all finite raises ValueError.
 
 The k nearest are found by a filter, then a sort of the few columns it
 keeps. With G = _GROUP, the n columns of a distance row form m = n // G
@@ -88,8 +89,11 @@ class KNNModel(TrainedModel):
                 grouped = (groups[:, np.newaxis, :] + lanes).reshape(-1, _GROUP * width)
                 cols = np.concatenate((grouped, cols), axis=1)
             # mean sums in order, so order the k by (distance, index)
-            pick = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-            nearest = np.take_along_axis(cols, pick[:, :k], axis=1)
+            gathered = np.take_along_axis(d2, cols, axis=1)
+            pick = np.argsort(gathered, axis=1, kind="stable")[:, :k]
+            if not np.isfinite(np.take_along_axis(gathered, pick, axis=1)).all():
+                raise ValueError("a query's nearest distances overflow the float range")
+            nearest = np.take_along_axis(cols, pick, axis=1)
             out[start : start + _CHUNK_ROWS] = self.y_train[nearest].mean(axis=1)
         return out
 

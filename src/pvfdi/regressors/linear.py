@@ -9,7 +9,7 @@ objective (1/2n)||y - X theta - theta0||^2 + lambda * ||theta||_1.
 
 import numpy as np
 
-from .base import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
+from .base import AT_LEAST_ONE, FINITE_NON_NEGATIVE, POSITIVE, TrainedModel, require_finite
 
 __all__ = ["LinearModel", "LassoModel", "fit_lr", "fit_lasso"]
 
@@ -28,7 +28,7 @@ class LinearModel(TrainedModel):
 
 class LassoModel(LinearModel):
     kind = "LASSO"
-    rules = {"lam": NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE}
+    rules = {"lam": FINITE_NON_NEGATIVE, "tol": POSITIVE, "max_sweeps": AT_LEAST_ONE}
 
 
 @LinearModel.fitting

@@ -58,7 +58,7 @@ class SVRModel(TrainedModel):
               ("float", "epsilon"), ("int", "converged"), ("int", "iterations"),
               ("float", "kkt_violation"), ("float", "dual_objective"),
               ("array", "sv_coef"), ("matrix", "sv_X"))
-    rules = {"C": POSITIVE, "epsilon": NON_NEGATIVE,
+    rules = {"C": FINITE_POSITIVE, "epsilon": NON_NEGATIVE,
              "gamma": (lambda v: v is None or 0 < v < math.inf,
                        "must be positive and finite, or None"),
              "tol": POSITIVE, "max_iterations": AT_LEAST_ZERO,

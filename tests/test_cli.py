@@ -182,20 +182,26 @@ def test_failed_model_exits_three_but_emits(tmp_path, capsys):
     assert any(line.startswith("LR,") and "ERROR" not in line for line in grid)
 
 
-def test_overflowing_rmse_is_its_models_error_row(tmp_path, capsys):
+def test_overflowing_rmse_is_its_models_error_row(tmp_path, capfd):
     # LR's noisy predictions stay finite, but their squared errors sum beyond
-    # the float range; DT's leaf values cannot
+    # the float range; KNN's nearest distances, GPR's and SVR's kernels and
+    # MLPR's hidden layer overflow; DT's leaf values cannot. Forked workers
+    # print their own warnings, so fd 2 is checked
     out, alone = tmp_path / "out", tmp_path / "alone"
+    failing = ["LR", "KNN", "GPR", "SVR", "MLPR"]
     args = ["sweep", "--n", 60, "--noise-mean", 1e308]
-    assert run(args + ["--models", "LR,DT", "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert "model LR failed: ValueError" in err
+    assert run(args + ["--models", ",".join(failing + ["DT"]), "--out", out]) == 3
+    err = capfd.readouterr().err
+    for kind in failing:
+        assert f"model {kind} failed: ValueError" in err
     assert "Traceback" not in err and "Warning" not in err
     assert run(args + ["--models", "DT", "--out", alone]) == 0
     for name in ("clean_metrics.csv", "noise_rmse.csv", "sensitivity.csv"):
         lines = (out / name).read_text().splitlines()
-        assert lines[1].startswith("LR,") and set(lines[1].split(",")[1:]) == {"ERROR"}
-        assert lines[2] == (alone / name).read_text().splitlines()[1]
+        for kind, line in zip(failing, lines[1:]):
+            assert line.startswith(f"{kind},") and set(line.split(",")[1:]) == {"ERROR"}
+        assert lines[-1] == (alone / name).read_text().splitlines()[1]
+        assert "ERROR" not in lines[-1]
     assert not (out / "series" / "LR_clean.csv").exists()
 
 
@@ -260,10 +266,12 @@ def test_bad_model_hyperparameter_exits_one(tmp_path, capsys, k):
     assert not (tmp_path / "out").exists()
 
 
-# a rate or scale of inf passes "positive" yet overflows the arithmetic
+# a rate, scale, penalty or variance of inf passes "positive" or ">= 0" yet
+# overflows the arithmetic
 @pytest.mark.parametrize("kind, key", [
     ("GBRT", "learning_rate"), ("MLPR", "learning_rate"), ("GPR", "length_scale"),
-    ("GPR", "noise_variance"), ("SVR", "gamma"),
+    ("GPR", "noise_variance"), ("SVR", "gamma"), ("SVR", "C"), ("LASSO", "lam"),
+    ("GBRT", "reg_lambda"), ("GBRT", "gamma"),
 ])
 def test_infinite_rate_or_scale_exits_one(tmp_path, capsys, kind, key):
     cfg = tmp_path / "pv.ini"
@@ -363,7 +371,9 @@ def test_missing_config_file_exits_one(tmp_path):
     ("LR,DT", "", 0),
     # MLPR diverges, so its rows read ERROR
     ("LR,MLPR", "[model.MLPR]\nlearning_rate = 1e300\n", 3),
-], ids=["fitted", "failed-MLPR"])
+    # LR's RMSE overflows: every row reads ERROR, and the grid is still written
+    ("LR", "[noise]\nmean = 1e308\n", 3),
+], ids=["fitted", "failed-MLPR", "all-failed"])
 def test_report_regenerates_sensitivity(tmp_path, capsys, models, config, code):
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)
@@ -373,6 +383,7 @@ def test_report_regenerates_sensitivity(tmp_path, capsys, models, config, code):
     redone = tmp_path / "redone"
     assert run(["report", "--data", out, "--out", redone]) == 0
     assert "0% vs. 100%" in capsys.readouterr().out
+    assert "not run" not in (out / "report.txt").read_text()
     original = (out / "sensitivity.csv").read_text()
     regenerated = (redone / "sensitivity.csv").read_text()
     assert regenerated == original
@@ -411,6 +422,7 @@ def test_report_missing_grid_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("grid", [
     "model,10%,100%\nLR,0.1,0.2\n",
     "model,0%,100%\nLR,0.1,abc\n",
+    "model,0%,100%\n",  # no model rows
 ])
 def test_report_bad_grid_exits_two(tmp_path, capsys, grid):
     path = tmp_path / "noise_rmse.csv"

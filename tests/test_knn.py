@@ -13,19 +13,22 @@ def exhaustive_predict(X_train, y_train, x, k):
 
 
 def stable_sort_order(X_train, X):
-    """Training rows per query in (distance, index) order, NaN last.
+    """Training rows per query in (distance, index) order, NaN last, and
+    the distances in that order.
 
     The kernel's distances, with a full stable argsort per row in place
     of its selection.
     """
     order = np.empty((X.shape[0], X_train.shape[0]), dtype=np.intp)
+    ranked = np.empty(order.shape)
     train_sq = np.einsum("ij,ij->i", X_train, X_train)
     for start in range(0, X.shape[0], 256):
         chunk = X[start : start + 256]
         d2 = train_sq - 2.0 * (chunk @ X_train.T)
         d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
         order[start : start + 256] = np.argsort(d2, axis=1, kind="stable")
-    return order
+        ranked[start : start + 256] = np.take_along_axis(d2, order[start : start + 256], axis=1)
+    return order, ranked
 
 
 def _huge(rng, size):
@@ -35,8 +38,8 @@ def _huge(rng, size):
     Squared norms overflow in those rows, so expanded distances come out
     inf or NaN. A query near 1e110 meets NaN in a few column groups and
     finite distances in the rest. A query near 1e200 meets only NaN, and
-    inf from rows near -1e200. Of 600 queries, only the first 256-row
-    chunk holds such queries, so the other two are filtered.
+    inf from rows near -1e200, so its nearest distances are not finite
+    and prediction raises ValueError.
     """
     X = np.abs(rng.normal(size=size)) * 1e110
     X[: size[0] // 2 : 61] *= 1e90
@@ -51,7 +54,8 @@ def test_selection_matches_stable_sort_oracle(rng, draw, n_train):
     # common; off it the k nearest are distinct and their order matters.
     # 40 rows give fewer than k column groups for k > 2, so every column
     # is a candidate; 1000 and 1013 rows (13 tail columns) go through the
-    # group filter. Overflowed distances rank as a stable sort ranks them
+    # group filter. Overflowed distances rank as a stable sort ranks them,
+    # and a query whose k nearest are not all finite makes the batch raise
     draw = {
         "grid": lambda size: rng.integers(0, 3, size=size) * 0.5,
         "normal": lambda size: rng.normal(size=size),
@@ -62,10 +66,15 @@ def test_selection_matches_stable_sort_oracle(rng, draw, n_train):
     y = rng.normal(size=n_train)
     queries = draw((600, 2))  # three 256-row chunks
     with np.errstate(over="ignore", invalid="ignore"):
-        order = stable_sort_order(X, queries)
-        for k in range(1, 41) if n_train == 40 else (1, 2, 3, 5, 12, 40):
-            got = fit_knn(X, y, k=k).predict_batch(queries)
-            assert got.tobytes() == y[order[:, :k]].mean(axis=1).tobytes(), k
+        order, ranked = stable_sort_order(X, queries)
+    for k in range(1, 41) if n_train == 40 else (1, 2, 3, 5, 12, 40):
+        model = fit_knn(X, y, k=k)
+        finite = np.isfinite(ranked[:, :k]).all(axis=1)
+        if not finite.all():
+            with pytest.raises(ValueError, match="nearest distances overflow"):
+                model.predict_batch(queries)
+        got = model.predict_batch(queries[finite])
+        assert got.tobytes() == y[order[finite, :k]].mean(axis=1).tobytes(), k
 
 
 def test_hand_case_two_neighbours():
