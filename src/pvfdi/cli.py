@@ -291,6 +291,8 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
         fractions = [float(cell.rstrip("%")) / 100.0 for cell in header[1:]]
     except ValueError:
         raise DataError(f"bad fraction labels in {path} header")
+    if len(set(fractions)) != len(fractions):
+        raise DataError(f"{path} header repeats a fraction")
     if 0.0 not in fractions:
         raise DataError(f"{path} has no 0% column to compare against")
     order, table, errors = [], {}, {}

@@ -62,6 +62,7 @@ def fit_gbrt(
     yhat = np.full(y.shape[0], base)
     history = [float(np.mean((yhat - y) ** 2))]
     trees = []
+    leaf_of = np.empty(y.shape[0], dtype=np.intp)  # each training row's leaf, per round
     for _ in range(rounds):
         grad = yhat - y
         arrays = grow_tree(
@@ -72,9 +73,11 @@ def fit_gbrt(
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             min_split_quality=2.0 * gamma,
+            leaf_of=leaf_of,
         )
         trees.append(arrays)
-        yhat += learning_rate * route(arrays, X)
+        # the leaf values route(arrays, X) would read, without walking the tree
+        yhat += learning_rate * arrays[4][leaf_of]
         history.append(float(np.mean((yhat - y) ** 2)))
 
     return GBRTModel(X.shape[1], base_score=base, learning_rate=learning_rate,

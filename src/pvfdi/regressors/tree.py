@@ -41,6 +41,7 @@ def grow_tree(
     max_depth=None,
     min_samples_leaf=1,
     min_split_quality=0.0,
+    leaf_of=None,
 ):
     """Greedy tree growth over gradient statistics.
 
@@ -51,7 +52,9 @@ def grow_tree(
     node splits only when the best split's quality strictly exceeds
     ``min_split_quality`` (boosting passes 2*gamma there). Returns flat
     parallel arrays (feature, threshold, left, right, value); feature -1
-    marks a leaf. Samples with x <= threshold go left.
+    marks a leaf. Samples with x <= threshold go left. When given, the
+    n_samples intp array ``leaf_of`` receives each sample's leaf: the
+    node ``route`` walks its row to.
     """
     order, values = columns
     g = np.asarray(g, dtype=np.float64)
@@ -103,21 +106,26 @@ def grow_tree(
             quality = float(best[j])
         if not quality > min_split_quality:
             value[node] = float(leaf_value)
+            if leaf_of is not None:
+                leaf_of[rows] = node
             continue
 
         t = float(cuts[j, pos[j]])
         goes_left[order[j][values[j] <= t]] = True
-        mask = goes_left[order]
         row_mask = goes_left[rows]
-        goes_left[rows] = False
         feature[node] = j
         threshold[node] = t
         left[node] = new_node()
         right[node] = new_node()
-        stack.append((right[node], rows[~row_mask], order[~mask].reshape(n_features, -1),
-                      values[~mask].reshape(n_features, -1), depth + 1))
-        stack.append((left[node], rows[row_mask], order[mask].reshape(n_features, -1),
-                      values[mask].reshape(n_features, -1), depth + 1))
+        # children at max_depth can only be leaves, which read no column block
+        blocks = ((None, None), (None, None))
+        if max_depth is None or depth + 1 < max_depth:
+            mask = goes_left[order]
+            blocks = ((order[~mask].reshape(n_features, -1), values[~mask].reshape(n_features, -1)),
+                      (order[mask].reshape(n_features, -1), values[mask].reshape(n_features, -1)))
+        goes_left[rows] = False
+        stack.append((right[node], rows[~row_mask], *blocks[0], depth + 1))
+        stack.append((left[node], rows[row_mask], *blocks[1], depth + 1))
 
     return (
         np.asarray(feature, dtype=np.intp),

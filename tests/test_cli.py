@@ -432,6 +432,18 @@ def test_report_bad_grid_exits_two(tmp_path, capsys, grid):
     assert "data error" in err and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", ["model,0%,10%,10%", "model,0%,10%,10.0%"])
+def test_report_repeated_fraction_exits_two(tmp_path, capsys, header):
+    # a sweep never writes a fraction twice; keeping the last column would
+    # silently drop the other
+    path = tmp_path / "noise_rmse.csv"
+    path.write_text(f"{header}\nLR,0.1,0.2,0.3\n")
+    assert run(["report", "--data", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "repeats a fraction" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_data_exits_two(tmp_path, capsys):
     path = tmp_path / "d.csv"
     assert run(["synth", "--n", 20, "--out", path]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pvfdi.regressors import GBRTModel, TreeModel, fit_dt, fit_gbrt
-from pvfdi.regressors.tree import route
+from pvfdi.regressors.tree import grow_tree, presort, route
 from tests.conftest import leaf_of
 
 
@@ -117,6 +117,19 @@ def test_gbrt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf, 
         yhat += hp["learning_rate"] * route(expected, X)
         history.append(float(np.mean((yhat - y) ** 2)))
     assert tuple(model.train_loss_history) == tuple(history)
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 3, None])
+def test_leaf_of_is_the_leaf_route_reaches(rng, max_depth):
+    # a node at max_depth - 1 leaves its children's column blocks unsplit,
+    # and fit_gbrt reads each row's leaf value through leaf_of instead of route
+    X, y = tie_heavy(rng, 120, 4, binary=False)
+    hp = dict(reg_lambda=0.7, leaf_sign=-1.0, max_depth=max_depth, min_samples_leaf=2)
+    leaves = np.full(X.shape[0], -1, dtype=np.intp)
+    arrays = grow_tree(presort(X), y, leaf_of=leaves, **hp)
+    assert_same_tree(arrays, grow_tree(presort(X), y, **hp))
+    assert leaves.tolist() == [leaf_of(arrays, row) for row in X]
+    assert arrays[4][leaves].tobytes() == route(arrays, X).tobytes()
 
 
 def training_sse(model, X, y) -> float:
