@@ -12,12 +12,13 @@ repr, key order is fixed, and no timestamps are written.
 """
 
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cpus import usable_cpus
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
 from .errors import IoError, ZeroBaseline
 from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
@@ -198,32 +199,53 @@ def _worker_job(index):
 # Model kinds by the cost of one job at the default hyperparameters, most
 # expensive first. Measured as the median seconds of three _model_job
 # calls, summed over the perfbench c6-sweep and attack-grid workloads
-# (seed 42, one CPU, one BLAS thread, two runs): MLPR 3.2-3.3 s, GBRT
-# 1.05-1.1 s, GPR 0.55-0.58 s, KNN 0.54-0.55 s, DT 0.33-0.35 s, SVR
+# (seed 42, one CPU, one BLAS thread, two runs): MLPR 2.5-2.8 s, GBRT
+# 0.82-0.83 s, GPR 0.55-0.58 s, KNN 0.54-0.55 s, DT 0.33-0.35 s, SVR
 # 0.21-0.24 s, LR and LASSO under 0.01 s; GPR and KNN tie within noise,
-# so their order stands. (MLPR and GBRT were re-measured once GBRT stopped
-# re-routing its training rows and MLPR built its hidden layer in cached
-# row chunks; the code before took 3.7-3.8 s and 1.4-1.6 s, timed
-# alternately with it.) Submitting longest first
+# so their order stands. (MLPR and GBRT were timed on a later day, when
+# the same host ran them without their fits' row chunks and leaf_of in
+# 3.1 s and 1.2-1.25 s.) Submitting longest first
 # (Graham's LPT list scheduling) starts MLPR at once, so it never lands
 # last on a worker that the short jobs have kept busy.
 COST_RANK = ("MLPR", "GBRT", "GPR", "KNN", "DT", "SVR", "LR", "LASSO")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threads() -> int:
+    """Threads this process runs, a BLAS library's own threads included."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: count the threads Python started
+        return threading.active_count()
+
+
 def _worker_count(n_jobs: int) -> int:
     """Worker processes for ``n_jobs`` model jobs; 1 runs them in-process.
 
-    Workers are forked, so they need the ``fork`` start method, and there
-    is one per CPU ``usable_cpus`` allows, which is 1 in a daemonic
-    process or one that runs another thread.
+    Workers are forked, so they need the ``fork`` start method, a parent
+    that may have children (a daemonic process may not) and a parent
+    with no other thread. Another thread could hold a lock across the
+    fork; and a BLAS that runs threads of its own would run as many in
+    every worker, oversubscribing the CPUs, and cannot be cut to one
+    thread there without changing the bytes. ``import pvfdi`` pins one
+    BLAS thread unless numpy was loaded first or the environment sets a
+    count.
     """
     # multiprocessing and the pool are imported on first use, as every
     # CLI command imports this module and only bench and sweep start workers
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or _threads() > 1):
         return 1
-    return min(n_jobs, usable_cpus())
+    return min(n_jobs, _usable_cpus())
 
 
 def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:

@@ -25,15 +25,15 @@ unchanged:
 - ``X.T @ d`` and ``d.sum(axis=0)`` see the same C-ordered layout as
   before, so BLAS and numpy sum in the same order.
 
-A fit may build its hidden layer and the delta in row chunks, and on
-more than one usable CPU (``cpus.usable_cpus``) run contiguous runs of
-chunks, one per CPU, on as many threads. The row-wise work is the forward
-``X[c] @ W1`` with its bias and ReLU, and the delta's four passes. Chunks
-of about 256 rows keep a chunk's rows in cache from the gemm through the
-bias and the ReLU. That keeps every bit:
+A fit builds its hidden layer in row chunks of about 512 rows, so the
+bias, the ReLU and the delta's first two passes (mask, ``*= W2``) find a
+chunk's rows of ``X[c] @ W1`` still in cache, and its last two passes
+(``*= d_out``, ``+= 0.0``) run chunk by chunk as well. That keeps every
+bit:
 
 - The bias, ReLU and delta passes are elementwise, so no entry depends
-  on how the rows are blocked.
+  on how the rows are blocked, and each entry sees the same operations
+  in the same order.
 - A gemm row's bits need not depend on how many rows share its A, which
   ``base.row_products`` relies on as well, but BLAS picks its kernel by
   the product's shape, and some shapes round a row differently with
@@ -44,27 +44,15 @@ bias and the ReLU. That keeps every bit:
   (``_chunks_keep_bits``), and keeps its rows whole unless every bit
   agrees. No chunk has fewer than two rows.
 
-Every reduction runs whole, on one thread: the output gemv, the loss,
-``gW2 = a1.T @ d_out``, ``gW1 = X.T @ d``, ``d.sum(axis=0)``,
-``d_out.sum()`` and Adam. Splitting a reduction changes the order it sums
-in; splitting the hidden units instead made ``gW2`` differ in every one
-of 40 random shapes and ``gW1`` in 3 to 5 of them. Independent whole
-reductions overlap instead: ``gW2`` runs beside the delta blocks and
-``d.sum(axis=0)`` beside ``X.T @ d``.
-
-As every blocking gives the same bits, each epoch runs on one thread or
-on all of them, whichever ran faster lately (``_Pace``). The split pays
-while the CPUs its threads run on would otherwise idle; while other
-processes keep them busy, as the sweep's other workers do, the threads
-wait on each other and one thread is faster.
+Every reduction runs whole: the output gemv, the loss, ``gW2 = a1.T @
+d_out``, ``gW1 = X.T @ d``, ``d.sum(axis=0)``, ``d_out.sum()`` and Adam.
+Splitting a reduction changes the order it sums in; splitting the hidden
+units instead made ``gW2`` differ in every one of 40 random shapes and
+``gW1`` in 3 to 5 of them.
 """
-
-import time
-from functools import partial
 
 import numpy as np
 
-from ..cpus import run_tasks, thread_pool, usable_cpus
 from ..errors import NonFiniteLoss
 from ..rng import stream
 from .base import AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, require_finite
@@ -116,51 +104,11 @@ def _chunks_keep_bits(X, chunks, whole, blocked) -> bool:
     return blocked.tobytes() == whole.tobytes()
 
 
-def _runs(chunks, width):
-    """``chunks`` as at most ``width`` contiguous runs, one per thread."""
-    k = min(width, len(chunks))
-    bounds = [i * len(chunks) // k for i in range(k + 1)]
-    return [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-class _Pace:
-    """Picks each epoch's way, one thread or all: the one that ran faster lately.
-
-    Every 16th epoch retries the other one, as the CPUs that other
-    processes leave idle change during a fit.
-    """
-
-    def __init__(self, ways):
-        self.seconds = [0.0] * ways  # each way's smoothed epoch time, 0 until run
-        self.retry = False
-
-    def pick(self, epoch) -> int:
-        best = self.seconds.index(min(self.seconds))
-        self.retry = len(self.seconds) > 1 and epoch % 16 == 15
-        return 1 - best if self.retry else best
-
-    def record(self, way, seconds):
-        old = self.seconds[way]
-        # a retried way's old time is stale, so its new one replaces it
-        self.seconds[way] = seconds if self.retry or not old else 0.75 * old + 0.25 * seconds
-
-
 def _hidden(X, W1, b1, a1):
     """ReLU(X @ W1 + b1), built in place in ``a1``."""
     np.matmul(X, W1, out=a1)
     a1 += b1
     np.maximum(a1, 0.0, out=a1)
-
-
-def _hidden_run(X, W1, b1, a1, run):
-    """The hidden layer of every chunk in ``run``, one after another."""
-    for rows in run:
-        _hidden(X[rows], W1, b1, a1[rows])
-
-
-def _span(run) -> slice:
-    """The rows the chunks of ``run`` cover together."""
-    return slice(run[0].start, run[-1].stop)
 
 
 def _forward(params, X, a1=None):
@@ -175,45 +123,55 @@ def _forward(params, X, a1=None):
     return a1, a1 @ W2 + b2
 
 
-def _forward_loss(params, X, y, a1, pool=None, runs=((slice(None),),)):
+def _forward_loss(params, X, y, a1, chunks=(slice(None),), d=None):
     """(residuals, loss), leaving the hidden activations in ``a1``.
 
-    The hidden layer is built chunk by chunk, one task per run of chunks
-    in ``runs`` (see ``run_tasks``).
+    The hidden layer is built chunk by chunk, one row slice of ``chunks``
+    after another. Given ``d``, each chunk also leaves ``mask * W2`` on
+    its rows there, the delta's first two passes, while its rows of
+    ``a1`` are still in cache; ``_gradient`` finishes the delta.
     A diverged net overflows here, and its loss then reads inf or NaN,
     which a fit raises on before any backward pass; the forward pass's
     floating-point warnings would only repeat that.
     """
     W1, b1, W2, b2 = params
     with np.errstate(over="ignore", invalid="ignore"):
-        run_tasks(pool, [partial(_hidden_run, X, W1, b1, a1, run) for run in runs])
+        for rows in chunks:
+            _hidden(X[rows], W1, b1, a1[rows])
+            if d is not None:
+                _masked_weights(a1[rows], W2, d[rows])
         r = a1 @ W2 + b2 - y
         loss = float(r @ r) / X.shape[0]
     return r, loss
 
 
-def _delta(a1, W2, d_out, d):
-    """d = mask * W2 * d_out for a row block; see the module docstring for why the bits match."""
+def _masked_weights(a1, W2, d):
+    """d = mask * W2, the 0/1 ReLU mask of ``a1`` times the output weights."""
     np.greater(a1, 0.0, out=d)
     d *= W2
-    d *= d_out[:, np.newaxis]
-    d += 0.0
 
 
-def _gradient(params, X, a1, r, d, pool=None, runs=((slice(None),),)):
-    """Gradient from ``_forward_loss``'s ``a1`` and residuals; ``d`` is scratch.
+def _gradient(params, X, a1, r, d, chunks=None):
+    """Gradient from ``_forward_loss``'s ``a1`` and residuals.
 
-    The delta is built on the rows of each run in ``runs`` while ``gW2``
-    is reduced whole beside it, and ``gb1`` beside ``gW1`` (see
-    ``run_tasks``).
+    ``d`` is scratch, or, with ``chunks``, already holds the ``mask * W2``
+    that ``_forward_loss`` left there for those chunks.
     """
     W2 = params[2]
     d_out = (2.0 / X.shape[0]) * r
-    blocks = [_span(run) for run in runs]
-    *_, gW2 = run_tasks(pool, [partial(_delta, a1[b], W2, d_out[b], d[b]) for b in blocks]
-                        + [partial(np.matmul, a1.T, d_out)])
-    gW1, gb1 = run_tasks(pool, [partial(np.matmul, X.T, d), partial(d.sum, axis=0)])
-    return gW1, gb1, gW2, float(d_out.sum())
+    gW2 = a1.T @ d_out
+    gb2 = float(d_out.sum())
+    # d = mask * W2 * d_out; see the module docstring for why the bits match
+    if chunks is None:
+        chunks = (slice(None),)
+        _masked_weights(a1, W2, d)
+    for rows in chunks:
+        block = d[rows]
+        block *= d_out[rows, np.newaxis]
+        block += 0.0
+    gW1 = X.T @ d
+    gb1 = d.sum(axis=0)
+    return gW1, gb1, gW2, gb2
 
 
 class MLPRModel(TrainedModel):
@@ -267,46 +225,34 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     previous = np.inf
     streak = 0
     stopped_early = False
-    # chunks of about 256 rows, and at least one per usable CPU, when they
-    # keep every bit; one thread runs them all, or each CPU's thread a run
-    cpus = usable_cpus()
-    n = X.shape[0]
-    chunks = _row_blocks(n, max(-(-n // 256), cpus))
+    # the hidden layer in chunks of about 512 rows, when they keep every bit
+    chunks = _row_blocks(X.shape[0], -(-X.shape[0] // 512))
     if not _chunks_keep_bits(X, chunks, a1, d):
         chunks = [slice(None)]
-    split = _runs(chunks, cpus)
-    ways = [[chunks], split] if len(split) > 1 else [[chunks]]
-    pace = _Pace(len(ways))
-    with thread_pool(len(split)) as pool:
-        for epoch in range(max_epochs):
-            way = pace.pick(epoch)
-            runs = ways[way]
-            threads = pool if len(runs) > 1 else None
-            start = time.perf_counter()
-            r, loss = _forward_loss(params, X, y, a1, threads, runs)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(epoch)
-            grads = _gradient(params, X, a1, r, d, threads, runs)
-            pace.record(way, time.perf_counter() - start)
-            history.append(loss)
-            if abs(previous - loss) < tol:
-                streak += 1
-                if streak >= patience:
-                    stopped_early = True
-                    break
-            else:
-                streak = 0
-            previous = loss
+    for epoch in range(max_epochs):
+        r, loss = _forward_loss(params, X, y, a1, chunks, d)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(epoch)
+        grads = _gradient(params, X, a1, r, d, chunks)
+        history.append(loss)
+        if abs(previous - loss) < tol:
+            streak += 1
+            if streak >= patience:
+                stopped_early = True
+                break
+        else:
+            streak = 0
+        previous = loss
 
-            t = epoch + 1
-            scale = learning_rate * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
-            new = []
-            for idx, (p, g) in enumerate(zip(params, grads)):
-                m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
-                v[idx] = beta2 * v[idx] + (1.0 - beta2) * np.square(g)
-                step = scale * m[idx] / (np.sqrt(v[idx]) + eps)
-                new.append(p - step)
-            params = (new[0], new[1], new[2], float(new[3]))
+        t = epoch + 1
+        scale = learning_rate * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        new = []
+        for idx, (p, g) in enumerate(zip(params, grads)):
+            m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
+            v[idx] = beta2 * v[idx] + (1.0 - beta2) * np.square(g)
+            step = scale * m[idx] / (np.sqrt(v[idx]) + eps)
+            new.append(p - step)
+        params = (new[0], new[1], new[2], float(new[3]))
 
     W1, b1, W2, b2 = params
     return MLPRModel(X.shape[1], W1=W1, b1=b1, W2=W2, b2=b2, loss_history=history,

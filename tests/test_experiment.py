@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import pvfdi
-import pvfdi.cpus as cpus
 import pvfdi.experiment as experiment
 from pvfdi.errors import ZeroBaseline
 from pvfdi.experiment import (
@@ -44,7 +43,7 @@ def fake_host(monkeypatch, n):
     """Let the sweep see ``n`` usable CPUs, as ``taskset`` would, and no
     BLAS thread, as under ``OPENBLAS_NUM_THREADS=1``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(cpus, "_threads", lambda: 1)
+    monkeypatch.setattr(experiment, "_threads", lambda: 1)
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -332,17 +331,17 @@ def test_other_threads_keep_the_sweep_in_process(monkeypatch):
     assert experiment._worker_count(8) == 4
     assert experiment._worker_count(3) == 3
     # a BLAS running its own threads would run as many in every worker
-    monkeypatch.setattr(cpus, "_threads", lambda: 2)
+    monkeypatch.setattr(experiment, "_threads", lambda: 2)
     assert experiment._worker_count(8) == 1
 
 
 def test_thread_count_sees_a_started_thread():
-    before = cpus._threads()
+    before = experiment._threads()
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cpus._threads() == before + 1
+        assert experiment._threads() == before + 1
     finally:
         stop.set()
         thread.join(timeout=10)

@@ -1,10 +1,8 @@
-import os
 import warnings
 
 import numpy as np
 import pytest
 
-from pvfdi import cpus
 from pvfdi.errors import NonFiniteLoss
 from pvfdi.regressors import fit_mlpr, mlp
 from pvfdi.regressors.mlp import MLPRModel, _forward_loss, _gradient, init_params
@@ -325,64 +323,61 @@ def test_nan_pre_activation_gives_nan_loss():
     assert got.value.epoch == 0
 
 
-# --- the row split: threads change no bit --------------------------------------
+# --- the hidden layer in row chunks: no bit moves ----------------------------
 
-def split_every_epoch(monkeypatch, n_cpus):
-    """Let fits see ``n_cpus`` usable CPUs and no other thread, and run every
-    epoch on all of them; returns the list of per-thread runs the fits make."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
-    monkeypatch.setattr(cpus, "_threads", lambda: 1)
-    monkeypatch.setattr(mlp._Pace, "pick", lambda self, epoch: len(self.seconds) - 1)
-    splits = []
-    runs = mlp._runs
+def chunked(monkeypatch, width=None):
+    """Record the chunks fits build their hidden layer in; with ``width``,
+    fits cut that many chunks where two-row chunks allow, not one per 512
+    rows."""
+    seen = []
+    blocks = mlp._row_blocks
 
-    def recorded(chunks, width):
-        splits.append(runs(chunks, width))
-        return splits[-1]
+    def row_blocks(n, default):
+        seen.append(blocks(n, default if width is None else width))
+        return seen[-1]
 
-    monkeypatch.setattr(mlp, "_runs", recorded)
-    return splits
+    monkeypatch.setattr(mlp, "_row_blocks", row_blocks)
+    return seen
 
 
-@pytest.mark.parametrize("n_cpus", [2, 3, 8])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64, 8000])
-def test_row_split_matches_reference_bitwise(monkeypatch, n_cpus, n):
-    splits = split_every_epoch(monkeypatch, n_cpus)
+def test_row_blocks_are_contiguous_and_never_one_row(n):
+    for width in (1, 2, 3, 8, n):
+        blocks = mlp._row_blocks(n, width)
+        sizes = [len(range(n)[rows]) for rows in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # one-row products go through gemv, so fewer than four rows stay whole
+        assert len(blocks) == max(1, min(width, n // 2))
+        assert min(sizes) >= 2 or n == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64, 8000])
+def test_row_chunks_match_reference_bitwise(monkeypatch, n):
+    # small fits in as many two-row chunks as they allow, the large one in
+    # the fit's own 512-row chunks
+    seen = chunked(monkeypatch, width=None if n == 8000 else n)
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, 12))
     y = rng.normal(size=n)
     kw = dict(hidden=100, max_epochs=15) if n == 8000 else dict(hidden=7, max_epochs=60)
     model = assert_same_fit(X, y, learning_rate=1e-2, seed=3, **kw)
-    chunks = [rows for run in splits[0] for rows in run]
-    sizes = [len(range(n)[rows]) for rows in chunks]
-    # contiguous, and no chunk under two rows: one-row products go through gemv
-    assert sum(sizes) == n and (min(sizes) >= 2 or n == 1)
-    assert len(splits[0]) == (1 if n < 4 else min(n_cpus, n // 2))
+    assert len(seen[0]) == (16 if n == 8000 else max(1, n // 2))
     assert model.epochs_run == kw["max_epochs"]
 
 
 @pytest.mark.parametrize("n,features,hidden", [(600, 12, 1), (2000, 12, 257), (2000, 16, 100)])
-def test_shapes_whose_gemm_rows_move_keep_the_bits(monkeypatch, n, features, hidden):
+def test_shapes_whose_gemm_rows_move_keep_the_bits(n, features, hidden):
     # on OpenBLAS 0.3.31 each of these products rounds some rows differently
     # when built in row chunks, so the fit must find that out and keep them whole
-    split_every_epoch(monkeypatch, 2)
     rng = np.random.default_rng(hidden)
     X = rng.normal(size=(n, features))
     y = rng.normal(size=n)
     assert_same_fit(X, y, hidden=hidden, learning_rate=1e-2, max_epochs=8, seed=1)
 
 
-def test_switching_between_blockings_keeps_the_bits(monkeypatch):
-    split_every_epoch(monkeypatch, 2)
-    monkeypatch.setattr(mlp._Pace, "pick", lambda self, epoch: epoch % len(self.seconds))
-    rng = np.random.default_rng(11)
-    X, y = rng.normal(size=(300, 12)), rng.normal(size=300)
-    assert_same_fit(X, y, hidden=9, learning_rate=1e-2, max_epochs=40, seed=2)
-
-
-@pytest.mark.parametrize("n_cpus", [1, 2])
-def test_split_divergence_raises_at_the_reference_epoch_without_warnings(monkeypatch, n_cpus):
-    splits = split_every_epoch(monkeypatch, n_cpus)
+def test_chunked_divergence_raises_at_the_reference_epoch_without_warnings(monkeypatch):
+    seen = chunked(monkeypatch, width=4)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 12))
     y = rng.normal(size=40)
@@ -390,37 +385,8 @@ def test_split_divergence_raises_at_the_reference_epoch_without_warnings(monkeyp
     with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as want:
         reference_fit(X, y, **kw)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a worker thread's warning fails the fit
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteLoss) as got:
             fit_mlpr(X, y, **kw)
     assert got.value.epoch == want.value.epoch
-    assert len(splits[0]) == n_cpus
-
-
-def test_fit_leaves_no_thread_behind(monkeypatch):
-    # a thread still listed after the fit would make a later sweep run in-process
-    threads = cpus._threads
-    before = threads()
-    split_every_epoch(monkeypatch, 2)
-    rng = np.random.default_rng(5)
-    X, y = rng.normal(size=(64, 12)), rng.normal(size=64)
-    fit_mlpr(X, y, hidden=5, max_epochs=20)
-    assert threads() == before
-    with pytest.raises(NonFiniteLoss):
-        fit_mlpr(X, y, hidden=5, learning_rate=1e300, max_epochs=20)
-    assert threads() == before
-
-
-def test_pace_runs_the_faster_blocking_and_retries_the_other():
-    pace = mlp._Pace(2)
-    assert [pace.pick(0), pace.record(0, 2.0)][0] == 0
-    assert [pace.pick(1), pace.record(1, 1.0)][0] == 1  # not yet timed
-    assert pace.pick(2) == 1
-    pace.record(1, 5.0)  # slower now: smoothed to 2.0
-    assert pace.seconds == [2.0, 2.0]
-    pace.record(1, 3.0)
-    assert pace.pick(14) == 0
-    assert pace.pick(15) == 1  # every 16th epoch retries the other
-    pace.record(1, 1.0)  # a retry's time replaces the stale one
-    assert pace.pick(16) == 1
-    assert mlp._Pace(1).pick(15) == 0
+    assert len(seen[0]) == 4
