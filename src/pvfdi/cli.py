@@ -30,6 +30,7 @@ from .experiment import (
 )
 from .noise import NOISE_TARGETS, NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, KINDS, ModelSpec, default_hyperparameters
+from .rng import is_seed
 
 __all__ = ["main"]
 
@@ -196,6 +197,8 @@ def _build_experiment(args) -> tuple:
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if not is_seed(args.seed):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {args.seed!r}")
     dataset = synth_generate(args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ repr, key order is fixed, and no timestamps are written.
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
 from .regressors.base import is_count
-from .rng import derive_seed
+from .rng import derive_seed, is_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -50,9 +51,9 @@ class ExperimentConfig:
     ``seed`` through purpose-labeled streams unless individual
     ModelSpecs carry their own seeds. Construction raises ValueError for
     fractions that do not start at 0.0 or that repeat, for a non-integer
-    ``repeats``, ``synth_n`` or ``seed``, and for the train ratios and
-    noise parameters SplitConfig and NoiseConfig refuse; empty
-    ``noise_columns`` become None.
+    ``repeats`` or ``synth_n``, for a ``seed`` outside [0, 2**64), and for
+    the train ratios and noise parameters SplitConfig and NoiseConfig
+    refuse; empty ``noise_columns`` become None.
     """
 
     data_path: str | None = None
@@ -86,8 +87,8 @@ class ExperimentConfig:
             raise ValueError("repeats must be an integer >= 1")
         if not is_count(self.synth_n):
             raise ValueError("synth_n must be an integer")
-        if not is_count(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not is_seed(self.seed):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         SplitConfig(self.train_ratio, self.seed)  # fail fast on a bad train_ratio
         # fail fast on bad noise parameters; fraction filled per sweep step
         noise = NoiseConfig(fraction=0.0, mean=self.noise_mean, std=self.noise_std,
@@ -202,11 +203,9 @@ def _worker_job(index):
 # (seed 42, one CPU, one BLAS thread, two runs): MLPR 2.5-2.8 s, GBRT
 # 0.82-0.83 s, GPR 0.55-0.58 s, KNN 0.54-0.55 s, DT 0.33-0.35 s, SVR
 # 0.21-0.24 s, LR and LASSO under 0.01 s; GPR and KNN tie within noise,
-# so their order stands. (MLPR and GBRT were timed on a later day, when
-# the same host ran them without their fits' row chunks and leaf_of in
-# 3.1 s and 1.2-1.25 s.) Submitting longest first
-# (Graham's LPT list scheduling) starts MLPR at once, so it never lands
-# last on a worker that the short jobs have kept busy.
+# so their order stands. Submitting longest first (Graham's LPT list
+# scheduling) starts MLPR at once, so it never lands last on a worker that
+# the short jobs have kept busy.
 COST_RANK = ("MLPR", "GBRT", "GPR", "KNN", "DT", "SVR", "LR", "LASSO")
 
 
@@ -269,7 +268,17 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
                              initializer=_init_worker, initargs=shared) as pool:
         futures = {i: pool.submit(_worker_job, i) for i in order}
         during = meanwhile()
-        return [futures[i].result() for i in range(len(specs))], during
+        outcomes = [futures[i].result() for i in range(len(specs))]
+    _await_one_thread()
+    return outcomes, during
+
+
+def _await_one_thread():
+    """Wait, at most about a second, until this process runs one thread: a pool's
+    joined management thread stays in /proc/self/task until the kernel reaps it."""
+    deadline = time.monotonic() + 1.0
+    while _threads() > 1 and time.monotonic() < deadline:
+        time.sleep(0.0002)
 
 
 def _schedule(cfg) -> list:

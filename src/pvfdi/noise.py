@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import FEATURE_NAMES, Dataset, nonfinite_column
 from .errors import DataError
-from .rng import stream
+from .rng import is_seed, stream
 
 __all__ = ["NoiseConfig", "NOISE_TARGETS", "inject"]
 
@@ -28,7 +28,8 @@ class NoiseConfig:
     picks which cells inside those rows are hit, and ``columns`` can
     narrow FEATURES/BOTH injection to a subset of the twelve features.
     None or an empty ``columns`` means all twelve. Construction raises
-    ValueError for a NaN or infinite ``mean`` or ``std``.
+    ValueError for a NaN or infinite ``mean`` or ``std`` and for a ``seed``
+    outside [0, 2**64).
     """
 
     fraction: float
@@ -45,6 +46,8 @@ class NoiseConfig:
             raise ValueError(f"mean must be finite, got {self.mean!r}")
         if not (math.isfinite(self.std) and self.std >= 0):
             raise ValueError(f"std must be finite and >= 0, got {self.std!r}")
+        if not is_seed(self.seed):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.target not in NOISE_TARGETS:
             raise ValueError(f"target must be one of {NOISE_TARGETS}, got {self.target!r}")
         if not self.columns:

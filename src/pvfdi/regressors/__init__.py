@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from inspect import signature
 
 from ..errors import InvalidSpec
-from .base import TrainedModel, is_count
+from ..rng import is_seed
+from .base import TrainedModel
 from .gbrt import GBRTModel, fit_gbrt
 from .gpr import GPRModel, fit_gpr
 from .knn import KNNModel, fit_knn
@@ -61,8 +62,8 @@ class ModelSpec:
 
     The seed feeds MLPR weight initialization and GPR subset selection;
     the other kinds are deterministic without it. Hyperparameters are
-    validated against the kind, and the seed must be an integer, at
-    construction.
+    validated against the kind, and the seed must be an integer in [0,
+    2**64), at construction.
     """
 
     kind: str
@@ -77,8 +78,9 @@ class ModelSpec:
         if unknown:
             raise InvalidSpec(f"{self.kind} does not accept hyperparameters {sorted(unknown)}")
         cls.check(**{**defaults, **hp})
-        if not is_count(self.seed):
-            raise InvalidSpec(f"{self.kind} seed must be an integer, got {self.seed!r}")
+        if not is_seed(self.seed):
+            raise InvalidSpec(f"{self.kind} seed must be an integer in [0, 2**64), "
+                              f"got {self.seed!r}")
         object.__setattr__(self, "hyperparameters", hp)
 
     def effective_hyperparameters(self) -> dict:

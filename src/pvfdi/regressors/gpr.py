@@ -60,22 +60,13 @@ class GPRModel(TrainedModel):
         require_finite(X_train=self.X_train, alpha=self.alpha, length_scale=self.length_scale)
         return self.X_train.shape[1]
 
-    def _block(self, n):
-        """A kernel block for the chunks of an n-row batch."""
-        return np.empty((max(min(_CHUNK_ROWS, n), 2), self.X_train.shape[0]))
-
     def _predict_batch(self, X):
-        out = np.empty(X.shape[0])
-        block = self._block(X.shape[0])
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
-            k_star = _rbf_into(chunk, self.X_train, self.length_scale, block)
-            out[start : start + _CHUNK_ROWS] = k_star @ self.alpha
-        return out
+        return self.predict_rows(X, np.arange(X.shape[0]))
 
     def predict_rows(self, X, rows):
         """predict_batch(X)[rows], building kernel rows for ``rows`` only.
 
+        ``predict_batch`` runs this over every row, so both share one loop.
         A row keeps its position in its chunk, and the product with alpha
         runs over the whole chunk: a gemv output depends on its own row
         and its position, not on the values in the other rows, so those
@@ -86,7 +77,7 @@ class GPRModel(TrainedModel):
         Q = self._checked(X[rows])
         n = X.shape[0]
         out = np.empty(rows.size)
-        scratch = self._block(n)
+        scratch = np.empty((max(min(_CHUNK_ROWS, n), 2), self.X_train.shape[0]))
         block = np.zeros(scratch.shape)
         edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
         with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch

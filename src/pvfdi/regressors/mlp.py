@@ -1,15 +1,15 @@
 """Single-hidden-layer perceptron regressor trained by full-batch Adam.
 
 Architecture is input -> hidden (ReLU) -> linear output, squared loss.
-The forward pass, the loss and the gradient act on a plain (W1, b1, W2,
-b2) tuple.
-
-Training runs every epoch in two (n, hidden) float64 buffers allocated
-once per fit: ``a1`` holds the hidden activations, built in place as
-``X @ W1``, ``+= b1``, ReLU, and ``d`` the hidden-layer delta. Both give
-the bits of the textbook form (fresh ``z1 = X @ W1 + b1``, an outer product
-and a ``z1 <= 0`` mask), so weights, loss history and predictions are
-unchanged:
+Each kernel acts on a plain (W1, b1, W2, b2) tuple and has one mode:
+``_hidden`` builds the hidden activations in place in an (n, hidden)
+buffer ``a1``, one row chunk after another, as ``X[c] @ W1``, ``+= b1``,
+ReLU. Given a second such buffer ``d``, it leaves there the delta's
+first two passes (the 0/1 mask, ``*= W2``), which ``_gradient`` finishes
+(``*= d_out``, ``+= 0.0``). Prediction passes one whole chunk; a fit
+allocates both buffers once. They give the bits of the textbook form
+(fresh ``z1 = X @ W1 + b1``, an outer product and a ``z1 <= 0`` mask),
+so weights, loss history and predictions are unchanged:
 
 - ``a1 > 0`` equals ``z1 > 0`` for every non-NaN ``z1``. A NaN makes the
   loss NaN, and the fit raises NonFiniteLoss before computing the
@@ -25,11 +25,9 @@ unchanged:
 - ``X.T @ d`` and ``d.sum(axis=0)`` see the same C-ordered layout as
   before, so BLAS and numpy sum in the same order.
 
-A fit builds its hidden layer in row chunks of about 512 rows, so the
-bias, the ReLU and the delta's first two passes (mask, ``*= W2``) find a
-chunk's rows of ``X[c] @ W1`` still in cache, and its last two passes
-(``*= d_out``, ``+= 0.0``) run chunk by chunk as well. That keeps every
-bit:
+A fit passes chunks of about 512 rows, so the bias, the ReLU and the
+delta's first two passes find a chunk's rows of ``X[c] @ W1`` still in
+cache. That keeps every bit:
 
 - The bias, ReLU and delta passes are elementwise, so no entry depends
   on how the rows are blocked, and each entry sees the same operations
@@ -104,67 +102,45 @@ def _chunks_keep_bits(X, chunks, whole, blocked) -> bool:
     return blocked.tobytes() == whole.tobytes()
 
 
-def _hidden(X, W1, b1, a1):
-    """ReLU(X @ W1 + b1), built in place in ``a1``."""
-    np.matmul(X, W1, out=a1)
-    a1 += b1
-    np.maximum(a1, 0.0, out=a1)
+def _hidden(params, X, a1, chunks=(slice(None),), d=None):
+    """ReLU(X @ W1 + b1) in ``a1``, one row slice of ``chunks`` after another.
 
-
-def _forward(params, X, a1=None):
-    """Hidden activations and outputs; ``a1`` is (n, hidden) scratch space.
-
-    The ReLU layer is built in place, so no pre-activation array is kept.
+    Given ``d``, each chunk also leaves ``mask * W2`` on its rows there
+    while they are in cache; ``_gradient`` finishes the delta.
     """
-    W1, b1, W2, b2 = params
-    if a1 is None:
-        a1 = np.empty((X.shape[0], W1.shape[1]))
-    _hidden(X, W1, b1, a1)
-    return a1, a1 @ W2 + b2
+    W1, b1, W2, _ = params
+    for rows in chunks:
+        block = a1[rows]
+        np.matmul(X[rows], W1, out=block)
+        block += b1
+        np.maximum(block, 0.0, out=block)
+        if d is not None:
+            mask = d[rows]
+            np.greater(block, 0.0, out=mask)
+            mask *= W2
 
 
-def _forward_loss(params, X, y, a1, chunks=(slice(None),), d=None):
-    """(residuals, loss), leaving the hidden activations in ``a1``.
+def _forward_loss(params, X, y, a1, chunks, d):
+    """(residuals, loss), leaving the activations in ``a1`` and ``mask * W2`` in ``d``.
 
-    The hidden layer is built chunk by chunk, one row slice of ``chunks``
-    after another. Given ``d``, each chunk also leaves ``mask * W2`` on
-    its rows there, the delta's first two passes, while its rows of
-    ``a1`` are still in cache; ``_gradient`` finishes the delta.
     A diverged net overflows here, and its loss then reads inf or NaN,
     which a fit raises on before any backward pass; the forward pass's
     floating-point warnings would only repeat that.
     """
-    W1, b1, W2, b2 = params
+    W2, b2 = params[2:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in chunks:
-            _hidden(X[rows], W1, b1, a1[rows])
-            if d is not None:
-                _masked_weights(a1[rows], W2, d[rows])
+        _hidden(params, X, a1, chunks, d)
         r = a1 @ W2 + b2 - y
         loss = float(r @ r) / X.shape[0]
     return r, loss
 
 
-def _masked_weights(a1, W2, d):
-    """d = mask * W2, the 0/1 ReLU mask of ``a1`` times the output weights."""
-    np.greater(a1, 0.0, out=d)
-    d *= W2
-
-
-def _gradient(params, X, a1, r, d, chunks=None):
-    """Gradient from ``_forward_loss``'s ``a1`` and residuals.
-
-    ``d`` is scratch, or, with ``chunks``, already holds the ``mask * W2``
-    that ``_forward_loss`` left there for those chunks.
-    """
-    W2 = params[2]
+def _gradient(X, a1, r, d, chunks):
+    """Gradient from ``_forward_loss``'s ``a1``, ``d`` and residuals over the same ``chunks``."""
     d_out = (2.0 / X.shape[0]) * r
     gW2 = a1.T @ d_out
     gb2 = float(d_out.sum())
     # d = mask * W2 * d_out; see the module docstring for why the bits match
-    if chunks is None:
-        chunks = (slice(None),)
-        _masked_weights(a1, W2, d)
     for rows in chunks:
         block = d[rows]
         block *= d_out[rows, np.newaxis]
@@ -197,7 +173,9 @@ class MLPRModel(TrainedModel):
         return len(self.loss_history)
 
     def _predict_batch(self, X):
-        return _forward(self.params, X)[1]
+        a1 = np.empty((X.shape[0], self.W1.shape[1]))
+        _hidden(self.params, X, a1)
+        return a1 @ self.W2 + self.b2
 
 
 @MLPRModel.fitting
@@ -233,7 +211,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
         r, loss = _forward_loss(params, X, y, a1, chunks, d)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
-        grads = _gradient(params, X, a1, r, d, chunks)
+        grads = _gradient(X, a1, r, d, chunks)
         history.append(loss)
         if abs(previous - loss) < tol:
             streak += 1

@@ -12,12 +12,19 @@ version.
 """
 
 import hashlib
+from numbers import Integral
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed"]
+__all__ = ["stream", "derive_seed", "is_seed"]
 
 _MASK64 = (1 << 64) - 1
+
+
+def is_seed(v) -> bool:
+    """True for an integer other than bool in [0, 2**64); the streams key on
+    a seed's low 64 bits, so any other integer aliases one of these."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v <= _MASK64
 
 
 def _label_words(labels) -> list[int]:

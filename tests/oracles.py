@@ -1,14 +1,16 @@
 """Reference computations that the tests check the regressors against.
 
 Each is rebuilt from the package's own kernels (SVR's ``_rbf_rows`` and
-``_smo``, MLPR's ``_forward``, ``_forward_loss`` and ``_gradient``), so
-the tests audit a fit without the package keeping anything for them.
+``_smo``, MLPR's ``_hidden``, ``_forward_loss`` and ``_gradient`` over one
+whole chunk, GPR's ``_rbf_into``), so the tests audit a fit without the
+package keeping anything for them.
 """
 
 import numpy as np
 
 from pvfdi.regressors.base import as_design
-from pvfdi.regressors.mlp import _forward, _forward_loss, _gradient
+from pvfdi.regressors.gpr import _CHUNK_ROWS, _rbf_into
+from pvfdi.regressors.mlp import _forward_loss, _gradient, _hidden
 from pvfdi.regressors.svr import SVRModel, _rbf_rows, _smo
 
 
@@ -42,10 +44,15 @@ def kkt_violation(X, y, z, C, epsilon, gamma) -> float:
     return float(up_val.max() + low_val.max())
 
 
+# MLPR's kernels over every row at once
+WHOLE = (slice(None),)
+
+
 def mlp_loss(params, X, y):
-    """Mean squared error of the net on (X, y)."""
-    _, yhat = _forward(params, X)
-    r = yhat - y
+    """Mean squared error of the net on (X, y), its outputs computed as predict does."""
+    a1 = np.empty((X.shape[0], np.shape(params[0])[1]))
+    _hidden(params, X, a1)
+    r = a1 @ params[2] + params[3] - y
     return float(r @ r) / X.shape[0]
 
 
@@ -53,8 +60,25 @@ def loss_and_gradient(params, X, y):
     """Loss plus its gradient in the same (W1, b1, W2, b2) layout, as a fit computes them."""
     shape = (X.shape[0], np.shape(params[0])[1])
     a1, d = np.empty(shape), np.empty(shape)
-    r, loss = _forward_loss(params, X, y, a1)
-    return loss, _gradient(params, X, a1, r, d)
+    r, loss = _forward_loss(params, X, y, a1, WHOLE, d)
+    return loss, _gradient(X, a1, r, d, WHOLE)
+
+
+def gpr_chunked_mean(model, X):
+    """A GPR model's posterior mean over X, one chunk of rows after another.
+
+    Each chunk's kernel block and its product with alpha are built over
+    that chunk's rows alone: the plain loop that GPR's position-keeping
+    ``predict_rows`` loop must match when it predicts every row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+    block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), model.X_train.shape[0]))
+    for start in range(0, X.shape[0], _CHUNK_ROWS):
+        chunk = X[start : start + _CHUNK_ROWS]
+        k_star = _rbf_into(chunk, model.X_train, model.length_scale, block)
+        out[start : start + _CHUNK_ROWS] = k_star @ model.alpha
+    return out
 
 
 def lasso_lambda_max(X, y) -> float:

@@ -112,6 +112,23 @@ def test_inject_bad_noise_setting_exits_one(dataset_csv, tmp_path, capsys, flags
     assert "config error" in err and "Traceback" not in err
 
 
+# -1 and 2**64 would run as seeds 2**64 - 1 and 0 under their own names
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_one(dataset_csv, tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    models = tmp_path / "models.ini"
+    models.write_text(f"[model.LR]\nseed = {seed}\n")
+    for argv in (["synth", "--n", 20, "--seed", seed, "--out", out / "d.csv"],
+                 ["inject", "--data", dataset_csv, "--out", out / "o.csv",
+                  "--fraction", 0.5, "--seed", seed],
+                 ["sweep", "--n", 60, "--models", "LR", "--seed", seed, "--out", out],
+                 ["sweep", "--n", 60, "--models", "LR", "--config", models, "--out", out]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 # --- bench / sweep ----------------------------------------------------------------
 
 def test_no_settings_leave_every_default_to_experiment_config():

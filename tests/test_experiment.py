@@ -348,6 +348,30 @@ def test_thread_count_sees_a_started_thread():
     assert not thread.is_alive()
 
 
+@needs_fork
+def test_back_to_back_sweeps_all_run_pooled(monkeypatch):
+    # with the real thread count: a pool's joined management thread stays
+    # listed in /proc/self/task for a moment, and a sweep that saw it would
+    # run in-process. An earlier test's pool, run with the count faked,
+    # may still be leaving.
+    experiment._await_one_thread()
+    if experiment._threads() > 1:
+        pytest.skip("this process runs another thread")
+    fits = []  # a forked worker's fits stay in the worker: this sees only ours
+    fit = experiment.fit
+
+    def counted(spec, train):
+        fits.append(spec.kind)
+        return fit(spec, train)
+
+    monkeypatch.setattr(experiment, "fit", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = ExperimentConfig(synth_n=60, seed=1, models=(ModelSpec("LR"), ModelSpec("KNN")))
+    for sweep in range(20):
+        run_noise_sweep(cfg)
+        assert fits == [], sweep
+
+
 def test_cost_rank_orders_every_kind():
     assert sorted(experiment.COST_RANK) == sorted(DEFAULT_KINDS)
 

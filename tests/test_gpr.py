@@ -5,6 +5,7 @@ import scipy.linalg
 from pvfdi.errors import NotPositiveDefinite
 from pvfdi.regressors import fit_gpr
 from pvfdi.regressors.gpr import rbf_kernel
+from tests.oracles import gpr_chunked_mean
 
 
 def dense_posterior_mean(X_train, y_train, X_query, length_scale, noise_variance):
@@ -92,3 +93,13 @@ def test_factorization_failure_raises(monkeypatch, rng):
     y = rng.normal(size=5)
     with pytest.raises(NotPositiveDefinite):
         fit_gpr(X, y)
+
+
+# 511, 512 and 513 end the 512-row chunks on either side of the boundary;
+# 1025 leaves a one-row chunk
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 2000])
+def test_predict_batch_is_the_chunked_posterior_mean_bitwise(rng, n):
+    X = rng.uniform(0.0, 1.0, size=(400, 12))
+    model = fit_gpr(X, np.sin(X.sum(axis=1)), length_scale=0.8)
+    Q = rng.uniform(-0.2, 1.2, size=(n, 12))
+    assert model.predict_batch(Q).tobytes() == gpr_chunked_mean(model, Q).tobytes()

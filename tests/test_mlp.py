@@ -6,7 +6,7 @@ import pytest
 from pvfdi.errors import NonFiniteLoss
 from pvfdi.regressors import fit_mlpr, mlp
 from pvfdi.regressors.mlp import MLPRModel, _forward_loss, _gradient, init_params
-from tests.oracles import loss_and_gradient, mlp_loss
+from tests.oracles import WHOLE, loss_and_gradient, mlp_loss
 
 
 def finite_difference_gradient(params, X, y, h=1e-5):
@@ -242,6 +242,18 @@ def test_gradient_matches_unfused_reference_bitwise(n, d, hidden):
         assert_same_gradient(params, X, y)
 
 
+@pytest.mark.parametrize("hidden", [1, 7, 100])
+@pytest.mark.parametrize("n", [1, 2, 9, 513])
+def test_predict_is_the_textbook_forward_pass_bitwise(n, hidden):
+    rng = np.random.default_rng(n * 1000 + hidden)
+    W1, b1, W2, _ = init_params(12, hidden, seed=hidden)
+    b1 = 0.3 * rng.normal(size=hidden)
+    model = MLPRModel(12, W1=W1, b1=b1, W2=W2, b2=0.1, loss_history=[], stopped_early=0)
+    X = rng.normal(size=(n, 12))
+    want = np.maximum(X @ W1 + b1, 0.0) @ W2 + 0.1
+    assert model.predict_batch(X).tobytes() == want.tobytes()
+
+
 def test_dead_unit_gradient_is_positive_zero_like_the_reference():
     params, X, y = dead_unit_case()
     assert_same_gradient(params, X, y)
@@ -258,8 +270,8 @@ def test_backward_buffer_holds_the_reference_delta():
     for params, X, y in (dead_unit_case(), random_case):
         a1 = np.empty((X.shape[0], params[0].shape[1]))
         d = np.empty_like(a1)
-        r, _ = _forward_loss(params, X, y, a1)
-        _gradient(params, X, a1, r, d)
+        r, _ = _forward_loss(params, X, y, a1, WHOLE, d)
+        _gradient(X, a1, r, d, WHOLE)
         d_z1 = reference_backward(params, X, y)[2]
         assert (d_z1 == 0.0).any()
         assert d.tobytes() == d_z1.tobytes()

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
-from pvfdi.rng import derive_seed, stream
+from pvfdi.experiment import ExperimentConfig
+from pvfdi.noise import NoiseConfig
+from pvfdi.regressors import ModelSpec
+from pvfdi.rng import derive_seed, is_seed, stream
 
 
 def test_same_seed_and_labels_reproduce():
@@ -49,3 +53,22 @@ def test_derive_seed_is_stable_and_64_bit():
     assert 0 <= s1 < 2**64
     assert derive_seed(42, "noise", 0.1) != derive_seed(42, "noise", 0.5)
     assert derive_seed(42, "noise") != derive_seed(43, "noise")
+
+
+def test_is_seed_takes_the_64_bit_integers_only():
+    assert all(map(is_seed, (0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1))))
+    assert not any(map(is_seed, (-1, 2**64, np.int64(-1), True, 2.0, "1", None)))
+
+
+# the streams key on a seed's low 64 bits, so a run recorded as seed -1 or
+# 2**64 would hold the tables of seed 2**64 - 1 or 0
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
+@pytest.mark.parametrize("config", [
+    lambda seed: ExperimentConfig(seed=seed),
+    lambda seed: ModelSpec("MLPR", seed=seed),
+    lambda seed: NoiseConfig(0.5, seed=seed),
+])
+def test_configs_refuse_seeds_the_streams_would_alias(config, seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        config(seed)
+    config(2**64 - 1)
