@@ -56,19 +56,29 @@ def as_design(X, y):
     return X, y
 
 
-def row_products(A, B, out) -> np.ndarray:
-    """``A @ B.T`` written into ``out[:len(A)]``, which is returned.
+def padded_width(n: int) -> int:
+    """``n`` rounded up to a multiple of 8: the width every product of a row
+    block with a weight or training matrix is built at, because on OpenBLAS
+    0.3.31 a gemm row's bits then do not depend on how many rows share its A."""
+    return -(-n // 8) * 8
 
-    numpy sends a one-row product to BLAS gemv, which rounds differently
-    from the gemm that every longer A goes through. So a one-row A runs
-    as two copies of its row, and a row's result does not depend on how
-    many rows share its A. ``out`` needs at least two rows.
+
+def row_products(A, B, out) -> np.ndarray:
+    """``A @ B.T`` in the first ``len(A)`` rows and ``len(B)`` columns of ``out``, returned.
+
+    It is built at ``padded_width(len(B))`` columns, B padded with zero
+    rows in its own memory order, and a one-row A runs as two copies of
+    its row (numpy sends one row to gemv, which rounds unlike gemm). So a
+    row's bits do not depend on which rows share its A. ``out`` needs at
+    least two rows of ``padded_width(len(B))`` columns.
     """
-    n = A.shape[0]
+    n, width = A.shape[0], B.shape[0]
     if n == 1:
         A = np.concatenate((A, A))
+    if width % 8:
+        B = np.concatenate((B, np.zeros_like(B, shape=(padded_width(width) - width, B.shape[1]))))
     np.matmul(A, B.T, out=out[: A.shape[0]])
-    return out[:n]
+    return out[:n, :width]
 
 
 # A flat tree's five parallel arrays, in file order; feature -1 marks a leaf

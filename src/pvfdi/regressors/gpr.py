@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from ..errors import NotPositiveDefinite
 from ..rng import stream
 from .base import (AT_LEAST_ONE, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
-                   require_finite, row_products)
+                   padded_width, require_finite, row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -25,7 +25,7 @@ _CHUNK_ROWS = 512
 def _rbf_into(A, B, length_scale, out):
     """rbf_kernel(A, B, length_scale), built in place in ``out[:len(A)]``.
 
-    ``out`` needs at least two rows (see ``row_products``). Of A, a row's
+    ``out`` is ``row_products``' scratch for A and B. Of A, a row's
     bits depend on that row alone, so a chunk's rows can be built apart
     from the others.
     """
@@ -42,7 +42,7 @@ def _rbf_into(A, B, length_scale, out):
 
 def rbf_kernel(A, B, length_scale):
     """Unit-variance RBF kernel matrix exp(-||a - b||^2 / (2 l^2))."""
-    return _rbf_into(A, B, length_scale, np.empty((max(A.shape[0], 2), B.shape[0])))
+    return _rbf_into(A, B, length_scale, np.empty((max(len(A), 2), padded_width(len(B)))))
 
 
 class GPRModel(TrainedModel):
@@ -77,8 +77,8 @@ class GPRModel(TrainedModel):
         Q = self._checked(X[rows])
         n = X.shape[0]
         out = np.empty(rows.size)
-        scratch = np.empty((max(min(_CHUNK_ROWS, n), 2), self.X_train.shape[0]))
-        block = np.zeros(scratch.shape)
+        scratch = np.empty((max(min(_CHUNK_ROWS, n), 2), padded_width(len(self.X_train))))
+        block = np.zeros((scratch.shape[0], len(self.X_train)))
         edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
         with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch
             for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):

@@ -35,7 +35,7 @@ fewer than k groups, and every column is a tail column.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, TrainedModel, require_finite, row_products
+from .base import AT_LEAST_ONE, TrainedModel, padded_width, require_finite, row_products
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -68,7 +68,7 @@ class KNNModel(TrainedModel):
         train_sq = np.einsum("ij,ij->i", X_train, X_train)
         # one distance block per call, shared by its chunks; a local, so
         # predict stays reentrant
-        block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), X_train.shape[0]))
+        block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), padded_width(n)))
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
             # the bits of train_sq - 2.0 * (chunk @ X_train.T): scaling by

@@ -2,14 +2,21 @@
 
 Architecture is input -> hidden (ReLU) -> linear output, squared loss.
 Each kernel acts on a plain (W1, b1, W2, b2) tuple and has one mode:
-``_hidden`` builds the hidden activations in place in an (n, hidden)
+``_hidden`` builds the hidden activations in place in an (n, width)
 buffer ``a1``, one row chunk after another, as ``X[c] @ W1``, ``+= b1``,
 ReLU. Given a second such buffer ``d``, it leaves there the delta's
 first two passes (the 0/1 mask, ``*= W2``), which ``_gradient`` finishes
 (``*= d_out``, ``+= 0.0``). Prediction passes one whole chunk; a fit
-allocates both buffers once. They give the bits of the textbook form
-(fresh ``z1 = X @ W1 + b1``, an outer product and a ``z1 <= 0`` mask),
-so weights, loss history and predictions are unchanged:
+allocates both buffers once.
+
+Both buffers are ``base.padded_width(hidden)`` columns wide, and
+``_hidden`` pads W1, b1 and W2 with zero columns to that width, so a row
+of ``X[c] @ W1`` has the same bits however many rows share the product.
+The bias, ReLU and delta passes run over whole padded rows, and the
+padding columns stay +0.0 through them; everything else reads the first
+``hidden`` columns. The textbook form (fresh ``z1 = X @ W1 + b1``, an
+outer product and a ``z1 <= 0`` mask), held in rows padded the same way,
+has the same bits:
 
 - ``a1 > 0`` equals ``z1 > 0`` for every non-NaN ``z1``. A NaN makes the
   loss NaN, and the fit raises NonFiniteLoss before computing the
@@ -22,25 +29,16 @@ so weights, loss history and predictions are unchanged:
   itself exactly zero, which needs ``r[i] == 0`` or ``W2[j] == 0``,
   becomes +0.0 too. That can at most flip the sign of a zero gradient
   entry, and Adam takes the same step for a zero of either sign.)
-- ``X.T @ d`` and ``d.sum(axis=0)`` see the same C-ordered layout as
-  before, so BLAS and numpy sum in the same order.
+- The output gemv, ``gW2``, ``gW1`` and ``d.sum(axis=0)`` read the same
+  rows through the same leading dimension. That matters: at widths 1 to
+  3, or for a strided vector, OpenBLAS sums a matrix-vector product in
+  another order than it does over a contiguous (n, hidden) array.
 
 A fit passes chunks of about 512 rows, so the bias, the ReLU and the
 delta's first two passes find a chunk's rows of ``X[c] @ W1`` still in
-cache. That keeps every bit:
-
-- The bias, ReLU and delta passes are elementwise, so no entry depends
-  on how the rows are blocked, and each entry sees the same operations
-  in the same order.
-- A gemm row's bits need not depend on how many rows share its A, which
-  ``base.row_products`` relies on as well, but BLAS picks its kernel by
-  the product's shape, and some shapes round a row differently with
-  fewer rows beside it: a one-row or one-column product (numpy sends
-  those to gemv) and, on OpenBLAS 0.3.31, widths such as 255 or 257, or
-  16 and more features with 100 hidden units. So a fit first builds the
-  product of random data of X's shape and layout in its chunks and whole
-  (``_chunks_keep_bits``), and keeps its rows whole unless every bit
-  agrees. No chunk has fewer than two rows.
+cache. Those passes are elementwise, a chunk's rows of the padded
+product have the whole product's bits, and no chunk has fewer than two
+rows (numpy sends a one-row product to gemv), so chunks change no bit.
 
 Every reduction runs whole: the output gemv, the loss, ``gW2 = a1.T @
 d_out``, ``gW1 = X.T @ d``, ``d.sum(axis=0)``, ``d_out.sum()`` and Adam.
@@ -53,7 +51,8 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..rng import stream
-from .base import AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, require_finite
+from .base import (AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, padded_width,
+                   require_finite)
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params"]
 
@@ -81,34 +80,21 @@ def _row_blocks(n, width):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _chunks_keep_bits(X, chunks, whole, blocked) -> bool:
-    """Whether ``X @ W1`` built in ``chunks`` has the bits of the whole product.
-
-    Tried on random data of X's shape and layout and a C-ordered (n_features,
-    hidden) W1, as the fit's are; the entries span 2**-20 to 2**20, so that a
-    kernel that sums in another order shows it. BLAS picks kernels by shape,
-    not by value, so the answer holds for the fit's own X and weights.
-    ``whole`` and ``blocked`` are (n, hidden) scratch space.
-    """
-    if len(chunks) == 1:
-        return True
-    rng = np.random.default_rng(0)
-    P = np.empty_like(X)
-    P[...] = rng.standard_normal(X.shape) * np.exp2(rng.integers(-20, 21, size=X.shape))
-    Q = rng.standard_normal((X.shape[1], whole.shape[1]))
-    np.matmul(P, Q, out=whole)
-    for rows in chunks:
-        np.matmul(P[rows], Q, out=blocked[rows])
-    return blocked.tobytes() == whole.tobytes()
+def _widened(values, width):
+    """``values`` with zero columns appended up to ``width`` columns."""
+    out = np.zeros(np.shape(values)[:-1] + (width,))
+    out[..., : np.shape(values)[-1]] = values
+    return out
 
 
 def _hidden(params, X, a1, chunks=(slice(None),), d=None):
     """ReLU(X @ W1 + b1) in ``a1``, one row slice of ``chunks`` after another.
 
-    Given ``d``, each chunk also leaves ``mask * W2`` on its rows there
-    while they are in cache; ``_gradient`` finishes the delta.
+    W1, b1 and W2 get zero columns up to ``a1``'s width, so each pass runs
+    over whole rows. Given ``d``, each chunk also leaves ``mask * W2`` on
+    its rows there while they are in cache; ``_gradient`` finishes the delta.
     """
-    W1, b1, W2, _ = params
+    W1, b1, W2 = (_widened(p, a1.shape[1]) for p in params[:3])
     for rows in chunks:
         block = a1[rows]
         np.matmul(X[rows], W1, out=block)
@@ -130,23 +116,23 @@ def _forward_loss(params, X, y, a1, chunks, d):
     W2, b2 = params[2:]
     with np.errstate(over="ignore", invalid="ignore"):
         _hidden(params, X, a1, chunks, d)
-        r = a1 @ W2 + b2 - y
+        r = a1[:, : len(W2)] @ W2 + b2 - y
         loss = float(r @ r) / X.shape[0]
     return r, loss
 
 
-def _gradient(X, a1, r, d, chunks):
+def _gradient(X, a1, r, d, chunks, hidden):
     """Gradient from ``_forward_loss``'s ``a1``, ``d`` and residuals over the same ``chunks``."""
     d_out = (2.0 / X.shape[0]) * r
-    gW2 = a1.T @ d_out
+    gW2 = a1[:, :hidden].T @ d_out
     gb2 = float(d_out.sum())
     # d = mask * W2 * d_out; see the module docstring for why the bits match
     for rows in chunks:
         block = d[rows]
         block *= d_out[rows, np.newaxis]
         block += 0.0
-    gW1 = X.T @ d
-    gb1 = d.sum(axis=0)
+    gW1 = X.T @ d[:, :hidden]
+    gb1 = d[:, :hidden].sum(axis=0)
     return gW1, gb1, gW2, gb2
 
 
@@ -173,9 +159,9 @@ class MLPRModel(TrainedModel):
         return len(self.loss_history)
 
     def _predict_batch(self, X):
-        a1 = np.empty((X.shape[0], self.W1.shape[1]))
+        a1 = np.empty((X.shape[0], padded_width(self.W2.size)))
         _hidden(self.params, X, a1)
-        return a1 @ self.W2 + self.b2
+        return a1[:, : self.W2.size] @ self.W2 + self.b2
 
 
 @MLPRModel.fitting
@@ -192,7 +178,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     """
     params = init_params(X.shape[1], hidden, seed)
 
-    a1 = np.empty((X.shape[0], hidden))
+    a1 = np.empty((X.shape[0], padded_width(hidden)))
     d = np.empty_like(a1)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -203,15 +189,13 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     previous = np.inf
     streak = 0
     stopped_early = False
-    # the hidden layer in chunks of about 512 rows, when they keep every bit
+    # the hidden layer in chunks of about 512 rows
     chunks = _row_blocks(X.shape[0], -(-X.shape[0] // 512))
-    if not _chunks_keep_bits(X, chunks, a1, d):
-        chunks = [slice(None)]
     for epoch in range(max_epochs):
         r, loss = _forward_loss(params, X, y, a1, chunks, d)
         if not np.isfinite(loss):
             raise NonFiniteLoss(epoch)
-        grads = _gradient(X, a1, r, d, chunks)
+        grads = _gradient(X, a1, r, d, chunks, hidden)
         history.append(loss)
         if abs(previous - loss) < tol:
             streak += 1

@@ -8,7 +8,7 @@ package keeping anything for them.
 
 import numpy as np
 
-from pvfdi.regressors.base import as_design
+from pvfdi.regressors.base import as_design, padded_width
 from pvfdi.regressors.gpr import _CHUNK_ROWS, _rbf_into
 from pvfdi.regressors.mlp import _forward_loss, _gradient, _hidden
 from pvfdi.regressors.svr import SVRModel, _rbf_rows, _smo
@@ -50,18 +50,20 @@ WHOLE = (slice(None),)
 
 def mlp_loss(params, X, y):
     """Mean squared error of the net on (X, y), its outputs computed as predict does."""
-    a1 = np.empty((X.shape[0], np.shape(params[0])[1]))
+    hidden = np.shape(params[0])[1]
+    a1 = np.empty((X.shape[0], padded_width(hidden)))
     _hidden(params, X, a1)
-    r = a1 @ params[2] + params[3] - y
+    r = a1[:, :hidden] @ params[2] + params[3] - y
     return float(r @ r) / X.shape[0]
 
 
 def loss_and_gradient(params, X, y):
     """Loss plus its gradient in the same (W1, b1, W2, b2) layout, as a fit computes them."""
-    shape = (X.shape[0], np.shape(params[0])[1])
+    hidden = np.shape(params[0])[1]
+    shape = (X.shape[0], padded_width(hidden))
     a1, d = np.empty(shape), np.empty(shape)
     r, loss = _forward_loss(params, X, y, a1, WHOLE, d)
-    return loss, _gradient(X, a1, r, d, WHOLE)
+    return loss, _gradient(X, a1, r, d, WHOLE, hidden)
 
 
 def gpr_chunked_mean(model, X):
@@ -73,7 +75,8 @@ def gpr_chunked_mean(model, X):
     """
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0])
-    block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), model.X_train.shape[0]))
+    block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2),
+                      padded_width(model.X_train.shape[0])))
     for start in range(0, X.shape[0], _CHUNK_ROWS):
         chunk = X[start : start + _CHUNK_ROWS]
         k_star = _rbf_into(chunk, model.X_train, model.length_scale, block)

@@ -5,6 +5,7 @@ import pytest
 
 from pvfdi.errors import NonFiniteLoss
 from pvfdi.regressors import fit_mlpr, mlp
+from pvfdi.regressors.base import padded_width
 from pvfdi.regressors.mlp import MLPRModel, _forward_loss, _gradient, init_params
 from tests.oracles import WHOLE, loss_and_gradient, mlp_loss
 
@@ -135,6 +136,25 @@ def test_learns_linear_map_better_than_mean(rng):
 
 # --- oracle: the unfused kernel the in-place one must match bit for bit ------
 
+def padded_product(X, W1):
+    """``X @ W1`` as the model defines it: built with zero columns appended to
+    W1 up to a multiple of 8, then cut back to W1's width."""
+    hidden = W1.shape[1]
+    W1_padded = np.zeros((W1.shape[0], -(-hidden // 8) * 8))
+    W1_padded[:, :hidden] = W1
+    return (X @ W1_padded)[:, :hidden]
+
+
+def in_padded_rows(M):
+    """M's values in rows padded to a multiple of 8 columns, as the model's
+    buffers hold them; BLAS sums a matrix-vector product in another order
+    at some leading dimensions (a width of 1 to 3, or a strided vector)."""
+    width = M.shape[1]
+    rows = np.zeros((M.shape[0], -(-width // 8) * 8))
+    rows[:, :width] = M
+    return rows[:, :width]
+
+
 def reference_backward(params, X, y):
     """Fresh pre-activations, np.outer and a boolean mask on every call.
 
@@ -142,14 +162,15 @@ def reference_backward(params, X, y):
     """
     W1, b1, W2, b2 = params
     n = X.shape[0]
-    z1 = X @ W1 + b1
-    a1 = np.maximum(z1, 0.0)
+    z1 = padded_product(X, W1) + b1
+    a1 = in_padded_rows(np.maximum(z1, 0.0))
     r = a1 @ W2 + b2 - y
     d_out = (2.0 / n) * r
     gW2 = a1.T @ d_out
     gb2 = float(d_out.sum())
     d_z1 = np.outer(d_out, W2)
     d_z1[z1 <= 0.0] = 0.0
+    d_z1 = in_padded_rows(d_z1)
     gW1 = X.T @ d_z1
     gb1 = d_z1.sum(axis=0)
     return float(r @ r) / n, (gW1, gb1, gW2, gb2), d_z1
@@ -250,8 +271,11 @@ def test_predict_is_the_textbook_forward_pass_bitwise(n, hidden):
     b1 = 0.3 * rng.normal(size=hidden)
     model = MLPRModel(12, W1=W1, b1=b1, W2=W2, b2=0.1, loss_history=[], stopped_early=0)
     X = rng.normal(size=(n, 12))
-    want = np.maximum(X @ W1 + b1, 0.0) @ W2 + 0.1
-    assert model.predict_batch(X).tobytes() == want.tobytes()
+    got = model.predict_batch(X).tobytes()
+    assert got == (np.maximum(padded_product(X, W1) + b1, 0.0) @ W2 + 0.1).tobytes()
+    if hidden > 1 and n > 1:
+        # here the padded product has the unpadded one's bits too
+        assert got == (np.maximum(X @ W1 + b1, 0.0) @ W2 + 0.1).tobytes()
 
 
 def test_dead_unit_gradient_is_positive_zero_like_the_reference():
@@ -268,13 +292,17 @@ def test_backward_buffer_holds_the_reference_delta():
     rng = np.random.default_rng(8)
     random_case = (init_params(5, 7, seed=8), rng.normal(size=(30, 5)), rng.normal(size=30))
     for params, X, y in (dead_unit_case(), random_case):
-        a1 = np.empty((X.shape[0], params[0].shape[1]))
+        hidden = params[0].shape[1]
+        a1 = np.empty((X.shape[0], padded_width(hidden)))
         d = np.empty_like(a1)
         r, _ = _forward_loss(params, X, y, a1, WHOLE, d)
-        _gradient(X, a1, r, d, WHOLE)
+        _gradient(X, a1, r, d, WHOLE, hidden)
         d_z1 = reference_backward(params, X, y)[2]
         assert (d_z1 == 0.0).any()
-        assert d.tobytes() == d_z1.tobytes()
+        assert d[:, :hidden].tobytes() == d_z1.tobytes()
+        # the padding columns hold +0.0 in both buffers
+        padding = np.concatenate((a1[:, hidden:], d[:, hidden:]))
+        assert padding.tobytes() == np.zeros(padding.shape).tobytes()
 
 
 def test_dead_unit_fit_matches_reference():
@@ -379,9 +407,10 @@ def test_row_chunks_match_reference_bitwise(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n,features,hidden", [(600, 12, 1), (2000, 12, 257), (2000, 16, 100)])
-def test_shapes_whose_gemm_rows_move_keep_the_bits(n, features, hidden):
-    # on OpenBLAS 0.3.31 each of these products rounds some rows differently
-    # when built in row chunks, so the fit must find that out and keep them whole
+def test_chunked_fit_matches_reference_where_unpadded_gemm_rows_move(n, features, hidden):
+    # on OpenBLAS 0.3.31 each of these products, built at its own width,
+    # rounds some rows differently in row chunks; at the padded width the
+    # fit's 512-row chunks keep the whole product's bits
     rng = np.random.default_rng(hidden)
     X = rng.normal(size=(n, features))
     y = rng.normal(size=n)

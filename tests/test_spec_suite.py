@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvfdi.errors import DimensionMismatch, InvalidSpec
 from pvfdi.regressors import (
@@ -21,6 +23,8 @@ from pvfdi.regressors import (
     fit_mlpr,
     fit_svr,
 )
+from pvfdi.regressors.base import padded_width, row_products
+from pvfdi.regressors.mlp import _row_blocks
 from pvfdi.regressors.registry import REGISTRY
 
 ROWWISE_KINDS = tuple(cls.kind for cls in TrainedModel.__subclasses__() if cls.rowwise)
@@ -194,6 +198,37 @@ def test_predict_batch_rejects_non_finite_rows(norm_split, kind, bad):
         model.predict_batch(query)
 
 
+@given(width=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(width=255, seed=0)
+@settings(max_examples=30, deadline=None)
+def test_openblas_gemm_rows_keep_their_bits_at_a_multiple_of_8_columns(width, seed):
+    # The OpenBLAS property that row_products, GPR's and KNN's splices and
+    # MLPR's row chunks rest on: built at a multiple of 8 columns, a row of
+    # a gemm product has the same bits whatever other rows share its A. At
+    # other widths (255, 257, 300, 1601 training rows) rows move.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(700, 12))
+    B = rng.normal(size=(width, 12))
+    full = row_products(A, B, np.empty((700, padded_width(width))))
+    for size in (1, 2, 3, 9, 256, 257, 511):
+        rows = np.sort(rng.choice(700, size, replace=False))
+        part = row_products(A[rows], B, np.empty((max(size, 2), padded_width(width))))
+        assert part.tobytes() == full[rows].tobytes(), size
+    # MLPR's X @ W1, W1 padded with zero columns, in 2-row and 512-row chunks
+    n = int(rng.integers(2, 1100))
+    for features in (1, 12, 257):
+        X = rng.normal(size=(n, features))
+        for hidden in (1, 7, 100, 255, 257):
+            W1 = np.zeros((features, padded_width(hidden)))
+            W1[:, :hidden] = rng.normal(size=(features, hidden))
+            whole = X @ W1
+            for chunks in (_row_blocks(n, n // 2), _row_blocks(n, -(-n // 512))):
+                chunked = np.empty_like(whole)
+                for c in chunks:
+                    np.matmul(X[c], W1, out=chunked[c])
+                assert chunked.tobytes() == whole.tobytes(), (n, features, hidden)
+
+
 def test_rowwise_kinds_opt_in_explicitly():
     # the noise sweep splices clean predictions for these classes; any
     # other kind predicts through BLAS gemv and must stay out
@@ -237,16 +272,20 @@ def test_rowwise_prediction_ignores_the_rest_of_the_batch(norm_split, rng, kind)
 def test_predict_rows_is_predict_batch_of_those_rows(norm_split, rng, kind, n):
     train, _ = norm_split
     small = {"GBRT": {"rounds": 5}, "MLPR": {"hidden": 8, "max_epochs": 20}}
-    model = fit(ModelSpec(kind, small.get(kind, {}), seed=9), train)
     X = np.vstack([rng.uniform(-0.2, 1.2, size=(n - 100, 12)), train.features[:100]])
-    full = model.predict_batch(X)
     subsets = [np.sort(rng.choice(n, size, replace=False))
                for size in (1, 2, 3, 5, 511, 512, 513)]
     subsets += [np.arange(n), np.arange(511, 514), np.arange(512), np.array([n - 1]),
                 np.array([0, n - 1]), np.array([], dtype=np.intp)]
-    for rows in subsets:
-        assert model.predict_rows(X, rows).tobytes() == full[rows].tobytes(), rows[:5]
-        assert model.predict_rows(X, list(rows)).tobytes() == full[rows].tobytes()
+    # all 320 training rows, then 255 and 257: GPR's kernel and KNN's
+    # distances span as many columns as there are training rows
+    for size in (None, 255, 257):
+        data = (train.features[:size], train.power[:size])
+        model = fit(ModelSpec(kind, small.get(kind, {}), seed=9), data)
+        full = model.predict_batch(X)
+        for rows in subsets:
+            assert model.predict_rows(X, rows).tobytes() == full[rows].tobytes(), (size, rows[:5])
+            assert model.predict_rows(X, list(rows)).tobytes() == full[rows].tobytes()
 
 
 def test_lr_identity_passthrough():
