@@ -278,6 +278,7 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
 
     The report holds the header's fractions, the rows' model order, the
     noise table of every numeric row, and an error for every ERROR row.
+    Only labels a sweep writes are read, and a model row may not repeat.
     """
     if path.is_dir():
         path = path / "noise_rmse.csv"
@@ -296,6 +297,8 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
         raise DataError(f"bad fraction labels in {path} header")
     if len(set(fractions)) != len(fractions):
         raise DataError(f"{path} header repeats a fraction")
+    if [fraction_label(f) if 0.0 <= f <= 1.0 else None for f in fractions] != header[1:]:
+        raise DataError(f"{path} header has a label no sweep writes: {header[1:]}")
     if 0.0 not in fractions:
         raise DataError(f"{path} has no 0% column to compare against")
     order, table, errors = [], {}, {}
@@ -303,6 +306,8 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(f"row {cells[:1]} in {path} has {len(cells)} cells")
+        if cells[0] in order:
+            raise DataError(f"{path} repeats the model row {cells[0]!r}")
         order.append(cells[0])
         if "ERROR" in cells[1:]:
             errors[cells[0]] = "ERROR"

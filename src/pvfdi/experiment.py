@@ -50,10 +50,10 @@ class ExperimentConfig:
     randomness (synth draw, split, noise, model seeds) flows from
     ``seed`` through purpose-labeled streams unless individual
     ModelSpecs carry their own seeds. Construction raises ValueError for
-    fractions that do not start at 0.0 or that repeat, for a non-integer
-    ``repeats`` or ``synth_n``, for a ``seed`` outside [0, 2**64), and for
-    the train ratios and noise parameters SplitConfig and NoiseConfig
-    refuse; empty ``noise_columns`` become None.
+    fractions that do not start at 0.0, repeat or share a ``fraction_label``,
+    for a non-integer ``repeats`` or ``synth_n``, for a ``seed`` outside
+    [0, 2**64), and for the train ratios and noise parameters SplitConfig
+    and NoiseConfig refuse; empty ``noise_columns`` become None.
     """
 
     data_path: str | None = None
@@ -75,8 +75,9 @@ class ExperimentConfig:
             raise ValueError("fractions must start with 0.0")
         if any(not 0.0 <= f <= 1.0 for f in fractions):
             raise ValueError("fractions must lie in [0, 1]")
-        if len(set(fractions)) != len(fractions):
-            raise ValueError("fractions must not repeat")
+        labels = [fraction_label(f) for f in fractions]  # each names a column of every table
+        if len(set(fractions)) != len(fractions) or len(set(labels)) != len(labels):
+            raise ValueError(f"fractions must not repeat or share a percent label: {labels}")
         object.__setattr__(self, "fractions", fractions)
         if self.models is not None:
             models = tuple(self.models)

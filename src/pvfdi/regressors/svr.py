@@ -7,6 +7,10 @@ to 0 <= z <= C and s'z = 0. Pairs are picked by maximal violation for i
 and a second-order gain rule for j; the stop test is the maximal KKT
 violation Gmax + Gmax2 dropping below tol.
 
+The solver keeps F = s * G and updates each half of it with K's n-entry
+row. For s = +-1, s * (G + c * (s * k)) equals s * G + c * k bit for bit,
+as negation is exact and round-to-nearest symmetric.
+
 As in LIBSVM, kernel rows are computed on demand, each alone, into one
 LRU cache that ``cache_mb`` bounds. A row computed again after an eviction
 has the same bytes, so ``cache_mb`` limits memory and never the model.
@@ -37,17 +41,12 @@ def _rbf_rows(A, X, X_sq, gamma):
 
 
 def _row_cache(X, gamma, cache_mb):
-    """``row(u)``: K(u mod n, :) twice over; K's rows sit in an LRU of ``cache_mb``, >= 2 rows."""
-    n = X.shape[0]
+    """``row(b)``: K(b, :), from an LRU of ``cache_mb`` that holds >= 2 rows."""
     X_sq = np.einsum("ij,ij->i", X, X)
 
-    @lru_cache(maxsize=max(2, int(cache_mb * 2**20 / (8 * n))))
-    def base_row(b):
+    @lru_cache(maxsize=max(2, int(cache_mb * 2**20 / (8 * X.shape[0]))))
+    def row(b):
         return _rbf_rows(X[b : b + 1], X, X_sq, gamma)[0]
-
-    def row(u):
-        k = base_row(u % n)
-        return np.concatenate((k, k))
 
     return row
 
@@ -88,37 +87,38 @@ class SVRModel(TrainedModel):
         return out
 
 
-def _select_pair(G, s, lower, upper, row, tol):
+def _select_pair(F, s, lower, upper, row, n, tol):
     """Return (i, j, violation); i or j of -1 signals optimality."""
-    up_val = np.where((s > 0) & ~upper | (s < 0) & ~lower, -s * G, -np.inf)
+    up_val = np.where((s > 0) & ~upper | (s < 0) & ~lower, -F, -np.inf)
     i = int(np.argmax(up_val))
     gmax = up_val[i]
     in_low = (s > 0) & ~lower | (s < 0) & ~upper
-    low_val = np.where(in_low, s * G, -np.inf)
+    low_val = np.where(in_low, F, -np.inf)
     gmax2 = low_val.max()
     violation = gmax + gmax2
     if not np.isfinite(violation) or violation < tol:
         return -1, -1, violation
 
-    # kernel diagonal is 1 for RBF
-    quad = np.maximum(2.0 - 2.0 * row(i), _TAU)
-    grad_diff = gmax + s * G
-    gain = np.where(in_low & (grad_diff > 0),
+    # kernel diagonal is 1 for RBF; one quad entry serves both halves
+    quad = np.maximum(2.0 - 2.0 * row(i % n), _TAU)
+    grad_diff = (gmax + F).reshape(2, n)
+    gain = np.where(in_low.reshape(2, n) & (grad_diff > 0),
                     -(grad_diff * grad_diff) / quad, np.inf)
     j = int(np.argmin(gain))
-    if not np.isfinite(gain[j]):
+    if not np.isfinite(gain.flat[j]):
         return -1, -1, violation
     return i, j, violation
 
 
-def _take_step(z, G, s, i, j, C, row):
+def _take_step(z, F, s, i, j, C, row, n):
     """One pairwise update, clipped to the box; mirrors the classic solver."""
-    k_i, k_j = row(i), row(j)
-    quad = max(2.0 - 2.0 * k_i[j], _TAU)
+    k_i, k_j = row(i % n), row(j % n)
+    quad = max(2.0 - 2.0 * k_i[j % n], _TAU)
     old_i, old_j = z[i], z[j]
+    G_i, G_j = s[i] * F[i], s[j] * F[j]
 
     if s[i] != s[j]:
-        delta = (-G[i] - G[j]) / quad
+        delta = (-G_i - G_j) / quad
         diff = old_i - old_j
         z[i] = old_i + delta
         z[j] = old_j + delta
@@ -137,7 +137,7 @@ def _take_step(z, G, s, i, j, C, row):
                 z[j] = C
                 z[i] = C + diff
     else:
-        delta = (G[i] - G[j]) / quad
+        delta = (G_i - G_j) / quad
         total = old_i + old_j
         z[i] = old_i - delta
         z[j] = old_j + delta
@@ -158,47 +158,42 @@ def _take_step(z, G, s, i, j, C, row):
 
     d_i = z[i] - old_i
     d_j = z[j] - old_j
-    G += (s[i] * d_i) * (s * k_i)
-    G += (s[j] * d_j) * (s * k_j)
+    halves = F.reshape(2, n)
+    halves += (s[i] * d_i) * k_i
+    halves += (s[j] * d_j) * k_j
 
 
-def _bias(G, s, z, C):
-    """Average s*G over free vectors, else the feasible-interval midpoint."""
+def _bias(F, s, z, C):
+    """Average F over free vectors, else the feasible-interval midpoint."""
     free = (z > 0.0) & (z < C)
     if free.any():
-        rho = float((s[free] * G[free]).mean())
-        return -rho
-    yg = s * G
-    upper_cap = np.where((z >= C) & (s < 0) | (z <= 0.0) & (s > 0), yg, np.inf)
-    lower_cap = np.where((z >= C) & (s > 0) | (z <= 0.0) & (s < 0), yg, -np.inf)
+        return -float(F[free].mean())
+    upper_cap = np.where((z >= C) & (s < 0) | (z <= 0.0) & (s > 0), F, np.inf)
+    lower_cap = np.where((z >= C) & (s > 0) | (z <= 0.0) & (s < 0), F, -np.inf)
     return -(upper_cap.min() + lower_cap.max()) / 2.0
 
 
-def _dual_terms(y, epsilon):
-    """The dual's signs s and linear term p, each 2n entries."""
-    n = y.shape[0]
-    return (np.concatenate((np.ones(n), -np.ones(n))),
-            np.concatenate((epsilon - y, epsilon + y)))
-
-
 def _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb):
-    """(z, G, iterations, converged, violation): the dual iterate, its gradient and the stop state."""
-    s, p = _dual_terms(y, epsilon)
-    z = np.zeros(2 * X.shape[0])
-    G = p.copy()
+    """(z, fields): the dual iterate, and the SVRModel fields that SMO decides."""
+    n = X.shape[0]
+    s = np.concatenate((np.ones(n), -np.ones(n)))
+    p = np.concatenate((epsilon - y, epsilon + y))
+    z = np.zeros(2 * n)
+    F = s * p
     row = _row_cache(X, gamma, cache_mb)
 
     converged = False
     violation = np.inf
     it = 0
     while it < max_iterations:
-        i, j, violation = _select_pair(G, s, z <= 0.0, z >= C, row, tol)
+        i, j, violation = _select_pair(F, s, z <= 0.0, z >= C, row, n, tol)
         if i < 0:
             converged = True
             break
-        _take_step(z, G, s, i, j, C, row)
+        _take_step(z, F, s, i, j, C, row, n)
         it += 1
-    return z, G, it, converged, violation
+    return z, dict(bias=_bias(F, s, z, C), dual_objective=-0.5 * float(z @ (s * F + p)),
+                   iterations=it, converged=converged, kkt_violation=violation)
 
 
 @SVRModel.fitting
@@ -209,10 +204,8 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1,
     n = X.shape[0]
     if gamma is None:
         gamma = 1.0 / X.shape[1]
-    z, G, it, converged, violation = _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb)
-    s, p = _dual_terms(y, epsilon)
+    z, fields = _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb)
     beta = z[:n] - z[n:]
     keep = beta != 0.0
-    return SVRModel(X.shape[1], sv_X=X[keep], sv_coef=beta[keep], bias=_bias(G, s, z, C),
-                    gamma=gamma, C=C, epsilon=epsilon, converged=converged, iterations=it,
-                    kkt_violation=violation, dual_objective=-0.5 * float(z @ (G + p)))
+    return SVRModel(X.shape[1], sv_X=X[keep], sv_coef=beta[keep], gamma=gamma, C=C,
+                    epsilon=epsilon, **fields)

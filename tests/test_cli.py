@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import pvfdi
-from pvfdi.cli import _build_experiment, build_parser, main
-from pvfdi.experiment import ExperimentConfig, emit_report, run_noise_sweep
+from pvfdi.cli import _build_experiment, _load_noise_grid, build_parser, main
+from pvfdi.experiment import ExperimentConfig, emit_report, fraction_label, run_noise_sweep
 from pvfdi.regressors import ModelSpec
 
 
@@ -160,6 +160,16 @@ def test_repeated_fraction_exits_one(tmp_path, capsys, source):
     assert run(["sweep", "--n", 120, "--models", "LR", "--out", tmp_path / "out"] + given) == 1
     err = capsys.readouterr().err
     assert "config error: fractions must not repeat" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fractions_sharing_a_label_exit_one(tmp_path, capsys):
+    # both print as 12.3456%: noise_rmse.csv would get two columns of one
+    # name, and sensitivity.csv one value under both
+    assert run(["sweep", "--n", 200, "--models", "LR", "--fractions", "0,0.1234561,0.1234562",
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "share a percent label" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -440,6 +450,14 @@ def test_report_missing_grid_exits_two(tmp_path, capsys):
     "model,10%,100%\nLR,0.1,0.2\n",
     "model,0%,100%\nLR,0.1,abc\n",
     "model,0%,100%\n",  # no model rows
+    # header labels no sweep writes
+    "model,0%,nan%,-50%,inf%\nLR,0.1,0.2,0.3,0.4\n",
+    "model,0%,50\nLR,0.1,0.2\n",
+    "model,0%,150%\nLR,0.1,0.2\n",
+    "model,0%,50.0%\nLR,0.1,0.2\n",
+    # a repeated model row: keeping one would silently drop the other
+    "model,0%,50%\nLR,0.1,0.2\nLR,0.1,0.4\n",
+    "model,0%,50%\nLR,ERROR,ERROR\nLR,0.1,0.4\n",
 ])
 def test_report_bad_grid_exits_two(tmp_path, capsys, grid):
     path = tmp_path / "noise_rmse.csv"
@@ -459,6 +477,17 @@ def test_report_repeated_fraction_exits_two(tmp_path, capsys, header):
     err = capsys.readouterr().err
     assert "data error" in err and "repeats a fraction" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_report_reads_every_label_a_sweep_writes(tmp_path):
+    fractions = np.concatenate(([1e-9, 1e-7, 1 / 3, 0.1234561, 0.5, 1.0],
+                                np.random.default_rng(5).random(300)))
+    labels = sorted({fraction_label(f) for f in fractions})
+    path = tmp_path / "noise_rmse.csv"
+    path.write_text(",".join(["model", "0%"] + labels) + "\nLR" + ",0.1" * (len(labels) + 1))
+    report = _load_noise_grid(path)
+    assert [fraction_label(f) for f in report.fractions] == sorted(
+        ["0%"] + labels, key=lambda label: float(label[:-1]))
 
 
 def test_non_utf8_data_exits_two(tmp_path, capsys):

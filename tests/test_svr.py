@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,6 +9,7 @@ import pvfdi
 from pvfdi.regressors import fit_svr
 from pvfdi.regressors.serialize import dumps
 from tests.oracles import dual_iterate, kkt_violation
+from tests.test_golden import GOLDEN, versions
 
 
 def rbf(A, B, gamma):
@@ -163,6 +167,49 @@ def test_cache_size_never_changes_the_model():
     tiny = fit_svr(X, y, cache_mb=1e-9)
     assert dumps(full) == dumps(tiny)
     assert dual_iterate(X, y).tobytes() == dual_iterate(X, y, cache_mb=1e-9).tobytes()
+
+
+# sha256 over the dumps of every fit in svr_fit_problems(), recorded under
+# tests/data/golden/versions.json's numpy and scipy
+SVR_FIT_DIGEST = "b735c07204ac60cb2f8971c34248ac8ec3f07d0803d7287f818fbfeea9f57846"
+
+
+def svr_fit_problems():
+    """(X, y, hyperparameters) of seeded fits: grid-valued and repeated rows
+    with rounded targets (ties in G), several C and epsilon, a kernel cache
+    that evicts on almost every fetch, caps of 0 and 1 steps, and the
+    480-row training set of the cache test."""
+    rng = np.random.default_rng(27)
+    problems = []
+    for trial in range(24):
+        X = rng.normal(size=(int(rng.integers(3, 40)), 3))
+        if trial % 3 == 0:
+            X = np.round(X)
+        if trial % 4 == 1:
+            X = np.concatenate((X, X))
+        y = np.round(rng.normal(size=X.shape[0]), 1)
+        hp = {"C": (0.5, 1.0, 10.0)[trial % 3], "epsilon": (0.0, 0.01, 0.1)[trial // 3 % 3]}
+        if trial % 2:
+            hp["cache_mb"] = 1e-9
+        if trial in (4, 5):
+            hp["max_iterations"] = trial - 4
+        problems.append((X, y, hp))
+    raw = pvfdi.synth_generate(600, seed=42)
+    train_raw, test_raw = pvfdi.split(raw, pvfdi.SplitConfig(0.8, 42))
+    train, _ = pvfdi.normalize(train_raw, [test_raw])
+    for hp in ({}, {"epsilon": 0.01, "cache_mb": 1e-9}, {"C": 10.0, "max_iterations": 1}):
+        problems.append((train.features, train.power, hp))
+    return problems
+
+
+def test_fit_bytes_match_the_recorded_digest():
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if {k: recorded[k] for k in ("numpy", "scipy")} != versions():
+        pytest.skip(f"SVR fit digest recorded under {recorded}, running {versions()}")
+    digest = hashlib.sha256()
+    for X, y, hp in svr_fit_problems():
+        digest.update(dumps(fit_svr(X, y, **hp)).encode())
+    assert digest.hexdigest() == SVR_FIT_DIGEST
 
 
 def test_default_gamma_is_reciprocal_dimension(rng):
