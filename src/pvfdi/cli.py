@@ -297,7 +297,7 @@ def _load_noise_grid(path: Path) -> ExperimentReport:
         raise DataError(f"bad fraction labels in {path} header")
     if len(set(fractions)) != len(fractions):
         raise DataError(f"{path} header repeats a fraction")
-    if [fraction_label(f) if 0.0 <= f <= 1.0 else None for f in fractions] != header[1:]:
+    if [fraction_label(f + 0.0) if 0.0 <= f <= 1.0 else None for f in fractions] != header[1:]:
         raise DataError(f"{path} header has a label no sweep writes: {header[1:]}")
     if 0.0 not in fractions:
         raise DataError(f"{path} has no 0% column to compare against")

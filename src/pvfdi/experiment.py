@@ -14,7 +14,6 @@ repr, key order is fixed, and no timestamps are written.
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,7 +69,7 @@ class ExperimentConfig:
     clamp_predictions: bool = False
 
     def __post_init__(self):
-        fractions = tuple(float(f) for f in self.fractions)
+        fractions = tuple(float(f) + 0.0 for f in self.fractions)  # -0 is 0
         if not fractions or fractions[0] != 0.0:
             raise ValueError("fractions must start with 0.0")
         if any(not 0.0 <= f <= 1.0 for f in fractions):
@@ -184,20 +183,6 @@ def _model_job(shared, index):
         return f"{type(exc).__name__}: {exc}"
 
 
-# One model's job in a worker process reads the run's data from here. A
-# forked worker inherits it, so no dataset is pickled per task.
-_WORKER_SHARED = None
-
-
-def _init_worker(*shared):
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-
-
-def _worker_job(index):
-    return _model_job(_WORKER_SHARED, index)
-
-
 # Model kinds by the cost of one job at the default hyperparameters, most
 # expensive first. Measured as the median seconds of three _model_job
 # calls, summed over the perfbench c6-sweep and attack-grid workloads
@@ -237,8 +222,8 @@ def _worker_count(n_jobs: int) -> int:
     BLAS thread unless numpy was loaded first or the environment sets a
     count.
     """
-    # multiprocessing and the pool are imported on first use, as every
-    # CLI command imports this module and only bench and sweep start workers
+    # multiprocessing is imported on first use, as every CLI command
+    # imports this module and only bench and sweep start workers
     import multiprocessing
 
     if ("fork" not in multiprocessing.get_all_start_methods()
@@ -248,38 +233,51 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, _usable_cpus())
 
 
+def _serve(shared, jobs, conn):
+    """Run the job indices drawn from ``jobs`` up to a None, then send all their outcomes."""
+    conn.send({index: _model_job(shared, index) for index in iter(jobs.get, None)})
+
+
 def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
     """(every spec's job outcome in spec order, ``meanwhile()``).
 
-    With more than one worker the jobs run in a forked process pool,
-    submitted by COST_RANK, while ``meanwhile`` runs here. Every job does
-    the same arithmetic in whichever process it lands in, so the outcomes
-    do not depend on the worker count.
+    With more than one worker the jobs run in forked workers, which draw
+    them from one queue in COST_RANK order, while ``meanwhile`` runs in
+    this process, which starts no thread. Every job does the same
+    arithmetic in whichever process it lands in, so the outcomes do not
+    depend on the worker count. On any error every worker still running is killed.
     """
     shared = (cfg, specs, train, test, steps)
     workers = _worker_count(len(specs))
     if workers == 1:
-        outcomes = [_model_job(shared, i) for i in range(len(specs))]
-        return outcomes, meanwhile()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        return [_model_job(shared, i) for i in range(len(specs))], meanwhile()
+    import multiprocessing.connection
 
-    order = sorted(range(len(specs)), key=lambda i: COST_RANK.index(specs[i].kind))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=shared) as pool:
-        futures = {i: pool.submit(_worker_job, i) for i in order}
+    context = multiprocessing.get_context("fork")
+    jobs, started, done = context.SimpleQueue(), {}, {}
+    try:
+        for _ in range(workers):  # fork hands each worker ``shared``; nothing pickles it
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_serve, args=(shared, jobs, sender))
+            process.start()
+            sender.close()  # the worker holds the only write end: its death reads as EOF
+            started[receiver] = process
+        # a put blocks on a full pipe, so the queue fills once the workers run
+        order = sorted(range(len(specs)), key=lambda i: COST_RANK.index(specs[i].kind))
+        for i in order + [None] * workers:  # then one None per worker
+            jobs.put(i)
         during = meanwhile()
-        outcomes = [futures[i].result() for i in range(len(specs))]
-    _await_one_thread()
-    return outcomes, during
-
-
-def _await_one_thread():
-    """Wait, at most about a second, until this process runs one thread: a pool's
-    joined management thread stays in /proc/self/task until the kernel reaps it."""
-    deadline = time.monotonic() + 1.0
-    while _threads() > 1 and time.monotonic() < deadline:
-        time.sleep(0.0002)
+        waiting = dict(started)
+        while waiting:  # in the order they finish, so a dead worker's EOF shows at once
+            for receiver in multiprocessing.connection.wait(list(waiting)):
+                done.update(receiver.recv())
+                waiting.pop(receiver).join()
+    finally:  # after an error, the workers still running are killed
+        for receiver, process in started.items():
+            receiver.close()
+            process.kill()
+            process.join()
+    return [done[i] for i in range(len(specs))], during
 
 
 def _schedule(cfg) -> list:

@@ -42,6 +42,7 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction!r}")
+        object.__setattr__(self, "fraction", self.fraction + 0.0)  # -0 is the clean 0
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean!r}")
         if not (math.isfinite(self.std) and self.std >= 0):

@@ -31,7 +31,6 @@ from pvfdi.regressors import (
     fit_knn,
     fit_lasso,
     fit_lr,
-    fit_mlpr,
     fit_svr,
 )
 from pvfdi.regressors.mlp import init_params

@@ -173,6 +173,13 @@ def test_fractions_sharing_a_label_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_zero_fraction_is_the_clean_fraction(tmp_path):
+    args = ["sweep", "--n", 60, "--models", "LR"]
+    assert run(args + ["--fractions=-0,0.5", "--out", tmp_path / "signed"]) == 0
+    assert run(args + ["--fractions", "0,0.5", "--out", tmp_path / "plain"]) == 0
+    assert tree_bytes(tmp_path / "signed") == tree_bytes(tmp_path / "plain")
+
+
 def test_bench_single_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "--n", 120, "--seed", 2, "--models", "LR", "--out", out]) == 0
@@ -318,6 +325,13 @@ def test_infinite_rate_or_scale_exits_one(tmp_path, capsys, kind, key):
     ("sweep --n 60 --models LR --config ratio.ini --out out", 1),
     ("sweep --n 60 --models SVR --config cache.ini --out out", 1),
     ("sweep --n 60 --models SVR --config none.ini --out out", 1),
+    ("sweep --n 60 --models LR --config malformed.ini --out out", 1),
+    ("sweep --n 60 --models LR --config other.ini --out out", 1),
+    ("sweep --n 60 --models LR --config foo.ini --out out", 1),
+    ("sweep --n 60 --models KNN --config key.ini --out out", 1),
+    ("sweep --n 60 --models LR --fractions 0,1.5 --out out", 1),
+    # an --out under a regular file cannot be written
+    ("sweep --n 60 --models LR --out d.csv/out", 3),
     # noise that overflows a column is a data error, as in min-max scaling
     ("sweep --n 60 --models LR --noise-std 1e308 --out out", 2),
     ("inject --data d.csv --fraction 0.5 --noise-std 1e308 --out out/x.csv", 2),
@@ -331,6 +345,10 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     Path("ratio.ini").write_text("[experiment]\ntrain_ratio = nan\n")
     Path("cache.ini").write_text("[model.SVR]\ncache_mb = nan\n")
     Path("none.ini").write_text("[model.SVR]\ncache_mb = none\n")
+    Path("malformed.ini").write_text("no section header\n")
+    Path("other.ini").write_text("[other]\nx = 1\n")
+    Path("foo.ini").write_text("[model.FOO]\nk = 1\n")
+    Path("key.ini").write_text("[model.KNN]\nwidth = 3\n")
     data = pvfdi.synth_generate(60, 3)
     features = np.array(data.features)
     features[:, 2] = np.where(np.arange(60) % 2, -1.7e308, 1.7e308)
@@ -450,8 +468,13 @@ def test_report_missing_grid_exits_two(tmp_path, capsys):
     "model,10%,100%\nLR,0.1,0.2\n",
     "model,0%,100%\nLR,0.1,abc\n",
     "model,0%,100%\n",  # no model rows
+    "",
+    "name,0%,100%\nLR,0.1,0.2\n",
+    "model,0%,50%\nLR,0.1\n",  # a short row
     # header labels no sweep writes
     "model,0%,nan%,-50%,inf%\nLR,0.1,0.2,0.3,0.4\n",
+    "model,-0%,50%\nLR,0.1,0.2\n",
+    "model,0%,abc%\nLR,0.1,0.2\n",
     "model,0%,50\nLR,0.1,0.2\n",
     "model,0%,150%\nLR,0.1,0.2\n",
     "model,0%,50.0%\nLR,0.1,0.2\n",

@@ -46,6 +46,10 @@ def test_dataset_validation():
     bad[1, 4] = np.nan
     with pytest.raises(ValueError):
         pvfdi.Dataset(bad, np.zeros(3))
+    with pytest.raises(ValueError, match="power"):
+        pvfdi.Dataset(np.zeros((3, 12)), np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="timestamps"):
+        pvfdi.Dataset(np.zeros((3, 12)), np.zeros(3), timestamps=["a", "b"])
 
 
 def test_take_preserves_order_and_equality():
@@ -210,6 +214,11 @@ def test_load_errors(tmp_path):
     with pytest.raises(MissingColumn) as err:
         pvfdi.load_csv(path)
     assert err.value.name == "ssrd"
+
+    path.write_text(",".join(pvfdi.FEATURE_NAMES) + "\n" + "0," * 11 + "0\n")
+    with pytest.raises(MissingColumn) as err:
+        pvfdi.load_csv(path)
+    assert err.value.name == POWER_COLUMN
 
     good_row = ",".join(["0.1"] * 13)
     bad_row = ",".join(["0.1"] * 8 + ["oops"] + ["0.1"] * 4)
@@ -400,6 +409,17 @@ def test_split_rejects_degenerate_inputs():
     ds = small(10)
     with pytest.raises(DatasetTooSmall):
         pvfdi.split(ds, pvfdi.SplitConfig(0.05, 0))  # floor gives empty train
+    with pytest.raises(DatasetTooSmall):
+        pvfdi.split(ds.take([3]), pvfdi.SplitConfig(0.5, 0))
+
+
+def test_split_keeps_each_timestamp_with_its_row():
+    ds = small(30)
+    stamped = pvfdi.Dataset(ds.features, ds.power, timestamps=[f"t{i}" for i in range(30)])
+    for side in pvfdi.split(stamped, pvfdi.SplitConfig(0.8, 2)):
+        rows = [int(stamp[1:]) for stamp in side.timestamps]
+        assert np.array_equal(side.features, ds.features[rows])
+        assert np.array_equal(side.power, ds.power[rows])
 
 
 # --- synthetic generator -------------------------------------------------------------

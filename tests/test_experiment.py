@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -346,15 +347,18 @@ def test_thread_count_sees_a_started_thread():
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    # a joined thread stays listed until it has exited, which on one CPU can
+    # take several tests: wait, so later tests that read the real count see none
+    deadline = time.monotonic() + 10
+    while experiment._threads() > before and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 @needs_fork
 def test_back_to_back_sweeps_all_run_pooled(monkeypatch):
-    # with the real thread count: a pool's joined management thread stays
-    # listed in /proc/self/task for a moment, and a sweep that saw it would
-    # run in-process. An earlier test's pool, run with the count faked,
-    # may still be leaving.
-    experiment._await_one_thread()
+    # with the real thread count: the sweep's workers are processes, so
+    # after a pooled sweep this process runs one thread again at once, and
+    # the next sweep does not fall back to running in-process
     if experiment._threads() > 1:
         pytest.skip("this process runs another thread")
     fits = []  # a forked worker's fits stay in the worker: this sees only ours
@@ -370,6 +374,57 @@ def test_back_to_back_sweeps_all_run_pooled(monkeypatch):
     for sweep in range(20):
         run_noise_sweep(cfg)
         assert fits == [], sweep
+
+
+@needs_fork
+def test_pooled_sweep_runs_no_thread_beside_its_workers(monkeypatch):
+    # with the real thread count, read while the workers run: the parent
+    # starts worker processes, and no thread to feed or watch them
+    if experiment._threads() > 1:
+        pytest.skip("this process runs another thread")
+    fits, during = [], []
+    fit, provenance = experiment.fit, experiment._provenance
+
+    def counted(spec, train):
+        fits.append(spec.kind)
+        return fit(spec, train)
+
+    def watched(*args):
+        during.append(experiment._threads())
+        return provenance(*args)
+
+    monkeypatch.setattr(experiment, "fit", counted)
+    monkeypatch.setattr(experiment, "_provenance", watched)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    run_noise_sweep(ExperimentConfig(synth_n=60, seed=1,
+                                     models=(ModelSpec("LR"), ModelSpec("KNN"))))
+    assert fits == [] and during == [1]
+    assert experiment._threads() == 1
+
+
+@needs_fork
+def test_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
+    fake_host(monkeypatch, 2)
+    parent = os.getpid()
+    fit = experiment.fit
+
+    def dying(spec, train):
+        if os.getpid() != parent:  # never in this process
+            if spec.kind == "KNN":
+                os._exit(1)
+            time.sleep(60)  # the other worker is still busy when KNN's dies
+        return fit(spec, train)
+
+    monkeypatch.setattr(experiment, "fit", dying)
+    cfg = ExperimentConfig(synth_n=60, seed=1, models=(ModelSpec("LR"), ModelSpec("KNN")))
+    start = time.monotonic()
+    with pytest.raises(EOFError):
+        run_noise_sweep(cfg)
+    assert time.monotonic() - start < 20
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+    assert left == []
 
 
 def test_cost_rank_orders_every_kind():

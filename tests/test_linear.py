@@ -123,6 +123,13 @@ def test_objective_never_increases(rng):
     assert np.all(np.diff(history) <= 1e-12)
 
 
+def test_constant_column_keeps_a_zero_coefficient(rng):
+    X = rng.normal(size=(30, 3))
+    X[:, 1] = 0.7
+    y = rng.normal(size=30)
+    assert fit_lasso(X, y).coefficients[1] == 0.0
+
+
 def test_negative_penalty_rejected():
     with pytest.raises(ValueError):
         fit_lasso(np.zeros((4, 2)), np.zeros(4), lam=-0.1)

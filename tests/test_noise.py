@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(0.5, target="features")
     assert NOISE_TARGETS == ("FEATURES", "POWER", "BOTH")
+    assert math.copysign(1.0, NoiseConfig(-0.0).fraction) == 1.0  # -0 is the clean 0
 
 
 @pytest.mark.parametrize("target, columns, name", [

@@ -188,6 +188,13 @@ def test_missing_file_raises_io_error(tmp_path):
         load_model(tmp_path / "nope.model")
 
 
+def test_unwritable_path_raises_io_error(fitted_models, tmp_path):
+    models, _ = fitted_models
+    (tmp_path / "file").write_text("")
+    with pytest.raises(IoError):
+        save_model(models["LR"], tmp_path / "file" / "LR.model")
+
+
 def test_non_utf8_file_raises_io_error(tmp_path):
     path = tmp_path / "LR.model"
     path.write_bytes(golden("LR").encode("utf-16"))
@@ -211,6 +218,9 @@ def test_declared_feature_count_is_checked(kind):
 MALFORMED = {
     "negative matrix dimension": ("KNN", lambda t: set_token(t, "matrix X_train", 2, "-1")),
     "trailing line": ("LR", lambda t: t + "end\n"),
+    "int beyond int64": ("LR", lambda t: set_token(t, "int n_features", 2, str(2**63))),
+    "negative n_features": ("LR", lambda t: set_token(t, "int n_features", 2, "-1")),
+    "array count mismatch": ("LR", lambda t: set_token(t, "array coefficients", 2, "11:")),
     "missing end": ("LR", lambda t: t[: -len("end\n")]),
     "negative tree count": ("GBRT", lambda t: set_token(t, "int rounds", 2, "-3")),
     "child before parent": ("DT", lambda t: set_token(t, "iarray left", 3, "0")),
