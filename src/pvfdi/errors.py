@@ -134,6 +134,21 @@ class NonFiniteLoss(ModelError):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
 
 
+# --- sweep workers -----------------------------------------------------------
+
+class WorkerDied(PvfdiError):
+    """A forked sweep worker ended before it sent its jobs' outcomes.
+
+    ``exitcode`` is the worker's exit status as multiprocessing reports
+    it: negative for the signal that killed it (-9 for the OOM killer).
+    """
+
+    def __init__(self, exitcode):
+        self.exitcode = exitcode
+        super().__init__(f"a sweep worker ended with exit code {exitcode} "
+                         "before sending its model results")
+
+
 # --- output ------------------------------------------------------------------
 
 class IoError(PvfdiError):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
-from .errors import IoError, ZeroBaseline
+from .errors import IoError, WorkerDied, ZeroBaseline
 from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
@@ -186,13 +186,12 @@ def _model_job(shared, index):
 # Model kinds by the cost of one job at the default hyperparameters, most
 # expensive first. Measured as the median seconds of three _model_job
 # calls, summed over the perfbench c6-sweep and attack-grid workloads
-# (seed 42, one CPU, one BLAS thread, two runs): MLPR 2.5-2.8 s, GBRT
-# 0.82-0.83 s, GPR 0.55-0.58 s, KNN 0.54-0.55 s, DT 0.33-0.35 s, SVR
-# 0.21-0.24 s, LR and LASSO under 0.01 s; GPR and KNN tie within noise,
-# so their order stands. Submitting longest first (Graham's LPT list
+# (seed 42, one CPU, one BLAS thread, two runs): MLPR 2.7-3.0 s, GBRT
+# 0.79-0.82 s, KNN 0.46-0.47 s, GPR 0.43-0.45 s, DT 0.22 s, SVR 0.11-0.12 s,
+# LR and LASSO under 0.01 s. Submitting longest first (Graham's LPT list
 # scheduling) starts MLPR at once, so it never lands last on a worker that
 # the short jobs have kept busy.
-COST_RANK = ("MLPR", "GBRT", "GPR", "KNN", "DT", "SVR", "LR", "LASSO")
+COST_RANK = ("MLPR", "GBRT", "KNN", "GPR", "DT", "SVR", "LR", "LASSO")
 
 
 def _usable_cpus() -> int:
@@ -245,7 +244,9 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
     them from one queue in COST_RANK order, while ``meanwhile`` runs in
     this process, which starts no thread. Every job does the same
     arithmetic in whichever process it lands in, so the outcomes do not
-    depend on the worker count. On any error every worker still running is killed.
+    depend on the worker count. A worker that dies before it sends its
+    outcomes raises WorkerDied. On any error every worker still running
+    is killed.
     """
     shared = (cfg, specs, train, test, steps)
     workers = _worker_count(len(specs))
@@ -270,8 +271,13 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
         waiting = dict(started)
         while waiting:  # in the order they finish, so a dead worker's EOF shows at once
             for receiver in multiprocessing.connection.wait(list(waiting)):
-                done.update(receiver.recv())
-                waiting.pop(receiver).join()
+                process = waiting.pop(receiver)
+                try:
+                    done.update(receiver.recv())
+                except EOFError:  # it died before sending: the OOM killer, say
+                    process.join()
+                    raise WorkerDied(process.exitcode) from None
+                process.join()
     finally:  # after an error, the workers still running are killed
         for receiver, process in started.items():
             receiver.close()

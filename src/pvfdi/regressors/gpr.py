@@ -4,6 +4,12 @@ The posterior mean is computed by a single Cholesky solve,
 alpha = (K + noise_variance*I)^-1 y, so training is cubic in the number
 of points. Above ``max_points`` a seeded uniform subsample keeps the
 factorization tractable; the predictor is then exact on that subset.
+
+Every kernel matrix is built one block of ``base.block_rows`` rows at a
+time, so each block stays in L2 through its six elementwise passes. The
+training kernel goes straight into a Fortran-ordered array, which
+``cho_factor`` factors in place. Prediction keeps its 512-row chunks:
+a row's position in its chunk fixes the bits of its product with alpha.
 """
 
 import numpy as np
@@ -12,14 +18,14 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from ..errors import NotPositiveDefinite
 from ..rng import stream
 from .base import (AT_LEAST_ONE, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
-                   padded_width, require_finite, row_products)
+                   block_rows, padded_width, require_finite, row_products)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
 # escalation ladder tried after the bare matrix fails to factor
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = 512  # rows per product with alpha; fixes each row's bits
 
 
 def _rbf_into(A, B, length_scale, out):
@@ -40,9 +46,24 @@ def _rbf_into(A, B, length_scale, out):
     return np.exp(K, out=K)
 
 
+def _rbf_fill(A, B, length_scale, out, at=None):
+    """rbf_kernel(A, B, length_scale) written into ``out``, of either memory
+    order: A's row i into row ``at[i]``, or row i when ``at`` is None.
+
+    It is built ``block_rows(len(B))`` rows at a time in one scratch block.
+    """
+    step = block_rows(len(B))
+    scratch = np.empty((max(min(step, len(A)), 2), padded_width(len(B))))
+    for start in range(0, len(A), step):
+        stop = min(start + step, len(A))
+        out[slice(start, stop) if at is None else at[start:stop]] = _rbf_into(
+            A[start:stop], B, length_scale, scratch)
+    return out
+
+
 def rbf_kernel(A, B, length_scale):
     """Unit-variance RBF kernel matrix exp(-||a - b||^2 / (2 l^2))."""
-    return _rbf_into(A, B, length_scale, np.empty((max(len(A), 2), padded_width(len(B)))))
+    return _rbf_fill(A, B, length_scale, np.empty((len(A), len(B))))
 
 
 class GPRModel(TrainedModel):
@@ -77,15 +98,14 @@ class GPRModel(TrainedModel):
         Q = self._checked(X[rows])
         n = X.shape[0]
         out = np.empty(rows.size)
-        scratch = np.empty((max(min(_CHUNK_ROWS, n), 2), padded_width(len(self.X_train))))
-        block = np.zeros((scratch.shape[0], len(self.X_train)))
+        block = np.zeros((max(min(_CHUNK_ROWS, n), 2), len(self.X_train)))
         edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
         with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch
             for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):
                 if lo == hi:
                     continue
                 at = rows[lo:hi] - start
-                block[at] = _rbf_into(Q[lo:hi], self.X_train, self.length_scale, scratch)
+                _rbf_fill(Q[lo:hi], self.X_train, self.length_scale, block, at)
                 out[lo:hi] = (block[: min(_CHUNK_ROWS, n - start)] @ self.alpha)[at]
         return out
 
@@ -106,16 +126,20 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         X = X[keep]
         y = y[keep]
 
-    K = rbf_kernel(X, X, length_scale)
-    K[np.diag_indices_from(K)] += noise_variance
-
-    diag = np.diag_indices_from(K)
+    # in LAPACK's memory order, so cho_factor factors it in place; a failed
+    # factorization leaves it overwritten, so each retry builds it again
+    # and writes back the diagonal, whose running sums keep their own vector
+    K = np.empty((X.shape[0], X.shape[0]), order="F")
+    diagonal = _rbf_fill(X, X, length_scale, K).diagonal() + noise_variance
     last = 0.0
     for jitter in (0.0,) + _JITTERS:
-        K[diag] += jitter - last
+        diagonal += jitter - last
         last = jitter
+        if jitter:
+            _rbf_fill(X, X, length_scale, K)
+        np.fill_diagonal(K, diagonal)
         try:
-            factor = cho_factor(K, lower=True)
+            factor = cho_factor(K, lower=True, overwrite_a=True)
         except LinAlgError:
             continue
         alpha = cho_solve(factor, y)

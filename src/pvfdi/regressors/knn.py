@@ -30,16 +30,24 @@ gathered in ascending training index, the columns are ordered by a
 stable sort exactly as they are within the whole row, so its first k
 are the same k in the same order. Below k * G training rows there are
 fewer than k groups, and every column is a tail column.
+
+Queries go through in chunks of ``base.block_rows(n)`` rows, whose
+distance block fits the L2-sized ``base.BLOCK_BYTES``. A row's distance
+is x + r, where x = |b|^2 - 2 a.b and r = |a|^2, and only g_j and the
+gathered columns get the + r. Rounded addition of a finite r is
+monotone and keeps NaN, so the minimum of x + r over a group is its
+minimum of x, plus r, and g_j keeps its bits. A query with r = inf
+has no finite distance, so its chunk raises ValueError either way.
 """
 
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import AT_LEAST_ONE, TrainedModel, padded_width, require_finite, row_products
+from .base import (AT_LEAST_ONE, TrainedModel, block_rows, padded_width, require_finite,
+                   row_products)
 
 __all__ = ["KNNModel", "fit_knn"]
 
-_CHUNK_ROWS = 256  # bounds the (chunk x n_train) distance block
 _GROUP = 20  # columns per group of the selection filter
 
 
@@ -66,20 +74,24 @@ class KNNModel(TrainedModel):
         lanes = m * np.arange(_GROUP)[:, np.newaxis]  # group j's columns: j + lanes
         tail = np.arange(m * _GROUP, n)
         train_sq = np.einsum("ij,ij->i", X_train, X_train)
+        query_sq = np.einsum("ij,ij->i", X, X)[:, np.newaxis]
         # one distance block per call, shared by its chunks; a local, so
         # predict stays reentrant
-        block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2), padded_width(n)))
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
+        step = block_rows(n)
+        block = np.empty((max(min(step, X.shape[0]), 2), padded_width(n)))
+        for start in range(0, X.shape[0], step):
+            chunk = X[start : start + step]
             # the bits of train_sq - 2.0 * (chunk @ X_train.T): scaling by
-            # -2 is exact, and a + (-b) == a - b
+            # -2 is exact, and a + (-b) == a - b; the query's squared norm
+            # is added to the group minima and the gathered columns only
             d2 = row_products(chunk, X_train, block)
             d2 *= -2.0
             d2 += train_sq
-            d2 += np.einsum("ij,ij->i", chunk, chunk)[:, np.newaxis]
+            chunk_sq = query_sq[start : start + step]
             cols = np.broadcast_to(tail, (d2.shape[0], tail.size))
             if m:
                 gm = np.fmin.reduce(d2[:, : m * _GROUP].reshape(-1, _GROUP, m), axis=1)
+                gm += chunk_sq
                 order = np.argpartition(gm, k - 1, axis=1)
                 tau = np.take_along_axis(gm, order[:, k - 1 : k], axis=1)
                 width = np.count_nonzero(~(gm > tau), axis=1).max()
@@ -90,11 +102,12 @@ class KNNModel(TrainedModel):
                 cols = np.concatenate((grouped, cols), axis=1)
             # mean sums in order, so order the k by (distance, index)
             gathered = np.take_along_axis(d2, cols, axis=1)
+            gathered += chunk_sq
             pick = np.argsort(gathered, axis=1, kind="stable")[:, :k]
             if not np.isfinite(np.take_along_axis(gathered, pick, axis=1)).all():
                 raise ValueError("a query's nearest distances overflow the float range")
             nearest = np.take_along_axis(cols, pick, axis=1)
-            out[start : start + _CHUNK_ROWS] = self.y_train[nearest].mean(axis=1)
+            out[start : start + step] = self.y_train[nearest].mean(axis=1)
         return out
 
 

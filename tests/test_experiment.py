@@ -10,7 +10,8 @@ import pytest
 
 import pvfdi
 import pvfdi.experiment as experiment
-from pvfdi.errors import ZeroBaseline
+from pvfdi.cli import main
+from pvfdi.errors import WorkerDied, ZeroBaseline
 from pvfdi.experiment import (
     ExperimentConfig,
     compute_sensitivity,
@@ -49,6 +50,20 @@ def fake_host(monkeypatch, n):
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="workers are forked")
+
+
+@pytest.fixture()
+def forked_once():
+    """Fork once and reap the child, before a test reads the real thread count.
+
+    conftest imports numpy before pvfdi, so an unpinned OpenBLAS starts
+    its own threads, and it ends them when the process forks. Without an
+    earlier pooled test in the process they would still run here.
+    """
+    child = os.fork()
+    if child == 0:
+        os._exit(0)
+    os.waitpid(child, 0)
 
 
 def test_labels():
@@ -355,7 +370,7 @@ def test_thread_count_sees_a_started_thread():
 
 
 @needs_fork
-def test_back_to_back_sweeps_all_run_pooled(monkeypatch):
+def test_back_to_back_sweeps_all_run_pooled(monkeypatch, forked_once):
     # with the real thread count: the sweep's workers are processes, so
     # after a pooled sweep this process runs one thread again at once, and
     # the next sweep does not fall back to running in-process
@@ -377,7 +392,7 @@ def test_back_to_back_sweeps_all_run_pooled(monkeypatch):
 
 
 @needs_fork
-def test_pooled_sweep_runs_no_thread_beside_its_workers(monkeypatch):
+def test_pooled_sweep_runs_no_thread_beside_its_workers(monkeypatch, forked_once):
     # with the real thread count, read while the workers run: the parent
     # starts worker processes, and no thread to feed or watch them
     if experiment._threads() > 1:
@@ -418,13 +433,33 @@ def test_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
     monkeypatch.setattr(experiment, "fit", dying)
     cfg = ExperimentConfig(synth_n=60, seed=1, models=(ModelSpec("LR"), ModelSpec("KNN")))
     start = time.monotonic()
-    with pytest.raises(EOFError):
+    with pytest.raises(WorkerDied, match="exit code 1 "):
         run_noise_sweep(cfg)
     assert time.monotonic() - start < 20
     left = multiprocessing.active_children()
     for child in left:
         child.kill()
     assert left == []
+
+
+@needs_fork
+def test_dead_worker_exits_3_without_a_traceback(monkeypatch, tmp_path, capfd):
+    fake_host(monkeypatch, 2)
+    parent = os.getpid()
+    fit = experiment.fit
+
+    def dying(spec, train):
+        if os.getpid() != parent:
+            os._exit(7)
+        return fit(spec, train)
+
+    monkeypatch.setattr(experiment, "fit", dying)
+    code = main(["sweep", "--n", "60", "--seed", "1", "--models", "LR,KNN",
+                 "--out", str(tmp_path / "out")])
+    err = capfd.readouterr().err
+    assert code == 3
+    assert "exit code 7 " in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_cost_rank_orders_every_kind():

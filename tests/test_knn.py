@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvfdi.errors import InvalidSpec, KTooLarge
-from pvfdi.regressors import KNNModel, fit_knn
+from pvfdi.regressors import KNNModel, base, fit_knn
 
 
 def exhaustive_predict(X_train, y_train, x, k):
@@ -159,3 +164,55 @@ def test_constructor_checks_k_as_fit_does():
     for bad in (0, 2.5):  # refused, not truncated
         with pytest.raises(InvalidSpec, match="KNN k"):
             KNNModel(3, k=bad, **fields)
+
+
+def budget_for(rows, width):
+    """A BLOCK_BYTES that gives blocks of ``rows`` rows at ``width`` training rows."""
+    return rows * 8 * base.padded_width(width)
+
+
+# 600 rows is more than GPR's 512-row chunk
+BLOCKS = (2, 3, 7, 64, 600)
+
+
+@given(n=st.integers(2, 600), k=st.integers(1, 3), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=255, k=2, grid=False, seed=0)
+@example(n=300, k=2, grid=True, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_every_block_size_predicts_the_unblocked_bytes(n, k, grid, seed):
+    # on a grid, ties at the selection's tau are common
+    rng = np.random.default_rng(seed)
+    def draw(size):
+        return rng.integers(0, 3, size=size) * 0.5 if grid else rng.normal(size=size)
+    model = fit_knn(draw((n, 12)), rng.normal(size=n), k=min(k, n))
+    X = draw((700, 12))
+    rows = np.sort(rng.choice(700, 300, replace=False))
+    with patch.object(base, "BLOCK_BYTES", 1 << 40):
+        batch, some = model.predict_batch(X), model.predict_rows(X, rows)
+    for blocked in BLOCKS:
+        with patch.object(base, "BLOCK_BYTES", budget_for(blocked, n)):
+            assert base.block_rows(n) == blocked
+            assert model.predict_batch(X).tobytes() == batch.tobytes(), blocked
+            assert model.predict_rows(X, rows).tobytes() == some.tobytes(), blocked
+
+
+def peak_bytes(call, *args):
+    """The most bytes ``call(*args)`` held allocated at once, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_prediction_holds_one_distance_block(rng):
+    # 2,000 queries against 8,000 training rows, 64 KB of distances a
+    # query. Beyond one block and the output, the bound allows eight float
+    # vectors per training and query row
+    X_train = rng.normal(size=(8000, 12))
+    model = fit_knn(X_train, rng.normal(size=8000), k=2)
+    X = rng.normal(size=(2000, 12))
+    peak, out = peak_bytes(model.predict_batch, X)
+    assert peak < base.BLOCK_BYTES + out.nbytes + 64 * (8000 + 2000)

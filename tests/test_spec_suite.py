@@ -265,8 +265,7 @@ def test_rowwise_prediction_ignores_the_rest_of_the_batch(norm_split, rng, kind)
             assert mirrored.predict_batch(X[:1])[0] == mirrored.predict_batch(X)[0]
 
 
-# 1025 rows end GPR's and SVR's 512-row chunks and KNN's 256-row chunks
-# with a one-row chunk
+# 1025 rows end GPR's and SVR's 512-row chunks with a one-row chunk
 @pytest.mark.parametrize("n", [700, 1025])
 @pytest.mark.parametrize("kind", DEFAULT_KINDS)
 def test_predict_rows_is_predict_batch_of_those_rows(norm_split, rng, kind, n):
