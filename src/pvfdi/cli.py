@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import FEATURE_NAMES, load_csv, save_csv, synth_generate
-from .errors import ConfigError, DataError, PvfdiError
+from .errors import ConfigError, DataError, IoError, PvfdiError
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -201,7 +201,6 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {args.seed!r}")
     dataset = synth_generate(args.n, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
@@ -226,13 +225,15 @@ def cmd_inject(args) -> int:
         raise ConfigError(str(exc))
     noisy, affected = inject(dataset, cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     comment = (f"pvfdi inject v{__version__} seed={cfg.seed} fraction={cfg.fraction!r} "
                f"mean={cfg.mean!r} std={cfg.std!r} target={cfg.target}")
     save_csv(noisy, out, header_comment=comment)
     index_path = out.with_name(out.name + ".affected.txt")
-    with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{row}\n" for row in affected)
+    try:
+        with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{row}\n" for row in affected)
+    except OSError as exc:
+        raise IoError(f"cannot write {index_path}: {exc}") from None
     write_json(out.with_name(out.name + ".provenance.json"), {
         "version": __version__,
         "command": "inject",

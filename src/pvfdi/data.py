@@ -19,6 +19,7 @@ from .errors import (
     DatasetTooSmall,
     EmptyFile,
     InvalidCount,
+    IoError,
     MissingColumn,
     NonNumericCell,
     UnreadableCsv,
@@ -270,10 +271,15 @@ def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:
     """Write a dataset as CSV; floats use shortest round-tripping repr.
 
     ``header_comment`` adds one leading ``#`` provenance line, which
-    load_csv skips.
+    load_csv skips. The directory is made if missing; IoError if ``path``
+    cannot be written.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(_csv_blocks(dataset, header_comment))
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(_csv_blocks(dataset, header_comment))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
 
 
 # --- normalization -------------------------------------------------------------

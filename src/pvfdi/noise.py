@@ -28,7 +28,8 @@ class NoiseConfig:
     picks which cells inside those rows are hit, and ``columns`` can
     narrow FEATURES/BOTH injection to a subset of the twelve features.
     None or an empty ``columns`` means all twelve. Construction raises
-    ValueError for a NaN or infinite ``mean`` or ``std`` and for a ``seed``
+    ValueError for a NaN or infinite ``mean`` or ``std``, for a repeated
+    column (two draws on one cell would keep one) and for a ``seed``
     outside [0, 2**64).
     """
 
@@ -58,6 +59,8 @@ class NoiseConfig:
             unknown = set(columns) - set(FEATURE_NAMES)
             if unknown:
                 raise ValueError(f"unknown feature columns: {sorted(unknown)}")
+            if len(set(columns)) < len(columns):
+                raise ValueError(f"feature columns must not repeat: {list(columns)}")
             object.__setattr__(self, "columns", columns)
 
 

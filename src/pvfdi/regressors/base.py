@@ -63,10 +63,11 @@ def padded_width(n: int) -> int:
     return -(-n // 8) * 8
 
 
-# Bytes of one row block of a product with a training matrix, so that the
-# block stays in a core's L2 cache through its elementwise passes instead
-# of streaming through memory once per pass. On a Xeon with 2 MB of L2 a
-# core, KNN's and GPR's jobs ran fastest at 1.5 MB of the 0.25-16 MB tried;
+# Bytes of one row block of a product with a training or weight matrix
+# (KNN's distances, GPR's kernels, MLPR's hidden layer), so that the block
+# stays in a core's L2 cache through its elementwise passes instead of
+# streaming through memory once per pass. On a Xeon with 2 MB of L2 a core,
+# KNN's and GPR's jobs ran fastest at 1.5 MB of the 0.25-16 MB tried;
 # every budget gives the same bits.
 BLOCK_BYTES = 3 << 19
 
@@ -77,22 +78,37 @@ def block_rows(width: int) -> int:
     return max(2, BLOCK_BYTES // (8 * padded_width(width)))
 
 
-def row_products(A, B, out) -> np.ndarray:
-    """``A @ B.T`` in the first ``len(A)`` rows and ``len(B)`` columns of ``out``, returned.
+def row_slices(n: int, width: int) -> list:
+    """The fewest consecutive slices of ``n`` rows with at most
+    ``block_rows(width)`` rows each, balanced to within one row.
 
-    It is built at ``padded_width(len(B))`` columns, B padded with zero
-    rows in its own memory order, and a one-row A runs as two copies of
-    its row (numpy sends one row to gemv, which rounds unlike gemm). So a
-    row's bits do not depend on which rows share its A. ``out`` needs at
-    least two rows of ``padded_width(len(B))`` columns.
+    No slice has fewer than two rows unless ``n`` is 1 (numpy sends a
+    one-row product to BLAS gemv, which rounds unlike gemm), so at two rows
+    a block an odd ``n`` gets one three-row slice. ``n == 0`` gives none.
     """
-    n, width = A.shape[0], B.shape[0]
-    if n == 1:
-        A = np.concatenate((A, A))
+    if not n:
+        return []
+    k = max(1, min(-(-n // block_rows(width)), n // 2))
+    bounds = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def row_blocks(A, B):
+    """Yield ``(rows, A[rows] @ B.T)`` over ``row_slices(len(A), len(B))``.
+
+    Each block is built at ``padded_width(len(B))`` columns, B padded with
+    zero rows once, and a lone row runs as two copies of itself, so a row's
+    bits do not depend on which rows share its block. The blocks are views
+    of one scratch array, each overwritten by the next.
+    """
+    slices, width = row_slices(len(A), len(B)), len(B)
     if width % 8:
         B = np.concatenate((B, np.zeros_like(B, shape=(padded_width(width) - width, B.shape[1]))))
-    np.matmul(A, B.T, out=out[: A.shape[0]])
-    return out[:n, :width]
+    scratch = np.empty((max(2, -(-len(A) // max(len(slices), 1))), B.shape[0]))
+    for rows in slices:
+        part = A[rows] if len(A) > 1 else np.concatenate((A, A))
+        np.matmul(part, B.T, out=scratch[: len(part)])
+        yield rows, scratch[: rows.stop - rows.start, :width]
 
 
 # A flat tree's five parallel arrays, in file order; feature -1 marks a leaf

@@ -5,8 +5,8 @@ alpha = (K + noise_variance*I)^-1 y, so training is cubic in the number
 of points. Above ``max_points`` a seeded uniform subsample keeps the
 factorization tractable; the predictor is then exact on that subset.
 
-Every kernel matrix is built one block of ``base.block_rows`` rows at a
-time, so each block stays in L2 through its six elementwise passes. The
+Every kernel matrix is built block by block over ``base.row_blocks``,
+so each block stays in L2 through its six elementwise passes. The
 training kernel goes straight into a Fortran-ordered array, which
 ``cho_factor`` factors in place. Prediction keeps its 512-row chunks:
 a row's position in its chunk fixes the bits of its product with alpha.
@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from ..errors import NotPositiveDefinite
 from ..rng import stream
 from .base import (AT_LEAST_ONE, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
-                   block_rows, padded_width, require_finite, row_products)
+                   require_finite, row_blocks)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -28,36 +28,24 @@ _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CHUNK_ROWS = 512  # rows per product with alpha; fixes each row's bits
 
 
-def _rbf_into(A, B, length_scale, out):
-    """rbf_kernel(A, B, length_scale), built in place in ``out[:len(A)]``.
-
-    ``out`` is ``row_products``' scratch for A and B. Of A, a row's
-    bits depend on that row alone, so a chunk's rows can be built apart
-    from the others.
-    """
-    # the bits of exp((|a|^2 - 2 a.b + |b|^2) / (-2 l^2)), the max taken
-    # before the division: scaling by -2 is exact, and x + (-y) == x - y
-    K = row_products(A, B, out)
-    K *= -2.0
-    K += np.einsum("ij,ij->i", A, A)[:, np.newaxis]
-    K += np.einsum("ij,ij->i", B, B)
-    np.maximum(K, 0.0, out=K)
-    K /= -2.0 * length_scale**2
-    return np.exp(K, out=K)
-
-
 def _rbf_fill(A, B, length_scale, out, at=None):
     """rbf_kernel(A, B, length_scale) written into ``out``, of either memory
     order: A's row i into row ``at[i]``, or row i when ``at`` is None.
 
-    It is built ``block_rows(len(B))`` rows at a time in one scratch block.
+    Of A, a row's bits depend on that row alone, so a chunk's rows can be
+    built apart from the others.
     """
-    step = block_rows(len(B))
-    scratch = np.empty((max(min(step, len(A)), 2), padded_width(len(B))))
-    for start in range(0, len(A), step):
-        stop = min(start + step, len(A))
-        out[slice(start, stop) if at is None else at[start:stop]] = _rbf_into(
-            A[start:stop], B, length_scale, scratch)
+    A_sq = np.einsum("ij,ij->i", A, A)[:, np.newaxis]
+    B_sq = np.einsum("ij,ij->i", B, B)
+    for rows, K in row_blocks(A, B):
+        # the bits of exp((|a|^2 - 2 a.b + |b|^2) / (-2 l^2)), the max taken
+        # before the division: scaling by -2 is exact, and x + (-y) == x - y
+        K *= -2.0
+        K += A_sq[rows]
+        K += B_sq
+        np.maximum(K, 0.0, out=K)
+        K /= -2.0 * length_scale**2
+        out[rows if at is None else at[rows]] = np.exp(K, out=K)
     return out
 
 
@@ -98,7 +86,7 @@ class GPRModel(TrainedModel):
         Q = self._checked(X[rows])
         n = X.shape[0]
         out = np.empty(rows.size)
-        block = np.zeros((max(min(_CHUNK_ROWS, n), 2), len(self.X_train)))
+        block = np.zeros((min(_CHUNK_ROWS, n), len(self.X_train)))
         edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
         with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch
             for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):

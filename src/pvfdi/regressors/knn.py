@@ -31,8 +31,8 @@ stable sort exactly as they are within the whole row, so its first k
 are the same k in the same order. Below k * G training rows there are
 fewer than k groups, and every column is a tail column.
 
-Queries go through in chunks of ``base.block_rows(n)`` rows, whose
-distance block fits the L2-sized ``base.BLOCK_BYTES``. A row's distance
+Queries go through in chunks, the row blocks of ``base.row_blocks``,
+whose distances fit the L2-sized ``base.BLOCK_BYTES``. A row's distance
 is x + r, where x = |b|^2 - 2 a.b and r = |a|^2, and only g_j and the
 gathered columns get the + r. Rounded addition of a finite r is
 monotone and keeps NaN, so the minimum of x + r over a group is its
@@ -43,8 +43,7 @@ has no finite distance, so its chunk raises ValueError either way.
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import (AT_LEAST_ONE, TrainedModel, block_rows, padded_width, require_finite,
-                   row_products)
+from .base import AT_LEAST_ONE, TrainedModel, require_finite, row_blocks
 
 __all__ = ["KNNModel", "fit_knn"]
 
@@ -75,19 +74,13 @@ class KNNModel(TrainedModel):
         tail = np.arange(m * _GROUP, n)
         train_sq = np.einsum("ij,ij->i", X_train, X_train)
         query_sq = np.einsum("ij,ij->i", X, X)[:, np.newaxis]
-        # one distance block per call, shared by its chunks; a local, so
-        # predict stays reentrant
-        step = block_rows(n)
-        block = np.empty((max(min(step, X.shape[0]), 2), padded_width(n)))
-        for start in range(0, X.shape[0], step):
-            chunk = X[start : start + step]
-            # the bits of train_sq - 2.0 * (chunk @ X_train.T): scaling by
+        for rows, d2 in row_blocks(X, X_train):
+            # the bits of train_sq - 2.0 * (X[rows] @ X_train.T): scaling by
             # -2 is exact, and a + (-b) == a - b; the query's squared norm
             # is added to the group minima and the gathered columns only
-            d2 = row_products(chunk, X_train, block)
             d2 *= -2.0
             d2 += train_sq
-            chunk_sq = query_sq[start : start + step]
+            chunk_sq = query_sq[rows]
             cols = np.broadcast_to(tail, (d2.shape[0], tail.size))
             if m:
                 gm = np.fmin.reduce(d2[:, : m * _GROUP].reshape(-1, _GROUP, m), axis=1)
@@ -107,7 +100,7 @@ class KNNModel(TrainedModel):
             if not np.isfinite(np.take_along_axis(gathered, pick, axis=1)).all():
                 raise ValueError("a query's nearest distances overflow the float range")
             nearest = np.take_along_axis(cols, pick, axis=1)
-            out[start : start + step] = self.y_train[nearest].mean(axis=1)
+            out[rows] = self.y_train[nearest].mean(axis=1)
         return out
 
 

@@ -34,11 +34,12 @@ has the same bits:
   3, or for a strided vector, OpenBLAS sums a matrix-vector product in
   another order than it does over a contiguous (n, hidden) array.
 
-A fit passes chunks of about 512 rows, so the bias, the ReLU and the
-delta's first two passes find a chunk's rows of ``X[c] @ W1`` still in
-cache. Those passes are elementwise, a chunk's rows of the padded
-product have the whole product's bits, and no chunk has fewer than two
-rows (numpy sends a one-row product to gemv), so chunks change no bit.
+A fit passes the chunks of ``base.row_slices(n, hidden)``, whose rows
+of ``X[c] @ W1`` fit the L2-sized ``base.BLOCK_BYTES``, so the bias, the
+ReLU and the delta's first two passes find them still in cache. Those
+passes are elementwise, a chunk's rows of the padded product have the
+whole product's bits, and no chunk has fewer than two rows (numpy sends
+a one-row product to gemv), so chunks change no bit.
 
 Every reduction runs whole: the output gemv, the loss, ``gW2 = a1.T @
 d_out``, ``gW1 = X.T @ d``, ``d.sum(axis=0)``, ``d_out.sum()`` and Adam.
@@ -52,7 +53,7 @@ import numpy as np
 from ..errors import NonFiniteLoss
 from ..rng import stream
 from .base import (AT_LEAST_ONE, FINITE_POSITIVE, POSITIVE, TrainedModel, padded_width,
-                   require_finite)
+                   require_finite, row_slices)
 
 __all__ = ["MLPRModel", "fit_mlpr", "init_params"]
 
@@ -67,17 +68,6 @@ def init_params(n_features, hidden, seed):
     W2 = rng.uniform(-lim2, lim2, size=hidden)
     b2 = 0.0
     return W1, b1, W2, b2
-
-
-def _row_blocks(n, width):
-    """At most ``width`` contiguous slices of ``n`` rows, none under two rows.
-
-    numpy sends a one-row product to BLAS gemv, which rounds differently
-    from the gemm of longer blocks, so fewer than four rows stay whole.
-    """
-    k = max(1, min(width, n // 2))
-    bounds = [i * n // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _widened(values, width):
@@ -189,8 +179,7 @@ def fit_mlpr(X, y, hidden: int = 100, learning_rate: float = 1e-3,
     previous = np.inf
     streak = 0
     stopped_early = False
-    # the hidden layer in chunks of about 512 rows
-    chunks = _row_blocks(X.shape[0], -(-X.shape[0] // 512))
+    chunks = row_slices(len(X), hidden)
     for epoch in range(max_epochs):
         r, loss = _forward_loss(params, X, y, a1, chunks, d)
         if not np.isfinite(loss):

@@ -2,14 +2,14 @@
 
 Each is rebuilt from the package's own kernels (SVR's ``_rbf_rows`` and
 ``_smo``, MLPR's ``_hidden``, ``_forward_loss`` and ``_gradient`` over one
-whole chunk, GPR's ``_rbf_into``), so the tests audit a fit without the
+whole chunk, GPR's ``rbf_kernel``), so the tests audit a fit without the
 package keeping anything for them.
 """
 
 import numpy as np
 
 from pvfdi.regressors.base import as_design, padded_width
-from pvfdi.regressors.gpr import _CHUNK_ROWS, _rbf_into
+from pvfdi.regressors.gpr import _CHUNK_ROWS, rbf_kernel
 from pvfdi.regressors.mlp import _forward_loss, _gradient, _hidden
 from pvfdi.regressors.svr import SVRModel, _rbf_rows, _smo
 
@@ -75,11 +75,9 @@ def gpr_chunked_mean(model, X):
     """
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0])
-    block = np.empty((max(min(_CHUNK_ROWS, X.shape[0]), 2),
-                      padded_width(model.X_train.shape[0])))
     for start in range(0, X.shape[0], _CHUNK_ROWS):
         chunk = X[start : start + _CHUNK_ROWS]
-        k_star = _rbf_into(chunk, model.X_train, model.length_scale, block)
+        k_star = rbf_kernel(chunk, model.X_train, model.length_scale)
         out[start : start + _CHUNK_ROWS] = k_star @ model.alpha
     return out
 

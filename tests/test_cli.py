@@ -330,8 +330,14 @@ def test_infinite_rate_or_scale_exits_one(tmp_path, capsys, kind, key):
     ("sweep --n 60 --models LR --config foo.ini --out out", 1),
     ("sweep --n 60 --models KNN --config key.ini --out out", 1),
     ("sweep --n 60 --models LR --fractions 0,1.5 --out out", 1),
-    # an --out under a regular file cannot be written
+    ("sweep --n 60 --models LR --noise-columns tcc,tcc --out out", 1),
+    # an --out under a regular file, or one that is a directory, cannot be written
     ("sweep --n 60 --models LR --out d.csv/out", 3),
+    ("synth --n 60 --out d.csv/x.csv", 3),
+    ("synth --n 60 --out dir", 3),
+    ("inject --data d.csv --fraction 0.5 --out dir", 3),
+    ("inject --data d.csv --fraction 0.5 --out d.csv/x.csv", 3),
+    ("inject --data d.csv --fraction 0.5 --out y.csv", 3),  # y.csv.affected.txt is a directory
     # noise that overflows a column is a data error, as in min-max scaling
     ("sweep --n 60 --models LR --noise-std 1e308 --out out", 2),
     ("inject --data d.csv --fraction 0.5 --noise-std 1e308 --out out/x.csv", 2),
@@ -349,6 +355,8 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     Path("other.ini").write_text("[other]\nx = 1\n")
     Path("foo.ini").write_text("[model.FOO]\nk = 1\n")
     Path("key.ini").write_text("[model.KNN]\nwidth = 3\n")
+    Path("dir").mkdir()
+    Path("y.csv.affected.txt").mkdir()
     data = pvfdi.synth_generate(60, 3)
     features = np.array(data.features)
     features[:, 2] = np.where(np.arange(60) % 2, -1.7e308, 1.7e308)
@@ -357,6 +365,7 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     assert run(argv.split()) == code
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert "cannot write" in err or code != 3
     assert not Path("out").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvfdi.errors import NonFiniteLoss
-from pvfdi.regressors import fit_mlpr, mlp
+from pvfdi.regressors import base, fit_mlpr, mlp
 from pvfdi.regressors.base import padded_width
 from pvfdi.regressors.mlp import MLPRModel, _forward_loss, _gradient, init_params
 from tests.oracles import WHOLE, loss_and_gradient, mlp_loss
@@ -365,52 +365,61 @@ def test_nan_pre_activation_gives_nan_loss():
 
 # --- the hidden layer in row chunks: no bit moves ----------------------------
 
-def chunked(monkeypatch, width=None):
-    """Record the chunks fits build their hidden layer in; with ``width``,
-    fits cut that many chunks where two-row chunks allow, not one per 512
-    rows."""
-    seen = []
-    blocks = mlp._row_blocks
+def budget_for(rows, hidden):
+    """A BLOCK_BYTES that gives blocks of ``rows`` rows at ``hidden`` units."""
+    return rows * 8 * padded_width(hidden)
 
-    def row_blocks(n, default):
-        seen.append(blocks(n, default if width is None else width))
+
+def chunked(monkeypatch, rows=None, hidden=None):
+    """Record the chunks fits build their hidden layer in; with ``rows``,
+    fits at ``hidden`` units cut blocks of that many rows where no chunk
+    is left with one row, not blocks of BLOCK_BYTES."""
+    seen = []
+
+    def row_slices(n, width):
+        seen.append(base.row_slices(n, width))
         return seen[-1]
 
-    monkeypatch.setattr(mlp, "_row_blocks", row_blocks)
+    monkeypatch.setattr(mlp, "row_slices", row_slices)
+    if rows is not None:
+        monkeypatch.setattr(base, "BLOCK_BYTES", budget_for(rows, hidden))
     return seen
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64, 8000])
-def test_row_blocks_are_contiguous_and_never_one_row(n):
-    for width in (1, 2, 3, 8, n):
-        blocks = mlp._row_blocks(n, width)
-        sizes = [len(range(n)[rows]) for rows in blocks]
+def test_row_blocks_are_contiguous_and_never_one_row(monkeypatch, n):
+    for rows in (2, 3, 8, n):
+        monkeypatch.setattr(base, "BLOCK_BYTES", budget_for(rows, 7))
+        blocks = base.row_slices(n, 7)
+        sizes = [len(range(n)[block]) for block in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         # one-row products go through gemv, so fewer than four rows stay whole
-        assert len(blocks) == max(1, min(width, n // 2))
+        assert len(blocks) == max(1, min(-(-n // max(rows, 2)), n // 2))
         assert min(sizes) >= 2 or n == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64, 8000])
 def test_row_chunks_match_reference_bitwise(monkeypatch, n):
     # small fits in as many two-row chunks as they allow, the large one in
-    # the fit's own 512-row chunks
-    seen = chunked(monkeypatch, width=None if n == 8000 else n)
+    # the fit's own 1,600-row chunks
+    seen = chunked(monkeypatch, rows=None if n == 8000 else 2, hidden=7)
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, 12))
     y = rng.normal(size=n)
     kw = dict(hidden=100, max_epochs=15) if n == 8000 else dict(hidden=7, max_epochs=60)
     model = assert_same_fit(X, y, learning_rate=1e-2, seed=3, **kw)
-    assert len(seen[0]) == (16 if n == 8000 else max(1, n // 2))
+    assert len(seen[0]) == (5 if n == 8000 else max(1, n // 2))
     assert model.epochs_run == kw["max_epochs"]
 
 
 @pytest.mark.parametrize("n,features,hidden", [(600, 12, 1), (2000, 12, 257), (2000, 16, 100)])
-def test_chunked_fit_matches_reference_where_unpadded_gemm_rows_move(n, features, hidden):
+def test_chunked_fit_matches_reference_where_unpadded_gemm_rows_move(monkeypatch, n, features,
+                                                                     hidden):
     # on OpenBLAS 0.3.31 each of these products, built at its own width,
-    # rounds some rows differently in row chunks; at the padded width the
-    # fit's 512-row chunks keep the whole product's bits
+    # rounds some rows differently in row chunks; at the padded width
+    # 512-row chunks keep the whole product's bits
+    monkeypatch.setattr(base, "BLOCK_BYTES", budget_for(512, hidden))
     rng = np.random.default_rng(hidden)
     X = rng.normal(size=(n, features))
     y = rng.normal(size=n)
@@ -418,7 +427,7 @@ def test_chunked_fit_matches_reference_where_unpadded_gemm_rows_move(n, features
 
 
 def test_chunked_divergence_raises_at_the_reference_epoch_without_warnings(monkeypatch):
-    seen = chunked(monkeypatch, width=4)
+    seen = chunked(monkeypatch, rows=10, hidden=6)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 12))
     y = rng.normal(size=40)

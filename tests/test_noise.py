@@ -93,6 +93,12 @@ def test_unknown_column_rejected():
         NoiseConfig(0.5, columns=("sunshine",))
 
 
+def test_repeated_column_rejected():
+    # += over a repeated fancy index keeps one of its two draws
+    with pytest.raises(ValueError, match="must not repeat"):
+        NoiseConfig(0.5, columns=("tcc", "t2m", "tcc"))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(-0.1)

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +25,8 @@ from pvfdi.regressors import (
     fit_mlpr,
     fit_svr,
 )
-from pvfdi.regressors.base import padded_width, row_products
-from pvfdi.regressors.mlp import _row_blocks
+from pvfdi.regressors import base
+from pvfdi.regressors.base import block_rows, padded_width, row_blocks, row_slices
 from pvfdi.regressors.registry import REGISTRY
 
 ROWWISE_KINDS = tuple(cls.kind for cls in TrainedModel.__subclasses__() if cls.rowwise)
@@ -202,18 +204,20 @@ def test_predict_batch_rejects_non_finite_rows(norm_split, kind, bad):
 @example(width=255, seed=0)
 @settings(max_examples=30, deadline=None)
 def test_openblas_gemm_rows_keep_their_bits_at_a_multiple_of_8_columns(width, seed):
-    # The OpenBLAS property that row_products, GPR's and KNN's splices and
+    # The OpenBLAS property that row_blocks, GPR's and KNN's splices and
     # MLPR's row chunks rest on: built at a multiple of 8 columns, a row of
     # a gemm product has the same bits whatever other rows share its A. At
     # other widths (255, 257, 300, 1601 training rows) rows move.
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(700, 12))
     B = rng.normal(size=(width, 12))
-    full = row_products(A, B, np.empty((700, padded_width(width))))
-    for size in (1, 2, 3, 9, 256, 257, 511):
-        rows = np.sort(rng.choice(700, size, replace=False))
-        part = row_products(A[rows], B, np.empty((max(size, 2), padded_width(width))))
-        assert part.tobytes() == full[rows].tobytes(), size
+    with patch.object(base, "BLOCK_BYTES", 1 << 40):  # every product in one block
+        [(_, full)] = row_blocks(A, B)
+        full = full.copy()
+        for size in (1, 2, 3, 9, 256, 257, 511):
+            rows = np.sort(rng.choice(700, size, replace=False))
+            [(_, part)] = row_blocks(A[rows], B)
+            assert part.tobytes() == full[rows].tobytes(), size
     # MLPR's X @ W1, W1 padded with zero columns, in 2-row and 512-row chunks
     n = int(rng.integers(2, 1100))
     for features in (1, 12, 257):
@@ -222,11 +226,55 @@ def test_openblas_gemm_rows_keep_their_bits_at_a_multiple_of_8_columns(width, se
             W1 = np.zeros((features, padded_width(hidden)))
             W1[:, :hidden] = rng.normal(size=(features, hidden))
             whole = X @ W1
-            for chunks in (_row_blocks(n, n // 2), _row_blocks(n, -(-n // 512))):
+            for rows in (2, 512):
+                with patch.object(base, "BLOCK_BYTES", budget_for(rows, hidden)):
+                    chunks = row_slices(n, hidden)
                 chunked = np.empty_like(whole)
                 for c in chunks:
                     np.matmul(X[c], W1, out=chunked[c])
                 assert chunked.tobytes() == whole.tobytes(), (n, features, hidden)
+
+
+def budget_for(rows, width):
+    """A BLOCK_BYTES that gives blocks of ``rows`` rows at ``width`` columns."""
+    return rows * 8 * padded_width(width)
+
+
+@given(n=st.integers(0, 5000), width=st.integers(1, 20000))
+@example(n=1, width=1)
+@example(n=3, width=20000)
+@settings(max_examples=200, deadline=None)
+def test_row_slices_cover_the_rows_in_blocks_of_two_to_block_rows(n, width):
+    slices = row_slices(n, width)
+    sizes = [s.stop - s.start for s in slices]
+    bounds = [0, *[s.stop for s in slices]]
+    assert [s.start for s in slices] == bounds[:-1] and bounds[-1] == n
+    assert all(s.step is None for s in slices)
+    assert max(sizes, default=0) <= block_rows(width)
+    # one-row products go through gemv, so only a lone row stands alone
+    assert min(sizes, default=2) >= 2 or n == 1
+    assert slices or n == 0
+    # the fewest blocks, balanced to within a row
+    assert len(slices) == -(-n // block_rows(width))
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
+@given(width=st.integers(1, 300).filter(lambda w: w % 8), seed=st.integers(0, 2**32 - 1))
+@example(width=255, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_each_row_block_holds_the_whole_padded_products_rows(width, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(600, 12))
+    B = rng.normal(size=(width, 12))
+    padded = np.concatenate((B, np.zeros((padded_width(width) - width, 12))))
+    whole = (A @ padded.T)[:, :width]
+    for rows in (2, 3, 7, 600):
+        with patch.object(base, "BLOCK_BYTES", budget_for(rows, width)):
+            for n in (0, 1, 2, 3, 600):
+                blocks = [(s, block.copy()) for s, block in row_blocks(A[:n], B)]
+                assert [s for s, _ in blocks] == row_slices(n, width)
+                for s, block in blocks:
+                    assert block.tobytes() == whole[s].tobytes(), (rows, n, s)
 
 
 def test_rowwise_kinds_opt_in_explicitly():
