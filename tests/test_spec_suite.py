@@ -14,6 +14,7 @@ from pvfdi.regressors import (
     ModelSpec,
     TrainedModel,
     TreeModel,
+    base,
     default_hyperparameters,
     fit,
     fit_dt,
@@ -25,7 +26,6 @@ from pvfdi.regressors import (
     fit_mlpr,
     fit_svr,
 )
-from pvfdi.regressors import base
 from pvfdi.regressors.base import block_rows, padded_width, row_blocks, row_slices
 from pvfdi.regressors.registry import REGISTRY
 
