@@ -15,19 +15,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import FEATURE_NAMES, load_csv, save_csv, synth_generate
-from .errors import ConfigError, DataError, IoError, PvfdiError
+from .data import FEATURE_NAMES, csv_blocks, load_csv, synth_generate
+from .errors import ConfigError, DataError, PvfdiError
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
     compute_sensitivity,
     emit_report,
     fraction_label,
+    json_text,
     run_clean_benchmark,
     run_noise_sweep,
-    write_json,
-    write_table,
+    table_text,
 )
+from .files import write_files
 from .noise import NOISE_TARGETS, NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, KINDS, ModelSpec, default_hyperparameters
 from .rng import is_seed
@@ -201,15 +202,16 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {args.seed!r}")
     dataset = synth_generate(args.n, args.seed)
     out = Path(args.out)
-    save_csv(dataset, out)
-    write_json(out.with_name(out.name + ".provenance.json"), {
+    provenance = {
         "version": __version__,
         "command": "synth",
         "n": args.n,
         "seed": args.seed,
         "output": out.name,
         "checksum_sha256": dataset.checksum(),
-    })
+    }
+    write_files([(out, csv_blocks(dataset)),
+                 (out.with_name(out.name + ".provenance.json"), json_text(provenance))])
     print(f"wrote {len(dataset)} rows to {out}")
     return EXIT_OK
 
@@ -227,14 +229,7 @@ def cmd_inject(args) -> int:
     out = Path(args.out)
     comment = (f"pvfdi inject v{__version__} seed={cfg.seed} fraction={cfg.fraction!r} "
                f"mean={cfg.mean!r} std={cfg.std!r} target={cfg.target}")
-    save_csv(noisy, out, header_comment=comment)
-    index_path = out.with_name(out.name + ".affected.txt")
-    try:
-        with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{row}\n" for row in affected)
-    except OSError as exc:
-        raise IoError(f"cannot write {index_path}: {exc}") from None
-    write_json(out.with_name(out.name + ".provenance.json"), {
+    provenance = {
         "version": __version__,
         "command": "inject",
         "input": str(args.data),
@@ -247,7 +242,10 @@ def cmd_inject(args) -> int:
         },
         "affected_rows": len(affected),
         "output": out.name,
-    })
+    }
+    write_files([(out, csv_blocks(noisy, comment)),
+                 (out.with_name(out.name + ".affected.txt"), (f"{row}\n" for row in affected)),
+                 (out.with_name(out.name + ".provenance.json"), json_text(provenance))])
     print(f"perturbed {len(affected)} of {len(dataset)} rows; wrote {out}")
     return EXIT_OK
 
@@ -327,13 +325,15 @@ def cmd_report(args) -> int:
     report = _load_noise_grid(Path(args.data))
     report.sensitivity_table = compute_sensitivity(report.noise_table, report.errors)
     out_dir = Path(args.out)
-    text = write_table(out_dir, report, "sensitivity.csv")
-    write_json(out_dir / "provenance.json", {
+    exact, text = table_text(report, "sensitivity.csv")
+    provenance = {
         "version": __version__,
         "command": "report",
         "input": str(args.data),
         "fractions": [fraction_label(f) for f in report.fractions],
-    })
+    }
+    write_files([(out_dir / "sensitivity.csv", exact),
+                 (out_dir / "provenance.json", json_text(provenance))])
     print(text, end="")
     print(f"wrote {out_dir / 'sensitivity.csv'}")
     return EXIT_OK

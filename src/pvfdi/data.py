@@ -19,11 +19,11 @@ from .errors import (
     DatasetTooSmall,
     EmptyFile,
     InvalidCount,
-    IoError,
     MissingColumn,
     NonNumericCell,
     UnreadableCsv,
 )
+from .files import write_files
 from .rng import stream
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "SplitConfig",
     "load_csv",
     "save_csv",
+    "csv_blocks",
     "normalize",
     "split",
     "synth_generate",
@@ -124,7 +125,7 @@ class Dataset:
     def checksum(self) -> str:
         """sha256 of the CSV bytes ``save_csv`` writes with no comment, hashed a block at a time."""
         digest = hashlib.sha256()
-        for block in _csv_blocks(self):
+        for block in csv_blocks(self):
             digest.update(block.encode("utf-8"))
         return digest.hexdigest()
 
@@ -211,31 +212,26 @@ def _read_csv(path) -> Dataset:
                 raise MissingColumn(name)
         if POWER_COLUMN not in header:
             raise MissingColumn(POWER_COLUMN)
-        feature_idx = [header.index(name) for name in FEATURE_NAMES]
-        power_idx = header.index(POWER_COLUMN)
+        columns = [(header.index(name), name) for name in (*FEATURE_NAMES, POWER_COLUMN)]
         ts_idx = header.index(TIMESTAMP_COLUMN) if TIMESTAMP_COLUMN in header else None
 
-        features, power, timestamps = [], [], []
-        row_no = 0
+        blocks, timestamps, row_no = [], [], 0
         for raw, row in records:
             if not row or _comment(raw):
                 continue
             row = row + [""] * (len(header) - len(row))
-            features.append(
-                [_parse_cell(row[j], row_no, name) for j, name in zip(feature_idx, FEATURE_NAMES)]
-            )
-            power.append(_parse_cell(row[power_idx], row_no, POWER_COLUMN))
+            if row_no % 512 == 0:  # cells parse into preallocated blocks, not boxed floats
+                blocks.append(np.empty((512, N_FEATURES + 1)))
+            blocks[-1][row_no % 512] = [_parse_cell(row[j], row_no, name) for j, name in columns]
             if ts_idx is not None:
                 timestamps.append(row[ts_idx])
             row_no += 1
 
-    if not features:
+    if not row_no:
         raise EmptyFile(path)
-    return Dataset(
-        np.asarray(features),
-        np.asarray(power),
-        timestamps=timestamps if ts_idx is not None else None,
-    )
+    table = np.concatenate(blocks)[:row_no]
+    return Dataset(table[:, :N_FEATURES], table[:, N_FEATURES],
+                   timestamps=timestamps if ts_idx is not None else None)
 
 
 def _stamp_cell(stamp: str) -> str:
@@ -249,7 +245,7 @@ def _stamp_cell(stamp: str) -> str:
     return stamp
 
 
-def _csv_blocks(dataset: Dataset, header_comment: str | None = None):
+def csv_blocks(dataset: Dataset, header_comment: str | None = None):
     """The CSV text: the header lines, then blocks of at most 512 rows, so its memory stays flat."""
     columns = [*FEATURE_NAMES, POWER_COLUMN]
     if dataset.timestamps is not None:
@@ -268,18 +264,11 @@ def _csv_blocks(dataset: Dataset, header_comment: str | None = None):
 
 
 def save_csv(dataset: Dataset, path, header_comment: str | None = None) -> None:
-    """Write a dataset as CSV; floats use shortest round-tripping repr.
+    """Write a dataset as CSV through write_files; floats use shortest round-tripping repr.
 
-    ``header_comment`` adds one leading ``#`` provenance line, which
-    load_csv skips. The directory is made if missing; IoError if ``path``
-    cannot be written.
+    ``header_comment`` adds one leading ``#`` provenance line, which load_csv skips.
     """
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(_csv_blocks(dataset, header_comment))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    write_files([(path, csv_blocks(dataset, header_comment))])
 
 
 # --- normalization -------------------------------------------------------------

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitConfig, load_csv, normalize, split, synth_generate
-from .errors import IoError, WorkerDied, ZeroBaseline
+from .errors import WorkerDied, ZeroBaseline
+from .files import write_files
 from .metrics import EvaluationSeries, metric_triple, percent_change, rmse
 from .noise import NoiseConfig, inject
 from .regressors import DEFAULT_KINDS, ModelSpec, fit
@@ -34,8 +35,8 @@ __all__ = [
     "run_noise_sweep",
     "compute_sensitivity",
     "emit_report",
-    "write_table",
-    "write_json",
+    "table_text",
+    "json_text",
     "fraction_label",
     "sensitivity_label",
 ]
@@ -420,18 +421,9 @@ def compute_sensitivity(noise_table: dict, errors: dict) -> dict:
 
 # --- emission -----------------------------------------------------------------
 
-def _write_text(path: Path, text: str):
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
-
-
-def write_json(path, block: dict):
-    """Write ``block`` to ``path`` as sorted, indented JSON; IoError if it cannot."""
-    _write_text(Path(path), json.dumps(block, sort_keys=True, indent=2) + "\n")
+def json_text(block: dict) -> str:
+    """``block`` as sorted, indented JSON: the form of every provenance file."""
+    return json.dumps(block, sort_keys=True, indent=2) + "\n"
 
 
 def _aligned(header, rows) -> str:
@@ -464,8 +456,8 @@ _TABLES = {
 }
 
 
-def write_table(out_dir, report, file) -> str:
-    """Write ``report``'s table ``file`` as ``out_dir/file`` and return it aligned for reading.
+def table_text(report, file) -> tuple:
+    """``report``'s table ``file`` as (CSV text, text aligned for reading).
 
     ``file`` is clean_metrics.csv, noise_rmse.csv or sensitivity.csv; the
     last two have a column per fraction in ``report.fractions``. The
@@ -484,23 +476,26 @@ def write_table(out_dir, report, file) -> str:
         elif name in report.errors:
             exact.append([name] + ["ERROR"] * (len(header) - 1))
             text.append(exact[-1])
-    _write_text(Path(out_dir) / file, "".join(",".join(row) + "\n" for row in [header, *exact]))
-    return _aligned(header, text)
+    return "".join(",".join(row) + "\n" for row in [header, *exact]), _aligned(header, text)
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:
-    """Write all tables, series files, and the provenance block.
+    """Write all tables, series files, and the provenance block, or none of them.
 
     CSV cells hold repr floats (exact round-trip); report.txt holds the
     same tables aligned for reading. Emission of a fixed report is
     byte-deterministic. Returns the written paths.
     """
-    out_dir = Path(out_dir)
-    written = []
+    return write_files(_report_files(report, Path(out_dir)))
+
+
+def _report_files(report, out_dir):
+    """(path, text) of each file of ``report``, each text built as it is written."""
     text_blocks = []
     for file in _TABLES if report.fractions else ["clean_metrics.csv"]:
-        written.append(out_dir / file)
-        text_blocks.append(_TABLES[file][0] + "\n" + write_table(out_dir, report, file))
+        exact, text = table_text(report, file)
+        yield out_dir / file, exact
+        text_blocks.append(_TABLES[file][0] + "\n" + text)
     if not report.fractions:
         text_blocks.append("Noise sweep: not run; sweep files skipped.\n")
 
@@ -518,13 +513,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
             if key not in starts:
                 starts[key] = [f"\n{i},{a!r}," for i, a in enumerate(series.actual.tolist())]
             cells = map(repr, series.predicted.tolist())
-            written.append(out_dir / "series" / f"{name}_{condition}.csv")
-            _write_text(written[-1], "index,actual,predicted"
-                        + "".join(map(str.__add__, starts[key], cells)) + "\n")
+            yield (out_dir / "series" / f"{name}_{condition}.csv", "index,actual,predicted"
+                   + "".join(map(str.__add__, starts[key], cells)) + "\n")
 
-    written.append(out_dir / "provenance.json")
-    write_json(written[-1], report.provenance)
-
-    written.append(out_dir / "report.txt")
-    _write_text(written[-1], "\n".join(text_blocks))
-    return written
+    yield out_dir / "provenance.json", json_text(report.provenance)
+    yield out_dir / "report.txt", "\n".join(text_blocks)

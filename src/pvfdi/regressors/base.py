@@ -71,6 +71,10 @@ def padded_width(n: int) -> int:
 # every budget gives the same bits.
 BLOCK_BYTES = 3 << 19
 
+# Rows per chunk of GPR's and SVR's predictions: it fixes each row's bits in
+# the product with the weights, and in SVR's unpadded kernel product too.
+CHUNK_ROWS = 512
+
 
 def block_rows(width: int) -> int:
     """Rows per block of a product ``width`` columns wide: as many as

@@ -17,15 +17,13 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
-from .base import (AT_LEAST_ONE, FINITE_NON_NEGATIVE, FINITE_POSITIVE, TrainedModel,
-                   require_finite, row_blocks)
+from .base import (AT_LEAST_ONE, CHUNK_ROWS, FINITE_NON_NEGATIVE, FINITE_POSITIVE,
+                   TrainedModel, require_finite, row_blocks)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
 # escalation ladder tried after the bare matrix fails to factor
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
-_CHUNK_ROWS = 512  # rows per product with alpha; fixes each row's bits
 
 
 def _rbf_fill(A, B, length_scale, out, at=None):
@@ -86,15 +84,15 @@ class GPRModel(TrainedModel):
         Q = self._checked(X[rows])
         n = X.shape[0]
         out = np.empty(rows.size)
-        block = np.zeros((min(_CHUNK_ROWS, n), len(self.X_train)))
-        edges = np.searchsorted(rows, range(0, n + _CHUNK_ROWS, _CHUNK_ROWS))
+        block = np.zeros((min(CHUNK_ROWS, n), len(self.X_train)))
+        edges = np.searchsorted(rows, range(0, n + CHUNK_ROWS, CHUNK_ROWS))
         with np.errstate(over="ignore", invalid="ignore"):  # as in predict_batch
-            for start, lo, hi in zip(range(0, n, _CHUNK_ROWS), edges, edges[1:]):
+            for start, lo, hi in zip(range(0, n, CHUNK_ROWS), edges, edges[1:]):
                 if lo == hi:
                     continue
                 at = rows[lo:hi] - start
                 _rbf_fill(Q[lo:hi], self.X_train, self.length_scale, block, at)
-                out[lo:hi] = (block[: min(_CHUNK_ROWS, n - start)] @ self.alpha)[at]
+                out[lo:hi] = (block[: min(CHUNK_ROWS, n - start)] @ self.alpha)[at]
         return out
 
 

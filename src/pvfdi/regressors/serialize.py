@@ -30,6 +30,7 @@ the fields as it checks a fitted model's. A malformed file raises IoError.
 import numpy as np
 
 from ..errors import IoError, ModelError
+from ..files import write_files
 from .base import TREE_PARTS
 from .registry import REGISTRY
 
@@ -210,11 +211,7 @@ def loads(text: str):
 
 
 def save_model(model, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dumps(model))
-    except OSError as exc:
-        raise IoError(f"cannot write model file {path}: {exc}") from None
+    write_files([(path, dumps(model))])
 
 
 def load_model(path):

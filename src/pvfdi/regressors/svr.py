@@ -25,14 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import (AT_LEAST_ZERO, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE, TrainedModel,
-                   require_finite)
+from .base import (AT_LEAST_ZERO, CHUNK_ROWS, FINITE_POSITIVE, NON_NEGATIVE, POSITIVE,
+                   TrainedModel, require_finite)
 
 __all__ = ["SVRModel", "fit_svr"]
 
 _TAU = 1e-12  # floor for non-positive curvature, as in standard SMO solvers
-
-_CHUNK_ROWS = 512
 
 
 def _rbf_rows(A, X, X_sq, gamma):
@@ -80,10 +78,10 @@ class SVRModel(TrainedModel):
             out.fill(self.bias)
             return out
         sv_sq = np.einsum("ij,ij->i", self.sv_X, self.sv_X)
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
+        for start in range(0, X.shape[0], CHUNK_ROWS):
+            chunk = X[start : start + CHUNK_ROWS]
             k = _rbf_rows(chunk, self.sv_X, sv_sq, self.gamma)
-            out[start : start + _CHUNK_ROWS] = k @ self.sv_coef + self.bias
+            out[start : start + CHUNK_ROWS] = k @ self.sv_coef + self.bias
         return out
 
 

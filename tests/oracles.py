@@ -8,8 +8,8 @@ package keeping anything for them.
 
 import numpy as np
 
-from pvfdi.regressors.base import as_design, padded_width
-from pvfdi.regressors.gpr import _CHUNK_ROWS, rbf_kernel
+from pvfdi.regressors.base import CHUNK_ROWS, as_design, padded_width
+from pvfdi.regressors.gpr import rbf_kernel
 from pvfdi.regressors.mlp import _forward_loss, _gradient, _hidden
 from pvfdi.regressors.svr import SVRModel, _rbf_rows, _smo
 
@@ -75,10 +75,10 @@ def gpr_chunked_mean(model, X):
     """
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], _CHUNK_ROWS):
-        chunk = X[start : start + _CHUNK_ROWS]
+    for start in range(0, X.shape[0], CHUNK_ROWS):
+        chunk = X[start : start + CHUNK_ROWS]
         k_star = rbf_kernel(chunk, model.X_train, model.length_scale)
-        out[start : start + _CHUNK_ROWS] = k_star @ model.alpha
+        out[start : start + CHUNK_ROWS] = k_star @ model.alpha
     return out
 
 

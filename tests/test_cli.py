@@ -369,6 +369,32 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     assert not Path("out").exists()
 
 
+# one output of each command blocked: a directory where a file goes, or a
+# regular file where a directory goes; none of the command's files may stay
+@pytest.mark.parametrize("argv, blocker, files", [
+    ("inject --data d.csv --fraction 0.5 --out y.csv", "y.csv.affected.txt/",
+     ["y.csv", "y.csv.provenance.json"]),
+    ("synth --n 60 --out x.csv", "x.csv.provenance.json/", ["x.csv"]),
+    ("sweep --n 60 --models LR --out out", "out/series",
+     ["out/clean_metrics.csv", "out/noise_rmse.csv", "out/sensitivity.csv",
+      "out/provenance.json", "out/report.txt"]),
+    ("report --data grid.csv --out out", "out/provenance.json/", ["out/sensitivity.csv"]),
+], ids=["inject", "synth", "sweep", "report"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys, argv, blocker, files):
+    monkeypatch.chdir(tmp_path)
+    pvfdi.save_csv(pvfdi.synth_generate(60, 3), "d.csv")
+    Path("grid.csv").write_text("model,0%,50%\nLR,0.1,0.2\n")
+    Path(blocker).parent.mkdir(parents=True, exist_ok=True)
+    if blocker.endswith("/"):
+        Path(blocker).mkdir()
+    else:
+        Path(blocker).write_text("")
+    assert run(argv.split()) == 3
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert [name for name in files if Path(name).exists()] == []
+
+
 def test_readme_config_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     cfg = tmp_path / "pv.ini"

@@ -160,6 +160,22 @@ def test_hash_timestamps_round_trip(tmp_path, stamp):
 
 # --- CSV round trip --------------------------------------------------------------
 
+def test_load_csv_memory_holds_no_boxed_rows(tmp_path):
+    ds = pvfdi.synth_generate(20_000, 42)
+    path = tmp_path / "d.csv"
+    pvfdi.save_csv(ds, path)
+    tracemalloc.start()
+    try:
+        loaded = pvfdi.load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.checksum() == ds.checksum()
+    # the 4.9 MB file's 260,000 cells are 2.1 MB of float64; as boxed
+    # floats in row lists they peaked at 14.7 MB
+    assert peak < 9 * 10**6
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     ds = small(30, seed=11)
     path = tmp_path / "d.csv"

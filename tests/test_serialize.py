@@ -195,6 +195,13 @@ def test_unwritable_path_raises_io_error(fitted_models, tmp_path):
         save_model(models["LR"], tmp_path / "file" / "LR.model")
 
 
+def test_save_makes_missing_directories(fitted_models, tmp_path):
+    models, _ = fitted_models
+    path = tmp_path / "new" / "dir" / "LR.model"
+    save_model(models["LR"], path)
+    assert path.read_text(encoding="utf-8") == dumps(models["LR"])
+
+
 def test_non_utf8_file_raises_io_error(tmp_path):
     path = tmp_path / "LR.model"
     path.write_bytes(golden("LR").encode("utf-16"))
