@@ -7,13 +7,26 @@ factorization tractable; the predictor is then exact on that subset.
 
 Every kernel matrix is built block by block over ``base.row_blocks``,
 so each block stays in L2 through its six elementwise passes. The
-training kernel goes straight into a Fortran-ordered array, which
-``cho_factor`` factors in place. Prediction keeps its 512-row chunks:
-a row's position in its chunk fixes the bits of its product with alpha.
+training kernel goes straight into a Fortran-ordered array, which LAPACK's
+``dpotrf`` factors in place and ``dpotrs`` solves against. Prediction keeps
+its 512-row chunks: a row's position in its chunk fixes the bits of its
+product with alpha.
+
+Both routines come from the OpenBLAS that scipy's wheel vendors, the very
+library ``scipy.linalg`` calls, so the bytes are scipy's. It is found beside
+the scipy package, as ``scipy.libs/libscipy_openblas*.so`` exporting
+``scipy_dpotrf_`` and ``scipy_dpotrs_``, loaded through ``ctypes`` without
+importing scipy, which spares every command the 0.2 s import of
+``scipy.linalg``. Where no such library is found (a conda, macOS or Windows
+build of scipy), the same two names bind at import to
+``scipy.linalg.lapack``'s ``dpotrf`` and ``dpotrs``.
 """
 
+import ctypes
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ..errors import NotPositiveDefinite
 from ..rng import stream
@@ -24,6 +37,79 @@ __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
 # escalation ladder tried after the bare matrix fails to factor
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _lapack_info(routine, info):
+    """LAPACK's ``info``, a ValueError when it flags an illegal argument."""
+    if info < 0:
+        raise ValueError(f"LAPACK {routine} rejected its argument {-info}")
+    return info
+
+
+def _openblas_lapack():
+    """(_potrf, _potrs) over scipy's vendored OpenBLAS, or None where its
+    wheel ships none with the LP64 symbols."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libs = Path(spec.submodule_search_locations[0]).parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_dpotrf_") and hasattr(lib, "scipy_dpotrs_"):
+            break
+    else:
+        return None
+    dpotrf, dpotrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+    integer = ctypes.POINTER(ctypes.c_int)
+    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    columns = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    # Fortran arguments by reference; the trailing size_t is the hidden
+    # length of the character argument UPLO
+    dpotrf.argtypes = [ctypes.c_char_p, integer, matrix, integer, integer, ctypes.c_size_t]
+    dpotrs.argtypes = [ctypes.c_char_p, integer, integer, matrix, integer,
+                       columns, integer, integer, ctypes.c_size_t]
+    dpotrf.restype = dpotrs.restype = None
+
+    def potrf(K):
+        n, info = ctypes.c_int(len(K)), ctypes.c_int()
+        dpotrf(b"L", n, K, n, info, 1)
+        return _lapack_info("dpotrf", info.value)
+
+    def potrs(K, y):
+        # each column of y is a right-hand side, as scipy's dpotrs takes it
+        x = np.array(y, dtype=np.float64, order="F")
+        n, info = ctypes.c_int(len(K)), ctypes.c_int()
+        dpotrs(b"L", n, ctypes.c_int(x.size // len(K)), K, n, x, n, info, 1)
+        _lapack_info("dpotrs", info.value)
+        return x
+
+    return potrf, potrs
+
+
+def _scipy_lapack():
+    """(_potrf, _potrs) over ``scipy.linalg.lapack``, as ``cho_factor`` and
+    ``cho_solve`` call it."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    def potrf(K):
+        return _lapack_info("dpotrf", dpotrf(K, lower=1, clean=0, overwrite_a=1)[1])
+
+    def potrs(K, y):
+        x, info = dpotrs(K, y, lower=1)
+        _lapack_info("dpotrs", info)
+        return x
+
+    return potrf, potrs
+
+
+# _potrf(K) factors the Fortran-ordered K in place into its lower triangle
+# and returns LAPACK's info, positive when K is not positive definite;
+# _potrs(K, y) solves with that factor into a fresh copy of y, whose rows
+# are K's
+_potrf, _potrs = _openblas_lapack() or _scipy_lapack()
 
 
 def _rbf_fill(A, B, length_scale, out, at=None):
@@ -103,8 +189,10 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
 
     When the training set exceeds ``max_points`` a uniform subsample drawn
     from the ``seed``-keyed stream replaces it. Raises NotPositiveDefinite
-    if the kernel matrix cannot be factored even at the largest jitter.
+    if the kernel matrix cannot be factored even at the largest jitter, and
+    ValueError for a NaN or infinity in X or y.
     """
+    require_finite(X=X, y=y)
     subsampled = X.shape[0] > max_points
     if subsampled:
         keep = stream(seed, "gpr-subset").permutation(X.shape[0])[:max_points]
@@ -112,7 +200,7 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         X = X[keep]
         y = y[keep]
 
-    # in LAPACK's memory order, so cho_factor factors it in place; a failed
+    # in LAPACK's memory order, so _potrf factors it in place; a failed
     # factorization leaves it overwritten, so each retry builds it again
     # and writes back the diagonal, whose running sums keep their own vector
     K = np.empty((X.shape[0], X.shape[0]), order="F")
@@ -124,11 +212,9 @@ def fit_gpr(X, y, length_scale: float = 1.0, noise_variance: float = 0.01,
         if jitter:
             _rbf_fill(X, X, length_scale, K)
         np.fill_diagonal(K, diagonal)
-        try:
-            factor = cho_factor(K, lower=True, overwrite_a=True)
-        except LinAlgError:
+        if _potrf(K):
             continue
-        alpha = cho_solve(factor, y)
+        alpha = _potrs(K, y)
         return GPRModel(X.shape[1], X_train=X, alpha=alpha, length_scale=length_scale,
                         noise_variance=noise_variance, jitter=jitter, subsampled=subsampled)
     raise NotPositiveDefinite(_JITTERS[-1])

@@ -6,13 +6,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pvfdi
 from pvfdi.errors import NotPositiveDefinite
-from pvfdi.regressors import base, fit_gpr
+from pvfdi.regressors import base, fit_gpr, gpr
 from pvfdi.regressors.gpr import rbf_kernel
 from pvfdi.regressors.serialize import dumps
 from tests.oracles import gpr_chunked_mean
@@ -97,10 +96,10 @@ def test_duplicate_rows_with_zero_noise_use_jitter():
 
 
 def test_factorization_failure_raises(monkeypatch, rng):
-    def always_fails(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("not positive definite")
+    def always_fails(K):
+        return 1  # LAPACK's info: the first leading minor is not positive definite
 
-    monkeypatch.setattr("pvfdi.regressors.gpr.cho_factor", always_fails)
+    monkeypatch.setattr("pvfdi.regressors.gpr._potrf", always_fails)
     X = rng.normal(size=(5, 2))
     y = rng.normal(size=5)
     with pytest.raises(NotPositiveDefinite):
@@ -189,14 +188,19 @@ def gpr_fit_problems():
     return problems
 
 
-def gpr_fit_digest() -> str:
-    digest = hashlib.sha256()
+def gpr_fit_outcomes() -> list:
+    """The dumps of each fit in gpr_fit_problems(), or the message of its refusal."""
+    outcomes = []
     for X, y, hp in gpr_fit_problems():
         try:
-            digest.update(dumps(fit_gpr(X, y, **hp)).encode())
+            outcomes.append(dumps(fit_gpr(X, y, **hp)))
         except NotPositiveDefinite as exc:
-            digest.update(str(exc).encode())
-    return digest.hexdigest()
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def gpr_fit_digest() -> str:
+    return hashlib.sha256("".join(gpr_fit_outcomes()).encode()).hexdigest()
 
 
 def test_fit_bytes_match_the_recorded_digest():
@@ -210,3 +214,67 @@ def test_fit_bytes_match_the_recorded_digest():
     child = subprocess.run([sys.executable, "-c", run], env=child_env(**ONE_THREAD),
                            capture_output=True, text=True, check=True, timeout=300)
     assert child.stdout.strip() == GPR_FIT_DIGEST
+
+
+# gpr.py binds _potrf and _potrs at import to the first of these that exists
+BINDINGS = {"vendored OpenBLAS": gpr._openblas_lapack, "scipy.linalg.lapack": gpr._scipy_lapack}
+
+
+def outcomes_under_each_binding() -> list:
+    """gpr_fit_outcomes() with gpr bound to each of BINDINGS in turn; the
+    vendored library goes first, as binding scipy.linalg.lapack imports
+    scipy.linalg."""
+    runs = []
+    for bind in BINDINGS.values():
+        gpr._potrf, gpr._potrs = bind()
+        runs.append(gpr_fit_outcomes())
+    return runs
+
+
+def test_both_lapack_bindings_fit_the_same_bytes():
+    # in a one-thread child, as the digest test
+    if gpr._openblas_lapack() is None:
+        pytest.skip("this scipy vendors no OpenBLAS with scipy_dpotrf_ and scipy_dpotrs_")
+    run = f"import json, sys; sys.path.insert(0, {str(ROOT)!r}); " \
+          "from tests.test_gpr import outcomes_under_each_binding; " \
+          "print(json.dumps(outcomes_under_each_binding()))"
+    child = subprocess.run([sys.executable, "-c", run], env=child_env(**ONE_THREAD),
+                           capture_output=True, text=True, check=True, timeout=300)
+    vendored, scipy_lapack = json.loads(child.stdout)
+    assert vendored == scipy_lapack
+    # the crowded problem that fails every rung is refused under both
+    assert vendored.count(str(NotPositiveDefinite(gpr._JITTERS[-1]))) == 1
+
+
+@pytest.fixture(params=BINDINGS)
+def factored(request, monkeypatch):
+    """gpr bound to one of BINDINGS; the sizes of the matrices it factors."""
+    routines = BINDINGS[request.param]()
+    if routines is None:
+        pytest.skip(f"no {request.param} binding here")
+    potrf, potrs = routines
+    sizes = []
+    monkeypatch.setattr(gpr, "_potrf", lambda K: sizes.append(len(K)) or potrf(K))
+    monkeypatch.setattr(gpr, "_potrs", potrs)
+    return sizes
+
+
+def test_non_finite_input_is_refused_before_any_factor(factored, rng):
+    X = rng.normal(size=(6, 2))
+    y = rng.normal(size=6)
+    bad_X, bad_y = X.copy(), y.copy()
+    bad_X[3, 1] = np.nan
+    bad_y[2] = np.inf
+    with pytest.raises(ValueError, match="X contains non-finite values"):
+        fit_gpr(bad_X, y)
+    with pytest.raises(ValueError, match="y contains non-finite values"):
+        fit_gpr(X, bad_y)
+    assert factored == []
+    fit_gpr(X, y)
+    assert factored == [6]
+
+
+def test_a_column_of_targets_is_refused_as_a_value_error(factored, rng):
+    # both bindings solve every column, so the model's own check refuses it
+    with pytest.raises(ValueError, match="alpha needs one weight per training row"):
+        fit_gpr(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))

@@ -4,11 +4,15 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pvfdi
+from pvfdi.regressors import gpr
+from tests.test_golden import child_env
 
 SRC = Path(pvfdi.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +51,17 @@ def test_readme_library_list_is_the_top_level_exports():
     block = text[start:text.index("\n\n", text.index("\n- ", start))]
     listed = re.findall(r"`(\w+)`", block.split("\n", 1)[1])
     assert sorted(listed) == sorted(pvfdi.__all__)
+
+
+@pytest.mark.parametrize("run", [
+    "import pvfdi",
+    "from pvfdi.cli import main; assert main(['synth', '--n', '60', '--out', sys.argv[1]]) == 0",
+])
+def test_start_up_leaves_scipy_linalg_unloaded(tmp_path, run):
+    # GPR reaches LAPACK through the OpenBLAS that scipy vendors; where it
+    # vendors none, gpr imports scipy.linalg.lapack instead
+    if gpr._openblas_lapack() is None:
+        pytest.skip("this scipy vendors no OpenBLAS with scipy_dpotrf_ and scipy_dpotrs_")
+    check = f"import sys; {run}; assert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check, str(tmp_path / "data.csv")],
+                   env=child_env(), check=True, timeout=120)
