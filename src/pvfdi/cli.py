@@ -402,7 +402,7 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"pvfdi: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PvfdiError, OSError) as exc:
+    except (PvfdiError, OSError, MemoryError) as exc:  # MemoryError: a count too large to hold
         print(f"pvfdi: error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

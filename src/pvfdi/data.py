@@ -57,11 +57,32 @@ class Dataset:
     ``features`` has shape (n, 12) in FEATURE_NAMES column order and
     ``power`` shape (n,). Instances are immutable after construction and
     safe to share across threads.
+
+    The constructor copies ``features`` and ``power``, so a caller's
+    arrays are never aliased or frozen. The package's own builders
+    (``take``, ``split``, ``normalize``, ``synth_generate``, ``inject``,
+    ``load_csv``) hand over arrays they have just made, which the
+    dataset keeps as they are: each full-size array is allocated once.
     """
 
     def __init__(self, features, power, timestamps=None):
-        features = np.array(features, dtype=np.float64)
-        power = np.array(power, dtype=np.float64)
+        self._hold(np.array(features, dtype=np.float64),
+                   np.array(power, dtype=np.float64), timestamps)
+
+    @classmethod
+    def _adopt(cls, features, power, timestamps=None) -> "Dataset":
+        """A dataset that keeps ``features`` and ``power`` rather than copying them.
+
+        Each must be a C-contiguous float64 array that no one else writes
+        to; it is frozen here. Any other array is copied, as the
+        constructor copies. The constructor's checks all apply.
+        """
+        dataset = cls.__new__(cls)
+        dataset._hold(np.ascontiguousarray(features, dtype=np.float64),
+                      np.ascontiguousarray(power, dtype=np.float64), timestamps)
+        return dataset
+
+    def _hold(self, features, power, timestamps):
         if features.ndim != 2 or features.shape[1] != N_FEATURES:
             raise ValueError(f"features must have shape (n, {N_FEATURES})")
         if power.shape != (features.shape[0],):
@@ -112,7 +133,7 @@ class Dataset:
         ts = None
         if self._timestamps is not None:
             ts = tuple(self._timestamps[i] for i in indices)
-        return Dataset(self._features[indices], self._power[indices], timestamps=ts)
+        return Dataset._adopt(self._features[indices], self._power[indices], timestamps=ts)
 
     def replace(self, features=None, power=None) -> "Dataset":
         """Copy with some arrays swapped out; timestamps kept."""
@@ -215,23 +236,28 @@ def _read_csv(path) -> Dataset:
         columns = [(header.index(name), name) for name in (*FEATURE_NAMES, POWER_COLUMN)]
         ts_idx = header.index(TIMESTAMP_COLUMN) if TIMESTAMP_COLUMN in header else None
 
-        blocks, timestamps, row_no = [], [], 0
+        features, power, timestamps, row_no = [], [], [], 0
         for raw, row in records:
             if not row or _comment(raw):
                 continue
             row = row + [""] * (len(header) - len(row))
-            if row_no % 512 == 0:  # cells parse into preallocated blocks, not boxed floats
-                blocks.append(np.empty((512, N_FEATURES + 1)))
-            blocks[-1][row_no % 512] = [_parse_cell(row[j], row_no, name) for j, name in columns]
+            at = row_no % 512
+            if at == 0:  # cells parse into preallocated blocks, not boxed floats
+                features.append(np.empty((512, N_FEATURES)))
+                power.append(np.empty(512))
+            values = [_parse_cell(row[j], row_no, name) for j, name in columns]
+            features[-1][at] = values[:N_FEATURES]
+            power[-1][at] = values[N_FEATURES]
             if ts_idx is not None:
                 timestamps.append(row[ts_idx])
             row_no += 1
 
     if not row_no:
         raise EmptyFile(path)
-    table = np.concatenate(blocks)[:row_no]
-    return Dataset(table[:, :N_FEATURES], table[:, N_FEATURES],
-                   timestamps=timestamps if ts_idx is not None else None)
+    filled = (row_no - 1) % 512 + 1  # rows in the last block
+    features[-1], power[-1] = features[-1][:filled], power[-1][:filled]
+    return Dataset._adopt(np.concatenate(features), np.concatenate(power),
+                          timestamps=timestamps if ts_idx is not None else None)
 
 
 def _stamp_cell(stamp: str) -> str:
@@ -280,10 +306,13 @@ def nonfinite_column(features: np.ndarray, power: np.ndarray) -> str | None:
 
 
 def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(values - lo) / (hi - lo) per column, in one new array; a column
+    where hi == lo reads +0.0."""
     span = hi - lo
-    out = np.zeros_like(values)
-    nonconst = span != 0
-    out[..., nonconst] = (values[..., nonconst] - lo[nonconst]) / span[nonconst]
+    constant = span == 0
+    out = np.subtract(values, lo)
+    out /= np.where(constant, 1.0, span)
+    out[:, constant] = 0.0
     return out
 
 
@@ -306,11 +335,12 @@ def normalize(train: Dataset, others=()) -> tuple:
             if power_span == 0:
                 power = np.zeros(len(d))
             else:
-                power = (d.power - power_lo) / power_span
+                power = np.subtract(d.power, power_lo)
+                power /= power_span
         name = nonfinite_column(features, power)
         if name is not None:
             raise DataError(f"column {name!r} does not min-max scale to finite values")
-        return Dataset(features, power, timestamps=d.timestamps)
+        return Dataset._adopt(features, power, timestamps=d.timestamps)
 
     return scaled(train), [scaled(d) for d in others]
 
@@ -373,7 +403,6 @@ def synth_generate(n: int, seed: int) -> Dataset:
     lo = np.array([SYNTH_RANGES[name][0] for name in FEATURE_NAMES])
     hi = np.array([SYNTH_RANGES[name][1] for name in FEATURE_NAMES])
     unit = rng.uniform(0.0, 1.0, size=(n, N_FEATURES))
-    features = lo + unit * (hi - lo)
 
     col = {name: i for i, name in enumerate(FEATURE_NAMES)}
     signal = (
@@ -383,4 +412,7 @@ def synth_generate(n: int, seed: int) -> Dataset:
     )
     residual = rng.normal(0.0, 1.0, size=n) * SYNTH_RESIDUAL_STD
     power = np.clip(signal + residual, 0.0, 1.0)
-    return Dataset(features, power)
+    # the features, lo + unit * (hi - lo), in unit's own memory
+    unit *= hi - lo
+    unit += lo
+    return Dataset._adopt(unit, power)

@@ -233,9 +233,28 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, _usable_cpus())
 
 
-def _serve(shared, jobs, conn):
-    """Run the job indices drawn from ``jobs`` up to a None, then send all their outcomes."""
-    conn.send({index: _model_job(shared, index) for index in iter(jobs.get, None)})
+def _serve(shared, jobs, conn, inherited):
+    """Run the job indices drawn from ``jobs`` up to a None, then send all their outcomes.
+
+    ``jobs`` is (read end, lock). First the worker closes ``inherited``, the
+    pipe ends it got from the parent but does not use: the job pipe's write
+    end and the read ends of its own and earlier workers' result pipes. Once
+    the parent is gone, even killed by a signal that runs none of its
+    clean-up, no one holds the other end of this worker's pipes, so its
+    read or send fails and it exits instead of waiting for ever.
+    """
+    for end in inherited:
+        end.close()
+    reader, lock = jobs
+
+    def draw():
+        with lock:  # a message is two reads, which no other worker may split
+            return reader.recv()
+
+    try:
+        conn.send({index: _model_job(shared, index) for index in iter(draw, None)})
+    except (EOFError, BrokenPipeError):  # the parent is gone: no one to tell
+        pass
 
 
 def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
@@ -256,18 +275,20 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
     import multiprocessing.connection
 
     context = multiprocessing.get_context("fork")
-    jobs, started, done = context.SimpleQueue(), {}, {}
+    job_reader, job_writer = context.Pipe(duplex=False)
+    jobs, started, done = (job_reader, context.Lock()), {}, {}
     try:
         for _ in range(workers):  # fork hands each worker ``shared``; nothing pickles it
             receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_serve, args=(shared, jobs, sender))
+            inherited = [job_writer, *started, receiver]
+            process = context.Process(target=_serve, args=(shared, jobs, sender, inherited))
             process.start()
             sender.close()  # the worker holds the only write end: its death reads as EOF
             started[receiver] = process
-        # a put blocks on a full pipe, so the queue fills once the workers run
+        # a send blocks on a full pipe, so the jobs go in once the workers run
         order = sorted(range(len(specs)), key=lambda i: COST_RANK.index(specs[i].kind))
         for i in order + [None] * workers:  # then one None per worker
-            jobs.put(i)
+            job_writer.send(i)
         during = meanwhile()
         waiting = dict(started)
         while waiting:  # in the order they finish, so a dead worker's EOF shows at once
@@ -284,6 +305,8 @@ def _run_jobs(cfg, specs, train, test, steps, meanwhile) -> tuple:
             receiver.close()
             process.kill()
             process.join()
+        job_reader.close()
+        job_writer.close()
     return [done[i] for i in range(len(specs))], during
 
 

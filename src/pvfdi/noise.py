@@ -80,21 +80,24 @@ def inject(test: Dataset, cfg: NoiseConfig) -> tuple:
     count = math.floor(cfg.fraction * n + 0.5)  # round half up
     rows = np.sort(stream(cfg.seed, "noise-rows").permutation(n)[:count])
 
-    features = np.array(test.features)
-    power = np.array(test.power)
+    # only a targeted array is copied; the other is the input's own, frozen
+    features, power = test.features, test.power
     if count:
         cells = stream(cfg.seed, "noise-cells")
         with np.errstate(over="ignore"):  # an overflow is reported below
             if cfg.target in ("FEATURES", "BOTH"):
                 names = cfg.columns if cfg.columns is not None else FEATURE_NAMES
                 cols = np.array([FEATURE_NAMES.index(c) for c in names], dtype=np.intp)
+                features = np.array(features)
                 features[np.ix_(rows, cols)] += cells.normal(
                     cfg.mean, cfg.std, size=(count, cols.size)
                 )
             if cfg.target in ("POWER", "BOTH"):
+                power = np.array(power)
                 power[rows] += cells.normal(cfg.mean, cfg.std, size=count)
         name = nonfinite_column(features, power)
         if name is not None:
             raise DataError(f"noise takes column {name!r} beyond the float range")
 
-    return test.replace(features=features, power=power), [int(r) for r in rows]
+    noisy = Dataset._adopt(features, power, timestamps=test.timestamps)
+    return noisy, [int(r) for r in rows]

@@ -18,11 +18,14 @@ the scipy package, as ``scipy.libs/libscipy_openblas*.so`` exporting
 ``scipy_dpotrf_`` and ``scipy_dpotrs_``, loaded through ``ctypes`` without
 importing scipy, which spares every command the 0.2 s import of
 ``scipy.linalg``. Where no such library is found (a conda, macOS or Windows
-build of scipy), the same two names bind at import to
-``scipy.linalg.lapack``'s ``dpotrf`` and ``dpotrs``.
+build of scipy), ``scipy.linalg.lapack``'s ``dpotrf`` and ``dpotrs`` serve
+instead. Either is bound on the first factorization, not at import, so a
+command or a sweep's parent process that fits no GPR maps no second
+OpenBLAS beside numpy's.
 """
 
 import ctypes
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -105,11 +108,22 @@ def _scipy_lapack():
     return potrf, potrs
 
 
-# _potrf(K) factors the Fortran-ordered K in place into its lower triangle
-# and returns LAPACK's info, positive when K is not positive definite;
-# _potrs(K, y) solves with that factor into a fresh copy of y, whose rows
-# are K's
-_potrf, _potrs = _openblas_lapack() or _scipy_lapack()
+@functools.cache
+def _lapack():
+    """(_potrf, _potrs) of the first binding found: the vendored OpenBLAS,
+    else ``scipy.linalg.lapack``."""
+    return _openblas_lapack() or _scipy_lapack()
+
+
+def _potrf(K):
+    """Factor the Fortran-ordered K in place into its lower triangle; LAPACK's
+    info, positive when K is not positive definite."""
+    return _lapack()[0](K)
+
+
+def _potrs(K, y):
+    """Solve with _potrf's factor of K into a fresh copy of y, whose rows are K's."""
+    return _lapack()[1](K, y)
 
 
 def _rbf_fill(A, B, length_scale, out, at=None):

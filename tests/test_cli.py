@@ -344,6 +344,9 @@ def test_infinite_rate_or_scale_exits_one(tmp_path, capsys, kind, key):
     ("inject --data wide.csv --fraction 1 --noise-mean 1e308 --out out/x.csv", 2),
     # a feature column at the float extremes overflows min-max scaling
     ("sweep --data wide.csv --models LR --out out", 2),
+    # 10^11 rows of features are 8.7 TiB, an allocation refused outright
+    ("synth --n 100000000000 --out out/x.csv", 3),
+    ("sweep --n 100000000000 --models LR --out out", 3),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -365,7 +368,7 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     assert run(argv.split()) == code
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err and "RuntimeWarning" not in err
-    assert "cannot write" in err or code != 3
+    assert "cannot write" in err or "Unable to allocate" in err or code != 3
     assert not Path("out").exists()
 
 

@@ -20,6 +20,8 @@ from pvfdi.errors import (
     UnreadableCsv,
     PvfdiError,
 )
+from pvfdi.noise import NOISE_TARGETS, NoiseConfig, inject
+from tests.test_knn import peak_bytes
 
 
 def small(n=20, seed=3):
@@ -50,6 +52,34 @@ def test_dataset_validation():
         pvfdi.Dataset(np.zeros((3, 12)), np.array([0.0, np.nan, 0.0]))
     with pytest.raises(ValueError, match="timestamps"):
         pvfdi.Dataset(np.zeros((3, 12)), np.zeros(3), timestamps=["a", "b"])
+
+
+def test_constructor_copies_the_callers_arrays():
+    features, power = np.zeros((3, 12)), np.zeros(3)
+    ds = pvfdi.Dataset(features, power)
+    features[0, 0] = power[0] = 1.0
+    assert features.flags.writeable and power.flags.writeable
+    assert ds.features[0, 0] == 0.0 and ds.power[0] == 0.0
+
+
+def built_datasets(tmp_path) -> dict:
+    """One dataset from each of the package's builders, by builder."""
+    synth = pvfdi.synth_generate(600, 4)
+    pvfdi.save_csv(synth, tmp_path / "d.csv")
+    train, test = pvfdi.split(synth, pvfdi.SplitConfig(0.8, 4))
+    train_n, (test_n,) = pvfdi.normalize(train, [test])
+    built = {"synth_generate": synth, "take": synth.take([3, 1, 2]), "split": test,
+             "normalize": test_n, "load_csv": pvfdi.load_csv(tmp_path / "d.csv")}
+    for target in NOISE_TARGETS:
+        built[f"inject {target}"] = inject(test_n, NoiseConfig(0.5, target=target))[0]
+    return built
+
+
+def test_built_datasets_hold_frozen_c_contiguous_floats(tmp_path):
+    for builder, ds in built_datasets(tmp_path).items():
+        for array in (ds.features, ds.power):
+            assert array.dtype == np.float64, builder
+            assert array.flags.c_contiguous and not array.flags.writeable, builder
 
 
 def test_take_preserves_order_and_equality():
@@ -362,8 +392,11 @@ def test_constant_column_normalizes_to_zero():
     features = np.array(ds.features)
     features[:, 4] = 7.5
     ds = pvfdi.Dataset(features, ds.power)
-    norm, _ = pvfdi.normalize(ds)
-    assert np.all(norm.features[:, 4] == 0.0)
+    features[:, 4] = np.linspace(-1.0, 9.0, 30)  # beyond train's one value, either side
+    norm, (other,) = pvfdi.normalize(ds, [pvfdi.Dataset(features, ds.power)])
+    for scaled in (norm, other):  # +0.0, never -0.0
+        assert np.all(scaled.features[:, 4] == 0.0)
+        assert not np.signbit(scaled.features[:, 4]).any()
 
 
 def test_no_clipping_beyond_training_range():
@@ -457,6 +490,15 @@ def test_synth_power_tracks_radiation():
     ssrd = ds.features[:, pvfdi.FEATURE_NAMES.index("ssrd")]
     corr = np.corrcoef(ssrd, ds.power)[0, 1]
     assert corr > 0.5  # solar radiation is the dominant driver
+
+
+def test_synth_allocates_its_arrays_once():
+    # 200,000 rows hold 20.8 MB of features and power. Scaling a copy of the
+    # unit draws and then copying the result into the dataset peaked at
+    # 63.3 MiB; scaling the draws in place peaks at 25.2 MiB
+    peak, ds = peak_bytes(pvfdi.synth_generate, 200_000, 42)
+    assert len(ds) == 200_000
+    assert peak < 40 * 2**20
 
 
 def test_synth_rejects_tiny_counts():

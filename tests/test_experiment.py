@@ -2,8 +2,12 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from pvfdi.metrics import rmse
 from pvfdi.noise import NoiseConfig, inject
 from pvfdi.regressors import DEFAULT_KINDS, KNNModel, ModelSpec
 from pvfdi.rng import derive_seed
+from tests.test_golden import child_env
+from tests.test_knn import peak_bytes
 
 BASE = dict(synth_n=240, seed=13)
 
@@ -460,6 +466,65 @@ def test_dead_worker_exits_3_without_a_traceback(monkeypatch, tmp_path, capfd):
     assert code == 3
     assert "exit code 7 " in err and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_prepare_allocates_each_dataset_once():
+    # the raw 200,000 rows, their split and its normalized copy hold 59.6 MiB;
+    # copying every array a builder had just made peaked at 83.6 MiB
+    peak, (raw, train, test) = peak_bytes(experiment._prepare,
+                                          ExperimentConfig(synth_n=200_000, seed=42))
+    assert len(raw) == 200_000 and len(train) + len(test) == 200_000
+    assert peak < 72 * 2**20
+
+
+def proc_stat(pid) -> list:
+    """The fields of /proc/<pid>/stat after the command name; [] once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return []
+
+
+def children(pid) -> list:
+    """The processes whose parent is ``pid``."""
+    return [int(stat.parent.name) for stat in Path("/proc").glob("[0-9]*/stat")
+            if proc_stat(stat.parent.name)[1:2] == [str(pid)]]
+
+
+def running(pid) -> bool:
+    return proc_stat(pid)[:1] not in ([], ["Z"])
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_exit_once_a_signal_kills_the_sweep(tmp_path):
+    # SIGTERM's default action runs no finally, so no one kills the workers:
+    # each must find its pipes broken and exit when its jobs are done
+    expected = min(len(DEFAULT_KINDS), experiment._usable_cpus())
+    if expected < 2:
+        pytest.skip("one usable CPU runs the jobs in-process")
+    sweep = subprocess.Popen([sys.executable, "-m", "pvfdi.cli", "sweep", "--n", "10000",
+                              "--out", str(tmp_path / "o")], env=child_env(),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        time.sleep(1.5)
+        deadline = time.monotonic() + 30
+        while len(workers) < expected and time.monotonic() < deadline:
+            workers = children(sweep.pid)
+            time.sleep(0.05)
+        sweep.send_signal(signal.SIGTERM)
+        sweep.wait(timeout=10)
+        assert len(workers) == expected
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [pid for pid in workers if running(pid)] == []
+    finally:
+        sweep.kill()
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_cost_rank_orders_every_kind():

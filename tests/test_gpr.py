@@ -216,7 +216,8 @@ def test_fit_bytes_match_the_recorded_digest():
     assert child.stdout.strip() == GPR_FIT_DIGEST
 
 
-# gpr.py binds _potrf and _potrs at import to the first of these that exists
+# on its first factorization, gpr.py binds _potrf and _potrs to the first of
+# these that exists
 BINDINGS = {"vendored OpenBLAS": gpr._openblas_lapack, "scipy.linalg.lapack": gpr._scipy_lapack}
 
 

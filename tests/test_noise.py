@@ -63,6 +63,18 @@ def test_power_target_leaves_features_alone(clean):
     np.testing.assert_array_equal(changed, affected)
 
 
+# the input's arrays are frozen, so the noisy dataset holds those the noise
+# leaves alone instead of copies
+@pytest.mark.parametrize("target, fraction, shared", [
+    ("FEATURES", 1.0, {"power"}), ("POWER", 1.0, {"features"}), ("BOTH", 1.0, set()),
+    ("BOTH", 0.0, {"features", "power"}),
+])
+def test_untouched_arrays_are_shared_not_copied(clean, target, fraction, shared):
+    noisy, _ = inject(clean, NoiseConfig(fraction, target=target, seed=3))
+    for name in ("features", "power"):
+        assert (getattr(noisy, name) is getattr(clean, name)) == (name in shared), name
+
+
 def test_both_target_hits_features_and_power(clean):
     noisy, _ = inject(clean, NoiseConfig(1.0, target="BOTH", seed=3))
     assert not np.array_equal(noisy.features, clean.features)

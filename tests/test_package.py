@@ -65,3 +65,28 @@ def test_start_up_leaves_scipy_linalg_unloaded(tmp_path, run):
     check = f"import sys; {run}; assert 'scipy.linalg' not in sys.modules"
     subprocess.run([sys.executable, "-c", check, str(tmp_path / "data.csv")],
                    env=child_env(), check=True, timeout=120)
+
+
+MAPS_SCIPY_OPENBLAS = "'scipy.libs/libscipy_openblas' in open('/proc/self/maps').read()"
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
+def test_only_a_gpr_fit_maps_scipys_openblas():
+    # numpy's own OpenBLAS (numpy.libs/libscipy_openblas64_*) is always
+    # mapped; scipy's second one is bound on the first factorization
+    if gpr._openblas_lapack() is None:
+        pytest.skip("this scipy vendors no OpenBLAS with scipy_dpotrf_ and scipy_dpotrs_")
+    check = f"""
+import numpy as np
+import pvfdi
+from pvfdi import experiment
+from pvfdi.regressors import ModelSpec, fit_gpr
+assert not {MAPS_SCIPY_OPENBLAS}
+if experiment._worker_count(2) > 1:  # the workers fit GPR; the parent does not
+    experiment.run_noise_sweep(experiment.ExperimentConfig(
+        synth_n=60, models=(ModelSpec("GPR"), ModelSpec("LR"))))
+    assert not {MAPS_SCIPY_OPENBLAS}
+fit_gpr(np.eye(3), np.ones(3))
+assert {MAPS_SCIPY_OPENBLAS}
+"""
+    subprocess.run([sys.executable, "-c", check], env=child_env(), check=True, timeout=120)
