@@ -185,10 +185,10 @@ def _model_job(shared, index):
 
 
 # Model kinds by the cost of one job at the default hyperparameters, most
-# expensive first. Measured as the median seconds of three _model_job
+# expensive first. Measured as the median CPU seconds of three _model_job
 # calls, summed over the perfbench c6-sweep and attack-grid workloads
-# (seed 42, one CPU, one BLAS thread, two runs): MLPR 2.7-3.0 s, GBRT
-# 0.79-0.82 s, KNN 0.46-0.47 s, GPR 0.43-0.45 s, DT 0.22 s, SVR 0.11-0.12 s,
+# (seed 42, one CPU, one BLAS thread, two runs): MLPR 3.2-3.3 s, GBRT
+# 0.64-0.70 s, KNN 0.55-0.59 s, GPR 0.50-0.51 s, DT 0.24-0.25 s, SVR 0.10-0.11 s,
 # LR and LASSO under 0.01 s. Submitting longest first (Graham's LPT list
 # scheduling) starts MLPR at once, so it never lands last on a worker that
 # the short jobs have kept busy.

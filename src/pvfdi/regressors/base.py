@@ -63,6 +63,24 @@ def padded_width(n: int) -> int:
     return -(-n // 8) * 8
 
 
+def halves_exactly(*squared_norms) -> bool:
+    """True when every nonzero entry of each array lies in [2**-899, 2**1000].
+
+    KNN and GPR then build their distance blocks at half scale, |a|^2/2 -
+    a.b in place of |a|^2 - 2 a.b, with the same bits after a doubling.
+    Rounding commutes with halving unless a value is subnormal or
+    overflows. Such norms halve exactly and keep every |a.b| and partial
+    sum below about 2**1002. No partial sum is subnormal either. A norm's
+    half x is 0 or at least 2**-900, and a zero norm is a zero row, whose
+    products are zeros. Otherwise x - y is at least |x|/2 in size when
+    |y| < |x|/2, and else a difference of two doubles at least 2**-901 in
+    size, both multiples of 2**-953, so zero or at least 2**-953; adding
+    the other half norm keeps the sum such a multiple.
+    """
+    return all(a.max(initial=0.0) <= 2.0**1000 and not ((a > 0.0) & (a < 2.0**-899)).any()
+               for a in squared_norms)
+
+
 # Bytes of one row block of a product with a training or weight matrix
 # (KNN's distances, GPR's kernels, MLPR's hidden layer), so that the block
 # stays in a core's L2 cache through its elementwise passes instead of

@@ -6,8 +6,14 @@ of points. Above ``max_points`` a seeded uniform subsample keeps the
 factorization tractable; the predictor is then exact on that subset.
 
 Every kernel matrix is built block by block over ``base.row_blocks``,
-so each block stays in L2 through its six elementwise passes. The
-training kernel goes straight into a Fortran-ordered array, which LAPACK's
+so each block stays in L2 through its elementwise passes: five where
+``base.halves_exactly`` accepts the call's squared norms and l^2 <=
+2**1000 (|a|^2/2 - a.b, + |b|^2/2, max with 0, / -l^2, exp), else six
+(* -2, + |a|^2, + |b|^2, max with 0, / -2 l^2, exp). Both give the same
+bits: the halved sum is the unhalved one halved, exactly, its max with 0
+too, and the divisor halves with it, so each quotient is the same real
+number rounded once. The bound on l^2 keeps -2 l^2 from overflowing.
+The training kernel goes straight into a Fortran-ordered array, which LAPACK's
 ``dpotrf`` factors in place and ``dpotrs`` solves against. Prediction keeps
 its 512-row chunks: a row's position in its chunk fixes the bits of its
 product with alpha.
@@ -34,7 +40,7 @@ import numpy as np
 from ..errors import NotPositiveDefinite
 from ..rng import stream
 from .base import (AT_LEAST_ONE, CHUNK_ROWS, FINITE_NON_NEGATIVE, FINITE_POSITIVE,
-                   TrainedModel, require_finite, row_blocks)
+                   TrainedModel, halves_exactly, require_finite, row_blocks)
 
 __all__ = ["GPRModel", "fit_gpr", "rbf_kernel"]
 
@@ -135,14 +141,22 @@ def _rbf_fill(A, B, length_scale, out, at=None):
     """
     A_sq = np.einsum("ij,ij->i", A, A)[:, np.newaxis]
     B_sq = np.einsum("ij,ij->i", B, B)
+    # the bits of exp((|a|^2 - 2 a.b + |b|^2) / (-2 l^2)), the max taken
+    # before the division: at half scale where the module docstring says,
+    # else scaling by -2 is exact and x + (-y) == x - y
+    halved = halves_exactly(A_sq, B_sq) and length_scale**2 <= 2.0**1000
+    if halved:
+        A_sq, B_sq = A_sq / 2.0, B_sq / 2.0
+    divisor = -(length_scale**2) if halved else -2.0 * length_scale**2
     for rows, K in row_blocks(A, B):
-        # the bits of exp((|a|^2 - 2 a.b + |b|^2) / (-2 l^2)), the max taken
-        # before the division: scaling by -2 is exact, and x + (-y) == x - y
-        K *= -2.0
-        K += A_sq[rows]
+        if halved:
+            np.subtract(A_sq[rows], K, out=K)
+        else:
+            K *= -2.0
+            K += A_sq[rows]
         K += B_sq
         np.maximum(K, 0.0, out=K)
-        K /= -2.0 * length_scale**2
+        K /= divisor
         out[rows if at is None else at[rows]] = np.exp(K, out=K)
     return out
 

@@ -11,9 +11,17 @@ The solver keeps F = s * G and updates each half of it with K's n-entry
 row. For s = +-1, s * (G + c * (s * k)) equals s * G + c * k bit for bit,
 as negation is exact and round-to-nearest symmetric.
 
+The up and low sets are held as two gates, arrays of infinities that a
+step updates at i and j only, so each selection runs about nine unmasked
+passes over 2n entries: np.maximum and argmin pick i, np.minimum and max
+give Gmax2, and four passes and an argmax pick j (see ``_select_pair``).
+Each pick is the one the masked rule makes, ties included.
+
 As in LIBSVM, kernel rows are computed on demand, each alone, into one
-LRU cache that ``cache_mb`` bounds. A row computed again after an eviction
-has the same bytes, so ``cache_mb`` limits memory and never the model.
+LRU cache that ``cache_mb`` bounds; each entry holds a row and its
+``quad`` vector, so it counts 16 bytes per training row. A row computed
+again after an eviction has the same bytes, so ``cache_mb`` limits memory
+and never the model.
 
 Hitting max_iterations is not an error: the best iterate is returned
 with ``converged`` False so callers can decide what to do with it. A cap
@@ -39,12 +47,19 @@ def _rbf_rows(A, X, X_sq, gamma):
 
 
 def _row_cache(X, gamma, cache_mb):
-    """``row(b)``: K(b, :), from an LRU of ``cache_mb`` that holds >= 2 rows."""
+    """``row(b)``: (K(b, :), its ``quad``), from an LRU of ``cache_mb`` that
+    holds >= 2 rows.
+
+    A row's ``quad`` is max(K(b, b) + K(v, v) - 2 K(b, v), _TAU) over every
+    v: the curvature along the pair (b, v). The RBF diagonal is 1, and one
+    n-entry vector serves both halves of the dual.
+    """
     X_sq = np.einsum("ij,ij->i", X, X)
 
-    @lru_cache(maxsize=max(2, int(cache_mb * 2**20 / (8 * X.shape[0]))))
+    @lru_cache(maxsize=max(2, int(cache_mb * 2**20 / (16 * X.shape[0]))))
     def row(b):
-        return _rbf_rows(X[b : b + 1], X, X_sq, gamma)[0]
+        k = _rbf_rows(X[b : b + 1], X, X_sq, gamma)[0]
+        return k, np.maximum(2.0 - 2.0 * k, _TAU)
 
     return row
 
@@ -85,33 +100,70 @@ class SVRModel(TrainedModel):
         return out
 
 
-def _select_pair(F, s, lower, upper, row, n, tol):
-    """Return (i, j, violation); i or j of -1 signals optimality."""
-    up_val = np.where((s > 0) & ~upper | (s < 0) & ~lower, -F, -np.inf)
-    i = int(np.argmax(up_val))
-    gmax = up_val[i]
-    in_low = (s > 0) & ~lower | (s < 0) & ~upper
-    low_val = np.where(in_low, F, -np.inf)
-    gmax2 = low_val.max()
+def _gates(z, C, n):
+    """(up_gate, low_gate) of the iterate ``z``: -inf on the up set, +inf on
+    the low set, and the other infinity elsewhere.
+
+    Variable t is in the up set when z[t] can move so that s[t] * z[t]
+    grows (z < C for s = +1, z > 0 for s = -1), and in the low set when it
+    can move the other way.
+    """
+    above, below = z > 0.0, z < C
+    up = np.concatenate((below[:n], above[n:]))
+    low = np.concatenate((above[:n], below[n:]))
+    return np.where(up, -np.inf, np.inf), np.where(low, np.inf, -np.inf)
+
+
+def _set_gates(up_gate, low_gate, z, C, n, t):
+    """Refresh entry t of both gates after a step moved z[t]."""
+    above, below = z[t] > 0.0, z[t] < C
+    if t >= n:
+        above, below = below, above
+    up_gate[t] = -np.inf if below else np.inf
+    low_gate[t] = np.inf if above else -np.inf
+
+
+def _select_pair(F, up_gate, low_gate, row, n, tol):
+    """Return (i, j, violation); i or j of -1 signals optimality.
+
+    max(F, up_gate) is F on the up set and +inf off it, so its first
+    minimum is i, the first maximum of -F there. min(F, low_gate) is F on
+    the low set and -inf off it, where gmax + F then fails the gain test.
+    j is the first maximum of the ratio (gmax + F)^2 / quad over the low
+    set where gmax + F > 0: the negated gain of the classic rule, whose
+    first minimum it is. Signed by gmax + F, every other entry is <= 0
+    while those ratios are >= 0, so a positive maximum is that pick; when
+    none is positive (no candidate, or every ratio underflows to 0) a
+    masked pass decides.
+    """
+    up = np.maximum(F, up_gate)
+    i = int(np.argmin(up))
+    gmax = -up[i]
+    grad_diff = np.minimum(F, low_gate, out=up)
+    gmax2 = grad_diff.max()
     violation = gmax + gmax2
     if not np.isfinite(violation) or violation < tol:
         return -1, -1, violation
 
-    # kernel diagonal is 1 for RBF; one quad entry serves both halves
-    quad = np.maximum(2.0 - 2.0 * row(i % n), _TAU)
-    grad_diff = (gmax + F).reshape(2, n)
-    gain = np.where(in_low.reshape(2, n) & (grad_diff > 0),
-                    -(grad_diff * grad_diff) / quad, np.inf)
-    j = int(np.argmin(gain))
-    if not np.isfinite(gain.flat[j]):
+    grad_diff += gmax
+    ratio = np.multiply(grad_diff, grad_diff)
+    halves = ratio.reshape(2, n)
+    halves /= row(i % n)[1]
+    np.copysign(ratio, grad_diff, out=ratio)
+    j = int(np.argmax(ratio))
+    if not ratio[j] > 0.0:  # no positive ratio: ties at zero need the mask
+        ratio = np.where(grad_diff > 0, np.abs(ratio), -np.inf)
+        j = int(np.argmax(ratio))
+    if not np.isfinite(ratio[j]):
         return -1, -1, violation
     return i, j, violation
 
 
 def _take_step(z, F, s, i, j, C, row, n):
     """One pairwise update, clipped to the box; mirrors the classic solver."""
-    k_i, k_j = row(i % n), row(j % n)
-    quad = max(2.0 - 2.0 * k_i[j % n], _TAU)
+    k_i, quad = row(i % n)
+    k_j = row(j % n)[0]
+    quad = quad[j % n]
     old_i, old_j = z[i], z[j]
     G_i, G_j = s[i] * F[i], s[j] * F[j]
 
@@ -180,15 +232,19 @@ def _smo(X, y, C, epsilon, gamma, tol, max_iterations, cache_mb):
     F = s * p
     row = _row_cache(X, gamma, cache_mb)
 
+    up_gate, low_gate = _gates(z, C, n)
+
     converged = False
     violation = np.inf
     it = 0
     while it < max_iterations:
-        i, j, violation = _select_pair(F, s, z <= 0.0, z >= C, row, n, tol)
+        i, j, violation = _select_pair(F, up_gate, low_gate, row, n, tol)
         if i < 0:
             converged = True
             break
         _take_step(z, F, s, i, j, C, row, n)
+        _set_gates(up_gate, low_gate, z, C, n, i)
+        _set_gates(up_gate, low_gate, z, C, n, j)
         it += 1
     return z, dict(bias=_bias(F, s, z, C), dual_objective=-0.5 * float(z @ (s * F + p)),
                    iterations=it, converged=converged, kkt_violation=violation)

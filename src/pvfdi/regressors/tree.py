@@ -55,11 +55,29 @@ def grow_tree(
     marks a leaf. Samples with x <= threshold go left. When given, the
     n_samples intp array ``leaf_of`` receives each sample's leaf: the
     node ``route`` walks its row to.
+
+    A node scores only the cuts that leave ``min_samples_leaf`` rows on
+    both sides, in place, dividing by slices of two per-fit denominator
+    vectors. A child that cannot split (at ``max_depth``, or with fewer
+    than 2 * ``min_samples_leaf`` rows) gets no column blocks. A cut
+    t = (v_p + v_p+1) / 2 is valid when v_p <= t < v_p+1, so the left
+    rows are the first p + 1 of the winning column, found without a
+    compare pass. Rounding is monotone, so t >= v_p unless the sum
+    overflows to -inf, which takes a value at or below -2**1023; only
+    then is the lower test run. t < v_p+1 fails for equal neighbours,
+    whose t is their value, and for a sum that overflows to +inf.
     """
     order, values = columns
     g = np.asarray(g, dtype=np.float64)
+    min_samples_leaf = max(min_samples_leaf, 1)  # a side of a cut holds a row
     n_features, n_samples = order.shape
     goes_left = np.zeros(n_samples, dtype=bool)
+    # the split gain's denominators, left_n + reg_lambda over left_n = 1, 2, ...
+    # and (n - left_n) + reg_lambda, whose tail serves a node of n rows
+    left_den = np.arange(1, n_samples) + reg_lambda
+    right_den = np.ascontiguousarray(left_den[::-1])
+    # v_p + v_p+1 overflows to -inf only where a column reaches -2**1023
+    full_tests = bool((values[:, :1] <= -(2.0**1023)).any())
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -70,6 +88,10 @@ def grow_tree(
         value.append(0.0)
         return len(feature) - 1
 
+    def splits(n, depth):
+        """Whether a node of n rows at ``depth`` may be split at all."""
+        return (max_depth is None or depth < max_depth) and n >= 2 * min_samples_leaf
+
     root = new_node()
     stack = [(root, np.arange(n_samples, dtype=np.intp), order, values, 0)]
     while stack:
@@ -77,55 +99,69 @@ def grow_tree(
         n = rows.size
         g_node = g[rows]
         total = g_node.sum()  # ascending rows: pairwise summation order matters
-        leaf_value = leaf_sign * total / (n + reg_lambda)
 
-        can_split = (
-            (max_depth is None or depth < max_depth)
-            and n >= 2 * min_samples_leaf
-            and n >= 2
-            and np.any(g_node != g_node[0])
-        )
         quality = -np.inf
-        if can_split:
-            left_g = np.cumsum(g[order], axis=1)[:, :-1]
-            left_n = np.arange(1, n)
-            cuts = 0.5 * (values[:, :-1] + values[:, 1:])
-            valid = (values[:, :-1] < values[:, 1:]) & (cuts < values[:, 1:])
-            valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-            right_g = total - left_g
-            gains = (
-                left_g * left_g / (left_n + reg_lambda)
-                + right_g * right_g / ((n - left_n) + reg_lambda)
-                - total * total / (n + reg_lambda)
-            )
-            gains[~valid] = -np.inf
-            pos = np.argmax(gains, axis=1)  # first max -> lowest threshold
-            best = gains[np.arange(n_features), pos]
-            best[np.isnan(best)] = -np.inf  # NaN never compares as better
-            j = int(np.argmax(best))  # first max -> lowest feature index
+        if splits(n, depth) and (g_node != g_node[0]).any():
+            # cut p puts sorted entries 0..p left; both sides need
+            # min_samples_leaf rows, so p runs over [lo, hi)
+            lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+            left_g = g.take(order[:, :hi])
+            left_g.cumsum(axis=1, out=left_g)
+            left_g = left_g[:, lo:]
+            right_g = np.subtract(total, left_g)
+            upper = values[:, lo + 1 : hi + 1]
+            cuts = np.add(values[:, lo:hi], upper)
+            cuts *= 0.5
+            gains = left_g
+            gains *= left_g
+            gains /= left_den[lo:hi]
+            right_g *= right_g
+            right_g /= right_den[n_samples - n + lo : n_samples - n + hi]
+            gains += right_g
+            gains -= total * total / (n + reg_lambda)
+            # a valid cut lies in [v_p, v_p+1), so both sides hold rows; a
+            # cut below v_p is one whose sum overflowed to -inf
+            invalid = np.greater_equal(cuts, upper)
+            if full_tests:
+                invalid |= cuts < values[:, lo:hi]
+            gains[invalid] = -np.inf
+            best = gains.max(axis=1)
+            j = int(best.argmax())  # first max -> lowest feature index
             quality = float(best[j])
+            if quality != quality:  # argmax stops at a NaN, which never compares as better
+                best[np.isnan(best)] = -np.inf
+                j = int(best.argmax())
+                quality = float(best[j])
         if not quality > min_split_quality:
-            value[node] = float(leaf_value)
+            value[node] = float(leaf_sign * total / (n + reg_lambda))
             if leaf_of is not None:
                 leaf_of[rows] = node
             continue
 
-        t = float(cuts[j, pos[j]])
-        goes_left[order[j][values[j] <= t]] = True
+        p = int(gains[j].argmax())  # first max -> lowest threshold
+        t = float(cuts[j, p])
+        left_rows = order[j, : lo + p + 1]  # t in [v_p, v_p+1): entries 0..p are <= t
+        goes_left[left_rows] = True
         row_mask = goes_left[rows]
         feature[node] = j
         threshold[node] = t
         left[node] = new_node()
         right[node] = new_node()
-        # children at max_depth can only be leaves, which read no column block
-        blocks = ((None, None), (None, None))
-        if max_depth is None or depth + 1 < max_depth:
-            mask = goes_left[order]
-            blocks = ((order[~mask].reshape(n_features, -1), values[~mask].reshape(n_features, -1)),
-                      (order[mask].reshape(n_features, -1), values[mask].reshape(n_features, -1)))
+        # a child that cannot split becomes a leaf, which reads no column block
+        blocks = [(None, None), (None, None)]
+        sides = [splits(n - left_rows.size, depth + 1), splits(left_rows.size, depth + 1)]
+        if any(sides):
+            mask = goes_left[order].ravel()
+            for side, wanted in enumerate(sides):
+                if wanted:
+                    # the flat positions, then two gathers: a boolean index
+                    # of the 2-D blocks took four times as long
+                    at = (mask if side else ~mask).nonzero()[0]
+                    blocks[side] = (order.take(at).reshape(n_features, -1),
+                                    values.take(at).reshape(n_features, -1))
         goes_left[rows] = False
-        stack.append((right[node], rows[~row_mask], *blocks[0], depth + 1))
-        stack.append((left[node], rows[row_mask], *blocks[1], depth + 1))
+        stack.append((right[node], rows.compress(~row_mask), *blocks[0], depth + 1))
+        stack.append((left[node], rows.compress(row_mask), *blocks[1], depth + 1))
 
     return (
         np.asarray(feature, dtype=np.intp),

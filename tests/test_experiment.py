@@ -508,7 +508,8 @@ def test_workers_exit_once_a_signal_kills_the_sweep(tmp_path):
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     workers = []
     try:
-        time.sleep(1.5)
+        # signal as soon as every worker runs: the shorter worker's jobs
+        # can end about a second in, and it then exits on its own
         deadline = time.monotonic() + 30
         while len(workers) < expected and time.monotonic() < deadline:
             workers = children(sweep.pid)

@@ -140,6 +140,47 @@ def test_every_block_size_fits_and_predicts_the_unblocked_bytes(n, seed):
             assert model.predict_rows(X, rows).tobytes() == some.tobytes(), blocked
 
 
+# squared norms scale by scale**2: 1e-140 falls below 2**-899, 1e151 above
+# 2**1000, the others inside; a length scale of 1e151 squares above 2**1000
+@given(n=st.integers(1, 40), scale=st.sampled_from((1.0, 1e-3, 1e-140, 1e149, 1e151)),
+       length_scale=st.sampled_from((0.5, 3.0, 1e149, 1e151)), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=30, scale=1.0, length_scale=0.5, grid=True, seed=0)
+@example(n=30, scale=1e-140, length_scale=0.5, grid=False, seed=0)
+@example(n=30, scale=1.0, length_scale=1e151, grid=False, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_halved_kernel_has_the_unhalved_bytes(n, scale, length_scale, grid, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        X = rng.integers(-2, 3, size=size) * 0.5 if grid else rng.normal(size=size)
+        X[::5] *= scale
+        return X
+
+    A, B = draw((n, 3)), draw((n + 3, 3))
+    with patch.object(gpr, "halves_exactly", lambda *norms: False):
+        expected = rbf_kernel(A, B, length_scale)
+    assert rbf_kernel(A, B, length_scale).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-140])
+def test_halved_kernels_fit_and_predict_the_unhalved_bytes(rng, scale):
+    # at 1e-140 the fit's squared norms fall below the range: today's passes
+    X = rng.normal(size=(60, 3))
+    X[::4] *= scale
+    y = np.sin(X.sum(axis=1))
+    Q = rng.normal(size=(600, 3))
+    rows = np.arange(0, 600, 3)
+    with patch.object(gpr, "halves_exactly", lambda *norms: False):
+        model = fit_gpr(X, y)
+        expected = dumps(model), model.predict_batch(Q).tobytes(), model.predict_rows(Q, rows)
+    assert base.halves_exactly(np.einsum("ij,ij->i", X, X)) == (scale == 1.0)
+    halved = fit_gpr(X, y)
+    assert dumps(halved) == expected[0]
+    assert halved.predict_batch(Q).tobytes() == expected[1]
+    assert halved.predict_rows(Q, rows).tobytes() == expected[2].tobytes()
+
+
 def test_prediction_holds_one_kernel_block_beside_its_product_chunk(rng):
     # the 512-row chunk of the product with alpha is 8 MB at 2,000 training
     # rows; the kernel rows are built in one L2-sized block beside it

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvfdi.errors import InvalidSpec, KTooLarge
-from pvfdi.regressors import KNNModel, base, fit_knn
+from pvfdi.regressors import KNNModel, base, fit_knn, knn
 
 
 def exhaustive_predict(X_train, y_train, x, k):
@@ -216,3 +216,63 @@ def test_prediction_holds_one_distance_block(rng):
     X = rng.normal(size=(2000, 12))
     peak, out = peak_bytes(model.predict_batch, X)
     assert peak < base.BLOCK_BYTES + out.nbytes + 64 * (8000 + 2000)
+
+
+def test_halving_range_bounds():
+    assert base.halves_exactly(np.array([0.0, 2.0**-899, 1.0, 2.0**1000]), np.array([]))
+    for bad in (np.nextafter(2.0**-899, 0.0), 5e-324, np.nextafter(2.0**1000, np.inf),
+                np.inf, np.nan):
+        assert not base.halves_exactly(np.array([1.0, bad]))
+        assert not base.halves_exactly(np.ones(3), np.array([bad, 0.0]))
+
+
+def prediction_or_error(model, X):
+    try:
+        return model.predict_batch(X).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# squared norms scale by scale**2: 1e-140 and 1e-137 fall below 2**-899,
+# 1e151 above 2**1000, and the others inside the range
+SCALES = (1.0, 1e-3, 1e-137, 1e-140, 1e149, 1e151)
+
+
+@given(n=st.integers(1, 300), k=st.integers(1, 4), grid=st.booleans(),
+       train_scale=st.sampled_from(SCALES), query_scale=st.sampled_from(SCALES),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=120, k=2, grid=True, train_scale=1.0, query_scale=1.0, seed=0)
+@example(n=120, k=2, grid=False, train_scale=1e-140, query_scale=1.0, seed=0)
+@example(n=120, k=2, grid=False, train_scale=1.0, query_scale=1e151, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_halved_distances_predict_the_unhalved_bytes(n, k, grid, train_scale, query_scale,
+                                                     seed):
+    # a few rows of each set are scaled, so one call mixes in-range and
+    # out-of-range norms; a grid gives ties at the selection's tau
+    rng = np.random.default_rng(seed)
+
+    def draw(size, scale):
+        X = rng.integers(-2, 3, size=size) * 0.5 if grid else rng.normal(size=size)
+        X[::7] *= scale
+        return X
+
+    model = fit_knn(draw((n, 3), train_scale), rng.normal(size=n), k=min(k, n))
+    X = draw((60, 3), query_scale)
+    with patch.object(knn, "halves_exactly", lambda *norms: False):
+        expected = prediction_or_error(model, X)
+    assert prediction_or_error(model, X) == expected
+
+
+def test_rows_with_unequal_ties_at_tau_take_the_argpartition_path():
+    # 60 training rows form 3 column groups of 20. Query 0 meets group
+    # minima 0, 1, 1: a tie at its tau (k = 2), so it keeps 3 groups;
+    # query 0.25 keeps 2. Unequal counts select through argpartition
+    X_train = np.full((60, 1), 100.0)
+    X_train[:3, 0] = (0.0, 1.0, -1.0)
+    y = np.arange(60.0)
+    X = np.array([[0.0], [0.25]])
+    model = fit_knn(X_train, y, k=2)
+    with patch.object(knn.np, "argpartition", wraps=np.argpartition) as spy:
+        got = model.predict_batch(X)
+    assert spy.call_count == 1
+    assert got.tolist() == [exhaustive_predict(X_train, y, x, 2) for x in X]

@@ -3,12 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import pvfdi
-from pvfdi.regressors import fit_svr
+from pvfdi.regressors import fit_svr, svr
 from pvfdi.regressors.serialize import dumps
-from tests.oracles import dual_iterate, kkt_violation
+from tests.oracles import (_masked_select_pair, dual_iterate, kkt_violation, reference_smo,
+                           reference_svr)
 from tests.test_golden import GOLDEN, versions
 
 
@@ -210,6 +213,77 @@ def test_fit_bytes_match_the_recorded_digest():
     for X, y, hp in svr_fit_problems():
         digest.update(dumps(fit_svr(X, y, **hp)).encode())
     assert digest.hexdigest() == SVR_FIT_DIGEST
+
+
+def tied_problem(seed, n, d, grid, duplicated, gridded):
+    """(X, y) with ties in F: grid-valued X, duplicated rows, gridded y."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if grid:
+        X = np.round(2.0 * X) / 2.0
+    if duplicated:
+        X = np.concatenate((X, X[::-1]))
+    y = rng.normal(size=X.shape[0])
+    if gridded:
+        y = np.round(y, 1)
+    return X, y
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 3),
+       grid=st.booleans(), duplicated=st.booleans(), gridded=st.booleans(),
+       C=st.sampled_from([0.1, 1.0, 10.0]), epsilon=st.sampled_from([0.0, 0.01, 0.1]),
+       max_iterations=st.sampled_from([0, 1, 3, 200_000]), cache_mb=st.sampled_from([1e-9, 128.0]))
+@example(seed=0, n=12, d=2, grid=True, duplicated=True, gridded=True, C=10.0, epsilon=0.0,
+         max_iterations=200_000, cache_mb=1e-9)
+@settings(max_examples=60, deadline=None)
+def test_gated_solver_matches_the_masked_reference(seed, n, d, grid, duplicated, gridded,
+                                                   C, epsilon, max_iterations, cache_mb):
+    X, y = tied_problem(seed, n, d, grid, duplicated, gridded)
+    hp = dict(C=C, epsilon=epsilon, max_iterations=max_iterations, cache_mb=cache_mb)
+    assert dumps(fit_svr(X, y, **hp)) == dumps(reference_svr(X, y, **hp))
+    assert dual_iterate(X, y, **hp).tobytes() == reference_smo(X, y, **hp)[0].tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       scale=st.sampled_from([1.0, 1e-3, 1e-170]), tol=st.sampled_from([1e-3, 0.0]))
+@example(seed=0, n=3, scale=1e-170, tol=0.0)
+@settings(max_examples=100, deadline=None)
+def test_pair_selection_matches_the_masked_rule_on_any_iterate(seed, n, scale, tol):
+    # gridded gradients tie, and at 1e-170 every squared gradient
+    # difference underflows to zero, so the zero-ratio fallback decides
+    rng = np.random.default_rng(seed)
+    C = 1.0
+    z = rng.choice([0.0, 0.5, C], size=2 * n)
+    F = np.round(rng.normal(size=2 * n), 1) * scale
+    X = np.round(rng.normal(size=(n, 2)))
+    s = np.concatenate((np.ones(n), -np.ones(n)))
+    row = svr._row_cache(X, 0.5, 128.0)
+    expected = _masked_select_pair(F, s, z <= 0.0, z >= C, lambda b: row(b)[0], n, tol)
+    got = svr._select_pair(F.copy(), *svr._gates(z, C, n), row, n, tol)
+    assert got[:2] == expected[:2]
+    assert np.float64(got[2]).tobytes() == np.float64(expected[2]).tobytes()
+
+
+def test_gates_follow_every_step(norm_split):
+    # after each step the two refreshed entries leave the gates equal to
+    # those rebuilt from the whole iterate
+    train, _ = norm_split
+    X, y = train.features[:60], train.power[:60]
+    n, C = X.shape[0], 1.0
+    s = np.concatenate((np.ones(n), -np.ones(n)))
+    z, F = np.zeros(2 * n), s * np.concatenate((0.1 - y, 0.1 + y))
+    row = svr._row_cache(X, 1.0 / X.shape[1], 128.0)
+    up_gate, low_gate = svr._gates(z, C, n)
+    for _ in range(40):
+        i, j, _ = svr._select_pair(F, up_gate, low_gate, row, n, 1e-3)
+        if i < 0:
+            break
+        svr._take_step(z, F, s, i, j, C, row, n)
+        svr._set_gates(up_gate, low_gate, z, C, n, i)
+        svr._set_gates(up_gate, low_gate, z, C, n, j)
+        for got, want in zip((up_gate, low_gate), svr._gates(z, C, n)):
+            assert got.tobytes() == want.tobytes()
+    assert i >= 0  # the loop never converged early, so all 40 steps were checked
 
 
 def test_default_gamma_is_reciprocal_dimension(rng):

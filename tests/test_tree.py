@@ -119,6 +119,76 @@ def test_gbrt_matches_per_node_sort_reference(rng, max_depth, min_samples_leaf, 
     assert tuple(model.train_loss_history) == tuple(history)
 
 
+# (reg_lambda, leaf_sign, min_split_quality) of a DT and of a GBRT round
+TREE_KINDS = ((0.0, 1.0, 0.0), (0.7, -1.0, 0.02))
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3, 6])
+def test_nodes_of_twice_min_samples_leaf_rows_match_the_reference(rng, min_samples_leaf, kind):
+    # such a node has one cut position only, p = min_samples_leaf - 1
+    reg_lambda, leaf_sign, quality = kind
+    for n in (2 * min_samples_leaf, 4 * min_samples_leaf):
+        for d, binary in ((1, True), (3, True), (3, False)):
+            X, g = tie_heavy(rng, n, d, binary)
+            for max_depth in (1, 2, None):
+                hp = dict(reg_lambda=reg_lambda, leaf_sign=leaf_sign, max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf, min_split_quality=quality)
+                assert_same_tree(grow_tree(presort(X), g, **hp), reference_grow_tree(X, g, **hp))
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_no_legal_cut_leaves_one_leaf(kind):
+    reg_lambda, leaf_sign, quality = kind
+    g = np.arange(10.0) ** 2
+    constant = np.full((10, 2), 0.5)
+    # the values change only where a side would hold fewer than 4 rows
+    edges = np.zeros((10, 3))
+    edges[7:, 0] = 1.0
+    edges[0, 1] = -1.0
+    edges[:, 2] = np.repeat([0.0, 1.0], (3, 7))
+    for X, min_samples_leaf in ((constant, 1), (edges, 4)):
+        hp = dict(reg_lambda=reg_lambda, leaf_sign=leaf_sign, min_samples_leaf=min_samples_leaf,
+                  min_split_quality=quality)
+        arrays = grow_tree(presort(X), g, **hp)
+        assert arrays[0].tolist() == [-1]
+        assert_same_tree(arrays, reference_grow_tree(X, g, **hp))
+    assert grow_tree(presort(edges), g, min_samples_leaf=3)[0][0] >= 0  # a legal cut splits
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_values_whose_sums_overflow_match_the_reference(rng, min_samples_leaf):
+    # equal values at or below -2**1023 sum to -inf, a cut below both that
+    # the cut test alone would pass; row 0 alone is the best split of
+    # feature 0, at such a cut, so a missing value test would take it
+    X = rng.normal(size=(40, 2))
+    X[:6, 0] = -1.7e308
+    X[6:9, 0] = 1.7e308
+    X[9:11, 0] = -1e300
+    y = np.zeros(40)
+    y[0] = 100.0
+    y[20:] = rng.normal(size=20)
+    with np.errstate(over="ignore"):
+        for max_depth in (1, None):
+            hp = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+            arrays = grow_tree(presort(X), y, **hp)
+            assert_same_tree(arrays, reference_grow_tree(X, y, **hp))
+            assert np.isfinite(arrays[1]).all()
+
+
+def test_a_cut_whose_sum_overflows_to_minus_inf_is_never_taken():
+    # -1.7e308 + -1.6e308 rounds to -inf: a threshold no row lies below,
+    # which left the left child empty and the right one the whole node
+    X = np.array([[-1.7e308], [-1.6e308], [0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+    y = np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    with np.errstate(over="ignore"):
+        model = fit_dt(X, y, max_depth=3, min_samples_leaf=1)
+    feature, threshold = model.arrays[:2]
+    assert np.isfinite(threshold).all()
+    # every leaf holds a training row
+    assert sorted(set(leaf_of(model.arrays, row) for row in X)) == np.flatnonzero(feature < 0).tolist()
+
+
 @pytest.mark.parametrize("max_depth", [0, 1, 3, None])
 def test_leaf_of_is_the_leaf_route_reaches(rng, max_depth):
     # a node at max_depth - 1 leaves its children's column blocks unsplit,
